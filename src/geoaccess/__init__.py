@@ -19,7 +19,7 @@ from .accessibility import (
 from .config import RunConfig, load_config
 from .equity import GiniResult, StratifiedGini, TTestResult, gini, gini_stratified, welch_t_test
 from .errors import ValidationError
-from .geo import EARTH_RADIUS_MILES, GeoPoint, SpatialIndex, build_index, haversine_miles, within_radius
+from .geo import EARTH_RADIUS_MILES, GeoPoint, SpatialIndex, haversine_miles
 from .ingest import (
     CohortSummary,
     PatientRecord,
@@ -75,7 +75,6 @@ __all__ = [
     "ValidationError",
     "accessibility_scores",
     "aggregate_years",
-    "build_index",
     "build_weights",
     "classify_hotspots",
     "classify_service_status",
@@ -102,5 +101,4 @@ __all__ = [
     "run_pipeline",
     "standardize",
     "welch_t_test",
-    "within_radius",
 ]

@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ValidationError
-from .geo import GeoPoint, build_index
-from .parallel import map_indexed
+from .geo import GeoPoint, SpatialIndex
 
 DEFAULT_CATCHMENT_MILES = 15.0
 
@@ -102,13 +103,7 @@ def impedance(d: float, d0: float) -> float:
     beyond; strictly decreasing on [0, d0] and continuous (value 0) at
     the boundary.
     """
-    if not d0 > 0:
-        raise ValidationError(f"catchment threshold must be > 0, got {d0!r}")
-    if d < 0:
-        raise ValidationError(f"distance must be >= 0, got {d!r}")
-    if d > d0:
-        return 0.0
-    return math.exp(-0.5 * (d / d0) ** 2) - math.exp(-0.5)
+    return decay_weight(d, d0, "gaussian")
 
 
 def decay_weight(d: float, d0: float, family: str = "gaussian") -> float:
@@ -119,29 +114,53 @@ def decay_weight(d: float, d0: float, family: str = "gaussian") -> float:
     shifted "exponential" and "power" analogues exist for sensitivity
     analysis only.
     """
-    if family == "gaussian":
-        return impedance(d, d0)
     if not d0 > 0:
         raise ValidationError(f"catchment threshold must be > 0, got {d0!r}")
     if d < 0:
         raise ValidationError(f"distance must be >= 0, got {d!r}")
+    if family not in DECAY_FAMILIES:
+        raise ValidationError(f"unknown impedance family {family!r}; expected one of {DECAY_FAMILIES}")
+    if d > d0:
+        return 0.0
+    if family == "gaussian":
+        return math.exp(-0.5 * (d / d0) ** 2) - math.exp(-0.5)
     if family == "exponential":
-        if d > d0:
-            return 0.0
         return math.exp(-d / d0) - math.exp(-1.0)
-    if family == "power":
-        if d > d0:
-            return 0.0
-        return (1.0 + d / d0) ** -2 - 0.25
-    raise ValidationError(f"unknown impedance family {family!r}; expected one of {DECAY_FAMILIES}")
+    return (1.0 + d / d0) ** -2 - 0.25
 
 
-def _demand_value(zone: DemandZone, demand: str) -> float:
-    if demand == "patients":
-        return zone.adrd_patients
-    if demand == "population":
-        return zone.population
-    raise ValidationError(f"unknown demand column {demand!r}; expected one of {DEMAND_COLUMNS}")
+def _step_one(zones, facilities, d0: float, demand: str, family: str):
+    """Catchment pairs, supply-to-demand ratios and skipped facilities.
+
+    Inputs are sorted by id. The pairs within ``d0`` come back as arrays
+    (facility index, zone index, decay weight) sorted by (facility,
+    zone). Distances and weights are scalar libm results, and
+    ``np.bincount`` adds terms in ascending zone id order, so each ratio
+    has the bits of a sequential scan.
+    """
+    if not d0 > 0:
+        raise ValidationError(f"catchment threshold must be > 0, got {d0!r}")
+    if demand not in DEMAND_COLUMNS:
+        raise ValidationError(f"unknown demand column {demand!r}; expected one of {DEMAND_COLUMNS}")
+    if family not in DECAY_FAMILIES:
+        raise ValidationError(f"unknown impedance family {family!r}; expected one of {DECAY_FAMILIES}")
+    fac_index = SpatialIndex([(f.facility_id, f.location) for f in facilities])
+    zone_index = SpatialIndex([(z.zone_id, z.centroid) for z in zones])
+    fac, zone, dist = fac_index.pairs_within(zone_index, d0)
+    weight = np.array([decay_weight(d, d0, family) for d in dist], dtype=float)
+    need = np.array([z.adrd_patients if demand == "patients" else z.population for z in zones])
+    denom = np.bincount(fac, weights=need[zone] * weight, minlength=len(facilities))
+    reach = np.bincount(fac, minlength=len(facilities))
+    ratios: dict[str, float] = {}
+    skipped: list[tuple[str, str]] = []
+    for f, count, total in zip(facilities, reach.tolist(), denom.tolist()):
+        if count == 0:
+            skipped.append((f.facility_id, "no demand zone within catchment"))
+        elif total == 0.0:
+            skipped.append((f.facility_id, "zero weighted demand within catchment"))
+        else:
+            ratios[f.facility_id] = f.beds / total
+    return (fac, zone, weight), ratios, skipped
 
 
 def facility_ratio(
@@ -158,16 +177,9 @@ def facility_ratio(
     in-range zones with zero demand or zero weight) yields None; such a
     facility is excluded from step two.
     """
-    zone_index = build_index([(z.zone_id, z.centroid) for z in zones])
-    by_id = {z.zone_id: z for z in zones}
-    in_range = zone_index.within_radius(facility.location, d0)
-    in_range.sort(key=lambda pair: pair[0])
-    denom = 0.0
-    for zone_id, d in in_range:
-        denom += _demand_value(by_id[zone_id], demand) * decay_weight(d, d0, family)
-    if denom == 0.0:
-        return None
-    return facility.beds / denom
+    zones = sorted(zones, key=lambda z: z.zone_id)
+    _, ratios, _ = _step_one(zones, [facility], d0, demand, family)
+    return ratios.get(facility.facility_id)
 
 
 def accessibility_scores(
@@ -181,9 +193,10 @@ def accessibility_scores(
     """Two-step floating catchment area scores for every zone.
 
     Facilities with zero weighted demand are skipped (with a recorded
-    reason) rather than treated as infinite supply. Summation runs in
-    ascending id order for both steps, so serial and parallel runs are
-    bit-identical.
+    reason) rather than treated as infinite supply. Both steps sum over
+    one list of facility-zone pairs in ascending id order, so results do
+    not depend on input order. ``workers`` is validated and otherwise
+    unused: the computation runs in one thread.
 
     Raises
     ------
@@ -195,53 +208,20 @@ def accessibility_scores(
     facilities = sorted(facilities, key=lambda f: f.facility_id)
     if not zones:
         raise ValidationError("accessibility requires at least one demand zone")
-    if not d0 > 0:
-        raise ValidationError(f"catchment threshold must be > 0, got {d0!r}")
-    if demand not in DEMAND_COLUMNS:
-        raise ValidationError(f"unknown demand column {demand!r}; expected one of {DEMAND_COLUMNS}")
-    if family not in DECAY_FAMILIES:
-        raise ValidationError(f"unknown impedance family {family!r}; expected one of {DECAY_FAMILIES}")
-    fac_ids = [f.facility_id for f in facilities]
-    if len(set(fac_ids)) != len(fac_ids):
-        raise ValidationError("duplicate facility ids in accessibility input")
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
 
-    zone_index = build_index([(z.zone_id, z.centroid) for z in zones])
-    zone_by_id = {z.zone_id: z for z in zones}
+    (fac, zone, weight), ratios, skipped = _step_one(zones, facilities, d0, demand, family)
 
-    # Step one: per-facility supply-to-demand ratios.
-    ratios: dict[str, float] = {}
-    skipped: list[tuple[str, str]] = []
-    for fac in facilities:
-        in_range = zone_index.within_radius(fac.location, d0)
-        if not in_range:
-            skipped.append((fac.facility_id, "no demand zone within catchment"))
-            continue
-        in_range.sort(key=lambda pair: pair[0])
-        denom = 0.0
-        for zone_id, d in in_range:
-            denom += _demand_value(zone_by_id[zone_id], demand) * decay_weight(d, d0, family)
-        if denom == 0.0:
-            skipped.append((fac.facility_id, "zero weighted demand within catchment"))
-            continue
-        ratios[fac.facility_id] = fac.beds / denom
-
-    # Step two: per-zone decay-weighted sums over reachable facilities.
-    served = [f for f in facilities if f.facility_id in ratios]
-    fac_index = build_index([(f.facility_id, f.location) for f in served])
-
-    def score(zone: DemandZone) -> float:
-        reachable = fac_index.within_radius(zone.centroid, d0)
-        reachable.sort(key=lambda pair: pair[0])
-        total = 0.0
-        for fac_id, d in reachable:
-            total += ratios[fac_id] * decay_weight(d, d0, family)
-        return total
-
-    scores = map_indexed(score, zones, workers=workers)
-    zone_scores = {z.zone_id: s for z, s in zip(zones, scores)}
+    # Step two: per-zone decay-weighted sums of the facility ratios, added
+    # in ascending facility id order within each zone. A skipped facility
+    # carries ratio 0.0, and adding 0.0 leaves a sum's bits unchanged.
+    ratio_v = np.array([ratios.get(f.facility_id, 0.0) for f in facilities], dtype=float)
+    order = np.lexsort((fac, zone))
+    scores = np.bincount(zone[order], weights=(ratio_v[fac] * weight)[order], minlength=len(zones))
     return AccessibilityField(
         catchment_miles=d0,
         facility_ratios=ratios,
-        zone_scores=zone_scores,
+        zone_scores=dict(zip((z.zone_id for z in zones), scores.tolist())),
         skipped_facilities=skipped,
     )

@@ -22,8 +22,7 @@ __all__ = [
     "GeoPoint",
     "SpatialIndex",
     "haversine_miles",
-    "build_index",
-    "within_radius",
+    "chord_bound",
 ]
 
 
@@ -59,12 +58,16 @@ def haversine_miles(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_MILES * math.asin(min(1.0, math.sqrt(s)))
 
 
-def _unit_vectors(lats, lons):
-    """Unit sphere embedding of lat/lon arrays (radians input in degrees)."""
-    phi = np.radians(np.asarray(lats, dtype=float))
-    lam = np.radians(np.asarray(lons, dtype=float))
-    cos_phi = np.cos(phi)
-    return np.column_stack((cos_phi * np.cos(lam), cos_phi * np.sin(lam), np.sin(phi)))
+def chord_bound(radius: float) -> float:
+    """Straight-line bound, in miles through the sphere, for an arc of ``radius`` miles.
+
+    Chord length is monotone in arc length. The bound is slightly
+    inflated so that a k-d tree query on the sphere embedding keeps every
+    point whose exact great-circle distance is within ``radius``; callers
+    then re-check each candidate exactly.
+    """
+    half_angle = min(radius / (2.0 * EARTH_RADIUS_MILES), math.pi / 2.0)
+    return 2.0 * EARTH_RADIUS_MILES * math.sin(half_angle) * (1.0 + 1e-9) + 1e-9
 
 
 class SpatialIndex:
@@ -74,25 +77,25 @@ class SpatialIndex:
     candidate is then re-checked with :func:`haversine_miles`, so query
     results are exactly what a brute-force linear scan returns. The index
     is immutable after construction and safe to share across threads.
+    Ids must be unique; a duplicate is rejected by name. ``tree``, the
+    embedding ``xyz`` (in miles) and the coordinates in radians (``phi``,
+    ``lam``, with ``cos_phi``) are exposed for pair queries.
     """
 
     def __init__(self, points):
-        ids = [pid for pid, _ in points]
-        if len(set(ids)) != len(ids):
-            seen = set()
-            for pid in ids:
-                if pid in seen:
-                    raise ValidationError(f"duplicate id in spatial index: {pid!r}")
-                seen.add(pid)
-        self.ids = list(ids)
+        self.ids = [pid for pid, _ in points]
+        seen = set()
+        for pid in self.ids:
+            if pid in seen:
+                raise ValidationError(f"duplicate id in spatial index: {pid!r}")
+            seen.add(pid)
         self.points = [pt for _, pt in points]
-        if self.points:
-            xyz = _unit_vectors([p.lat for p in self.points], [p.lon for p in self.points])
-            self._xyz = xyz * EARTH_RADIUS_MILES
-            self._tree = cKDTree(self._xyz)
-        else:
-            self._xyz = np.empty((0, 3))
-            self._tree = None
+        self.phi = np.radians(np.array([p.lat for p in self.points], dtype=float))
+        self.lam = np.radians(np.array([p.lon for p in self.points], dtype=float))
+        self.cos_phi = np.cos(self.phi)
+        self.xyz = EARTH_RADIUS_MILES * np.column_stack((
+            self.cos_phi * np.cos(self.lam), self.cos_phi * np.sin(self.lam), np.sin(self.phi)))
+        self.tree = cKDTree(self.xyz)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -103,34 +106,29 @@ class SpatialIndex:
         The boundary is included. Results are sorted ascending by
         distance, ties broken by id.
         """
-        if not (math.isfinite(radius) and radius >= 0.0):
-            raise ValidationError(f"radius must be non-negative, got {radius!r}")
-        if self._tree is None:
-            return []
-        # Chord length is monotone in arc length; query with a slightly
-        # inflated chord bound, then filter with the exact haversine so the
-        # result set matches a linear scan bit for bit.
-        half_angle = min(radius / (2.0 * EARTH_RADIUS_MILES), math.pi / 2.0)
-        chord = 2.0 * EARTH_RADIUS_MILES * math.sin(half_angle)
-        cxyz = _unit_vectors([center.lat], [center.lon])[0] * EARTH_RADIUS_MILES
-        candidates = self._tree.query_ball_point(cxyz, chord * (1.0 + 1e-9) + 1e-9)
-        hits = []
-        for i in candidates:
-            d = haversine_miles(center, self.points[i])
-            if d <= radius:
-                hits.append((self.ids[i], d))
+        i, _, dist = self.pairs_within(SpatialIndex([(None, center)]), radius)
+        hits = [(self.ids[a], d) for a, d in zip(i.tolist(), dist)]
         hits.sort(key=lambda pair: (pair[1], pair[0]))
         return hits
 
+    def pairs_within(self, other: SpatialIndex, radius: float):
+        """Every pair of a point here and a point of ``other`` at most ``radius`` apart.
 
-def build_index(points) -> SpatialIndex:
-    """Build a :class:`SpatialIndex` from (id, GeoPoint) pairs.
+        Returns index arrays ``i`` (into this index) and ``j`` (into
+        ``other``) sorted by (i, j), and the distances
+        ``haversine_miles(self.points[i], other.points[j])`` as floats.
+        Candidates come from the two trees under :func:`chord_bound`, so
+        the pairs are exactly those a brute-force scan keeps.
+        """
+        if not (math.isfinite(radius) and radius >= 0.0):
+            raise ValidationError(f"radius must be non-negative, got {radius!r}")
+        cand = self.tree.sparse_distance_matrix(other.tree, chord_bound(radius),
+                                                 output_type="ndarray")
+        order = np.lexsort((cand["j"], cand["i"]))
+        i = cand["i"][order].astype(np.intp)
+        j = cand["j"][order].astype(np.intp)
+        dist = np.array([haversine_miles(self.points[a], other.points[b])
+                         for a, b in zip(i.tolist(), j.tolist())], dtype=float)
+        keep = dist <= radius
+        return i[keep], j[keep], dist[keep].tolist()
 
-    Ids must be unique; a duplicate is rejected by name.
-    """
-    return SpatialIndex(points)
-
-
-def within_radius(index: SpatialIndex, center: GeoPoint, radius: float):
-    """Functional form of :meth:`SpatialIndex.within_radius`."""
-    return index.within_radius(center, radius)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 from .accessibility import DemandZone, Facility
@@ -121,9 +122,12 @@ def _read_rows(path, required, extras_allowed: bool):
 
 def _parse_float(path, lineno, name, text) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValidationError(f"{path}:{lineno}: column {name!r} is not a number: {text!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{path}:{lineno}: column {name!r} is not finite")
+    return value
 
 
 def _parse_count(path, lineno, name, text) -> int:

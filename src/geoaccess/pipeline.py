@@ -94,8 +94,8 @@ def gini_rows(zones, field):
     return rows
 
 
-def hotspot_rows(zones, values, cfg: RunConfig):
-    weights = _zone_weights(zones, cfg)
+def hotspot_rows(zones, values, cfg: RunConfig, weights=None):
+    weights = _zone_weights(zones, cfg) if weights is None else weights
     result = classify_hotspots(getis_ord_gi_star(values, weights), fdr=cfg.fdr)
     return [
         (zid, v, float(z), float(p), cat)
@@ -116,10 +116,11 @@ def risk_rows(zones, cfg: RunConfig):
     return rows, index
 
 
-def bivariate_rows(zones, x_name: str, y_name: str, cfg: RunConfig, computed=None):
+def bivariate_rows(zones, x_name: str, y_name: str, cfg: RunConfig, computed=None,
+                   weights=None):
     x = resolve_series(zones, x_name, computed)
     y = resolve_series(zones, y_name, computed)
-    weights = _zone_weights(zones, cfg)
+    weights = _zone_weights(zones, cfg) if weights is None else weights
     result = local_bivariate(
         x, y, weights,
         permutations=cfg.permutations, seed=cfg.seed,
@@ -182,7 +183,7 @@ def run_pipeline(zones, facilities, counties, out_dir, cfg: RunConfig) -> dict:
 
     Returns a mapping from stage name to the written CSV path. GeoJSON
     twins appear alongside each zone-level CSV when any zone carries
-    geometry.
+    geometry. One zone neighbour graph serves the Gi* and bivariate stages.
     """
     os.makedirs(out_dir, exist_ok=True)
     zones = sorted_zones(zones)
@@ -204,8 +205,9 @@ def run_pipeline(zones, facilities, counties, out_dir, cfg: RunConfig) -> dict:
 
     emit("gini", GINI_HEADER, gini_rows(zones, field))
 
+    weights = _zone_weights(zones, cfg)
     access_by_zone = {zid: v for zid, v in acc_rows}
-    hs_rows = hotspot_rows(zones, [access_by_zone[z.zone_id] for z in zones], cfg)
+    hs_rows = hotspot_rows(zones, [access_by_zone[z.zone_id] for z in zones], cfg, weights)
     emit("hotspot_accessibility", HOTSPOT_HEADER, hs_rows,
          {r[0]: {"value": r[1], "z": r[2], "p": r[3], "category": r[4]} for r in hs_rows})
 
@@ -218,7 +220,7 @@ def run_pipeline(zones, facilities, counties, out_dir, cfg: RunConfig) -> dict:
         "risk_index": {zid: v for zid, v in rk_rows},
     }
     for y_name in ("accessibility", "risk_index"):
-        rows = bivariate_rows(zones, poverty, y_name, cfg, computed)
+        rows = bivariate_rows(zones, poverty, y_name, cfg, computed, weights)
         emit(f"bivariate_{poverty}_{y_name}", BIVARIATE_HEADER, rows,
              {r[0]: {"x_value": r[1], "y_value": r[2], "local_r": r[3],
                      "pseudo_p": r[4], "category": r[5]} for r in rows})

@@ -14,6 +14,7 @@ Three building blocks:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import ValidationError
-from .geo import EARTH_RADIUS_MILES
+from .geo import EARTH_RADIUS_MILES, SpatialIndex, chord_bound
 from .parallel import map_indexed
 
 HOT_99, HOT_95, HOT_90 = "HotSpot99", "HotSpot95", "HotSpot90"
@@ -86,13 +87,15 @@ class BivariateResult:
     seed: int
 
 
-def _pairwise_miles(lats, lons) -> np.ndarray:
-    """Full haversine distance matrix in miles, vectorized."""
-    phi = np.radians(np.asarray(lats, dtype=float))
-    lam = np.radians(np.asarray(lons, dtype=float))
-    dphi = 0.5 * (phi[:, None] - phi[None, :])
-    dlam = 0.5 * (lam[:, None] - lam[None, :])
-    s = np.sin(dphi) ** 2 + np.cos(phi)[:, None] * np.cos(phi)[None, :] * np.sin(dlam) ** 2
+def _arc_miles(index: SpatialIndex, i, j) -> np.ndarray:
+    """Haversine miles from point ``i[m]`` to point ``j[m]``, elementwise.
+
+    The numpy operations are those of a full distance matrix, so each
+    pair gets the same bits whichever pairs are asked for.
+    """
+    dphi = 0.5 * (index.phi[i] - index.phi[j])
+    dlam = 0.5 * (index.lam[i] - index.lam[j])
+    s = np.sin(dphi) ** 2 + index.cos_phi[i] * index.cos_phi[j] * np.sin(dlam) ** 2
     return 2.0 * EARTH_RADIUS_MILES * np.arcsin(np.minimum(1.0, np.sqrt(s)))
 
 
@@ -105,17 +108,16 @@ def build_weights(points, scheme: str, include_self: bool, k: int | None = None,
     band, boundary included (the relation is symmetric by construction).
     A fixed-band feature with no in-band neighbor is flagged isolated,
     not rejected.
+
+    Candidates come from a k-d tree on the sphere embedding and are
+    re-checked by exact distance; memory grows with the neighbour count.
     """
     ids = [pid for pid, _ in points]
-    pts = [pt for _, pt in points]
     n = len(ids)
     if n < 2:
         raise ValidationError(f"spatial weights require >= 2 features, got {n}")
-    if len(set(ids)) != n:
-        raise ValidationError("duplicate feature ids in weights input")
-    dist = _pairwise_miles([p.lat for p in pts], [p.lon for p in pts])
-
-    neighbors: list[np.ndarray] = []
+    index = SpatialIndex(points)  # rejects a duplicate id by name
+    own = np.arange(n, dtype=np.intp)
     isolated = np.zeros(n, dtype=bool)
     if scheme == "knn":
         if k is None or k < 1:
@@ -123,24 +125,36 @@ def build_weights(points, scheme: str, include_self: bool, k: int | None = None,
         if k >= n:
             raise ValidationError(f"knn k={k} must be smaller than the feature count {n}")
         param = float(k)
-        for i in range(n):
-            others = [j for j in range(n) if j != i]
-            others.sort(key=lambda j: (dist[i, j], ids[j]))
-            chosen = others[:k]
-            if include_self:
-                chosen.append(i)
-            neighbors.append(np.array(sorted(chosen), dtype=np.intp))
+        # The k+1 nearest by chord (self included) reach past the k-th other
+        # feature; every feature within that chord is a candidate, so all
+        # ties at the k-th distance are seen and broken by id.
+        reach, _ = index.tree.query(index.xyz, k=k + 1)
+        hits = index.tree.query_ball_point(index.xyz, reach[:, k] * (1.0 + 1e-9) + 1e-9)
+        rows = np.repeat(own, np.fromiter(map(len, hits), dtype=np.intp, count=n))
+        cols = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=rows.size)
+        rows, cols = rows[rows != cols], cols[rows != cols]
+        id_rank = np.empty(n, dtype=np.intp)
+        id_rank[sorted(range(n), key=ids.__getitem__)] = own
+        order = np.lexsort((id_rank[cols], _arc_miles(index, rows, cols), rows))
+        rows, cols = rows[order], cols[order]
+        rank_in_row = np.arange(rows.size) - np.searchsorted(rows, rows)
+        chosen = cols[rank_in_row < k].reshape(n, k)
+        if include_self:
+            chosen = np.column_stack((chosen, own))
+        neighbors = list(np.sort(chosen, axis=1))
     elif scheme == "fixed_band":
         if band is None or not band > 0:
             raise ValidationError(f"fixed_band weights require band > 0, got {band!r}")
         param = float(band)
-        for i in range(n):
-            chosen = [j for j in range(n) if j != i and dist[i, j] <= band]
-            if not chosen:
-                isolated[i] = True
-            if include_self:
-                chosen.append(i)
-            neighbors.append(np.array(sorted(chosen), dtype=np.intp))
+        i, j = index.tree.query_pairs(chord_bound(band), output_type="ndarray").astype(np.intp).T
+        near = _arc_miles(index, i, j) <= band
+        i, j = i[near], j[near]
+        isolated = np.bincount(np.concatenate((i, j)), minlength=n) == 0
+        # Entry (row, col) as the key row * n + col: one sort orders rows
+        # and the columns within them.
+        keys = [i * n + j, j * n + i] + ([own * (n + 1)] if include_self else [])
+        rows, cols = np.divmod(np.sort(np.concatenate(keys)), n)
+        neighbors = np.split(cols, np.cumsum(np.bincount(rows, minlength=n))[:-1])
     else:
         raise ValidationError(f"unknown weights scheme {scheme!r}; expected 'knn' or 'fixed_band'")
     return SpatialWeights(

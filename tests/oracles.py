@@ -97,3 +97,82 @@ def ref_pearson(x, y):
     if denom == 0.0:
         return None
     return float(xc @ yc) / denom
+
+
+def ref_pairwise_miles(lats, lons):
+    """Full n x n haversine matrix in miles, one numpy expression."""
+    phi = np.radians(np.asarray(lats, dtype=float))
+    lam = np.radians(np.asarray(lons, dtype=float))
+    dphi = 0.5 * (phi[:, None] - phi[None, :])
+    dlam = 0.5 * (lam[:, None] - lam[None, :])
+    s = np.sin(dphi) ** 2 + np.cos(phi)[:, None] * np.cos(phi)[None, :] * np.sin(dlam) ** 2
+    return 2.0 * R_MILES * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+
+
+def ref_weights(points, scheme, include_self, k=None, band=None):
+    """Brute-force neighbour lists over the full distance matrix.
+
+    points: list of (id, GeoPoint). Returns (neighbors, isolated): per
+    feature the ascending neighbour indices, and for "fixed_band" whether
+    the feature has no neighbour besides itself. "knn" ranks the other
+    features by (distance, id).
+    """
+    ids = [pid for pid, _ in points]
+    dist = ref_pairwise_miles([p.lat for _, p in points], [p.lon for _, p in points])
+    n = len(ids)
+    neighbors, isolated = [], []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        if scheme == "knn":
+            chosen = sorted(others, key=lambda j: (dist[i, j], ids[j]))[:k]
+        else:
+            chosen = [j for j in others if dist[i, j] <= band]
+        isolated.append(not chosen)
+        if include_self:
+            chosen.append(i)
+        neighbors.append(sorted(chosen))
+    return neighbors, isolated
+
+
+def ref_2sfca(zones, facilities, d0, demand="patients", family="gaussian"):
+    """Two-step floating catchment by a sequential scan over every pair.
+
+    zones: DemandZone list; facilities: Facility list. Distances and
+    weights come from the package's scalar haversine_miles and
+    decay_weight, so this pins the pairing and the summation order (each
+    sum runs in ascending id order from 0.0) bit for bit. Returns
+    (facility_ratios, zone_scores, skipped_facilities) as the package
+    reports them.
+    """
+    from geoaccess import decay_weight, haversine_miles
+
+    zones = sorted(zones, key=lambda z: z.zone_id)
+    facilities = sorted(facilities, key=lambda f: f.facility_id)
+
+    def need(z):
+        return z.adrd_patients if demand == "patients" else z.population
+
+    ratios, skipped = {}, []
+    for f in facilities:
+        in_range = [(z, haversine_miles(f.location, z.centroid)) for z in zones]
+        in_range = [(z, d) for z, d in in_range if d <= d0]
+        if not in_range:
+            skipped.append((f.facility_id, "no demand zone within catchment"))
+            continue
+        denom = 0.0
+        for z, d in in_range:
+            denom += need(z) * decay_weight(d, d0, family)
+        if denom == 0.0:
+            skipped.append((f.facility_id, "zero weighted demand within catchment"))
+            continue
+        ratios[f.facility_id] = f.beds / denom
+    scores = {}
+    for z in zones:
+        total = 0.0
+        for f in facilities:
+            if f.facility_id in ratios:
+                d = haversine_miles(z.centroid, f.location)
+                if d <= d0:
+                    total += ratios[f.facility_id] * decay_weight(d, d0, family)
+        scores[z.zone_id] = total
+    return ratios, scores, skipped

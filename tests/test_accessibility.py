@@ -13,10 +13,12 @@ from geoaccess import (
     accessibility_scores,
     decay_weight,
     facility_ratio,
+    haversine_miles,
     impedance,
 )
+from geoaccess.accessibility import DECAY_FAMILIES, DEMAND_COLUMNS
 
-from oracles import ref_direct_accessibility
+from oracles import ref_2sfca, ref_direct_accessibility
 
 F_AT_ZERO = 0.3934693402873666          # 1 - exp(-1/2)
 F_AT_HALF = 0.27596624287196203          # exp(-1/8) - exp(-1/2)
@@ -217,3 +219,70 @@ class TestAlgebraicProperties:
         forward = accessibility_scores(zones, facilities, 15.0)
         backward = accessibility_scores(list(reversed(zones)), list(reversed(facilities)), 15.0)
         assert forward.zone_scores == backward.zone_scores
+
+
+def assert_matches_scan(zones, facilities, d0, demand, family):
+    """accessibility_scores equals the sequential scalar scan, bit for bit."""
+    field = accessibility_scores(zones, facilities, d0, demand=demand, family=family)
+    ratios, scores, skipped = ref_2sfca(zones, facilities, d0, demand, family)
+    assert field.facility_ratios == ratios
+    assert field.zone_scores == scores
+    assert field.skipped_facilities == skipped
+    return field
+
+
+@st.composite
+def small_regions(draw):
+    """Zones and facilities within a few catchments of each other; some
+    zones carry no patients, so zero-demand facilities occur."""
+    def place():
+        return GeoPoint(draw(st.floats(38.8, 39.2)), draw(st.floats(-76.25, -75.75)))
+    n_zones = draw(st.integers(1, 25))
+    zones = [DemandZone(f"z{i:02d}", place(), draw(st.integers(0, 5000)),
+                        draw(st.integers(0, 3)), False) for i in range(n_zones)]
+    facilities = [Facility(f"h{i:02d}", place(), draw(st.integers(1, 500)))
+                  for i in range(draw(st.integers(0, 8)))]
+    return zones, facilities
+
+
+class TestAgainstScalarScan:
+    @given(small_regions(), st.floats(0.5, 30.0), st.sampled_from(DEMAND_COLUMNS),
+           st.sampled_from(DECAY_FAMILIES))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_scan(self, region, d0, demand, family):
+        zones, facilities = region
+        assert_matches_scan(zones, facilities, d0, demand, family)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("family", DECAY_FAMILIES)
+    @pytest.mark.parametrize("demand", DEMAND_COLUMNS)
+    def test_bit_identical_on_random_instances(self, seed, family, demand):
+        zones, facilities = random_instance(seed, n_zones=120, n_facilities=20)
+        assert_matches_scan(zones, facilities, 15.0, demand, family)
+
+    @pytest.mark.parametrize("family", DECAY_FAMILIES)
+    def test_zone_exactly_on_catchment_edge_is_in_range(self, family):
+        fac = facility("h1", 39.0, -76.0, 100)
+        edge = zone("z1", 39.1, -76.05, 30)
+        d0 = haversine_miles(fac.location, edge.centroid)
+        # In range with weight zero: the facility has demand in reach, but none weighted.
+        field = assert_matches_scan([edge], [fac], d0, "patients", family)
+        assert field.skipped_facilities == [("h1", "zero weighted demand within catchment")]
+        inner = zone("z2", 39.02, -76.0, 20)
+        field = assert_matches_scan([edge, inner], [fac], d0, "patients", family)
+        assert field.zone_scores["z1"] == 0.0 and field.zone_scores["z2"] > 0.0
+
+    @pytest.mark.parametrize("family", DECAY_FAMILIES)
+    @pytest.mark.parametrize("demand", DEMAND_COLUMNS)
+    def test_zero_demand_and_out_of_reach_facilities(self, family, demand):
+        zones = [zone("z1", 39.0, -76.0, 0, population=500), zone("z2", 39.05, -76.0, 0, population=0),
+                 zone("z3", 39.5, -76.0, 12, population=800)]
+        facilities = [facility("h1", 39.01, -76.0, 40), facility("h2", 45.0, -70.0, 10),
+                      facility("h3", 39.5, -76.01, 25)]
+        field = assert_matches_scan(zones, facilities, 10.0, demand, family)
+        reasons = dict(field.skipped_facilities)
+        assert reasons["h2"] == "no demand zone within catchment"
+        if demand == "patients":
+            assert reasons["h1"] == "zero weighted demand within catchment"
+        else:
+            assert "h1" in field.facility_ratios

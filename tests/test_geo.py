@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoaccess import GeoPoint, ValidationError, build_index, haversine_miles, within_radius
+from geoaccess import GeoPoint, SpatialIndex, ValidationError, haversine_miles
 
 from oracles import ref_haversine
 
@@ -55,35 +55,35 @@ def test_out_of_range_points_rejected(lat, lon):
 
 
 def test_empty_index_returns_empty():
-    index = build_index([])
-    assert within_radius(index, GeoPoint(0.0, 0.0), 100.0) == []
+    index = SpatialIndex([])
+    assert index.within_radius(GeoPoint(0.0, 0.0), 100.0) == []
 
 
 def test_index_holds_all_points():
     pts = [("a", GeoPoint(0.0, 0.0)), ("b", GeoPoint(1.0, 1.0)), ("c", GeoPoint(2.0, 2.0))]
-    assert len(build_index(pts)) == 3
+    assert len(SpatialIndex(pts)) == 3
 
 
 def test_duplicate_id_rejected_by_name():
     pts = [("a", GeoPoint(0.0, 0.0)), ("a", GeoPoint(1.0, 1.0))]
     with pytest.raises(ValidationError, match="'a'"):
-        build_index(pts)
+        SpatialIndex(pts)
 
 
 def test_zero_radius_excluding_center_is_empty():
-    index = build_index([("a", GeoPoint(1.0, 1.0))])
-    assert within_radius(index, GeoPoint(0.0, 0.0), 0.0) == []
+    index = SpatialIndex([("a", GeoPoint(1.0, 1.0))])
+    assert index.within_radius(GeoPoint(0.0, 0.0), 0.0) == []
 
 
 def test_zero_radius_on_coincident_point():
-    index = build_index([("a", GeoPoint(1.0, 1.0)), ("b", GeoPoint(2.0, 2.0))])
-    assert within_radius(index, GeoPoint(1.0, 1.0), 0.0) == [("a", 0.0)]
+    index = SpatialIndex([("a", GeoPoint(1.0, 1.0)), ("b", GeoPoint(2.0, 2.0))])
+    assert index.within_radius(GeoPoint(1.0, 1.0), 0.0) == [("a", 0.0)]
 
 
 def test_negative_radius_rejected():
-    index = build_index([("a", GeoPoint(0.0, 0.0))])
+    index = SpatialIndex([("a", GeoPoint(0.0, 0.0))])
     with pytest.raises(ValidationError):
-        within_radius(index, GeoPoint(0.0, 0.0), -1.0)
+        index.within_radius(GeoPoint(0.0, 0.0), -1.0)
 
 
 def _brute_force(points, center, radius):
@@ -103,18 +103,18 @@ def test_index_matches_linear_scan(radius):
         (f"p{i:04d}", GeoPoint(float(rng.uniform(37.0, 40.0)), float(rng.uniform(-79.0, -75.0))))
         for i in range(1000)
     ]
-    index = build_index(points)
+    index = SpatialIndex(points)
     for _ in range(50):
         center = GeoPoint(float(rng.uniform(37.0, 40.0)), float(rng.uniform(-79.0, -75.0)))
-        assert within_radius(index, center, radius) == _brute_force(points, center, radius)
+        assert index.within_radius(center, radius) == _brute_force(points, center, radius)
 
 
 def test_boundary_distance_is_included():
     pts = [("edge", GeoPoint(0.0, 1.0)), ("far", GeoPoint(0.0, 3.0))]
-    index = build_index(pts)
+    index = SpatialIndex(pts)
     center = GeoPoint(0.0, 0.0)
     exact = haversine_miles(center, pts[0][1])
-    hits = within_radius(index, center, exact)
+    hits = index.within_radius(center, exact)
     assert hits == [("edge", exact)]
 
 
@@ -125,3 +125,29 @@ def test_haversine_agrees_with_independent_formula():
         lon1, lon2 = rng.uniform(-170, 170, 2)
         got = haversine_miles(GeoPoint(lat1, lon1), GeoPoint(lat2, lon2))
         assert got == pytest.approx(ref_haversine(lat1, lon1, lat2, lon2), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("radius", [15.0, 0.5, 120.0])
+def test_pairs_within_matches_pairwise_scan(radius):
+    rng = np.random.default_rng(5)
+
+    def scatter(prefix, n):
+        return [(f"{prefix}{i:03d}", GeoPoint(float(rng.uniform(37.0, 40.0)),
+                                              float(rng.uniform(-79.0, -75.0))))
+                for i in range(n)]
+
+    left, right = scatter("a", 60), scatter("b", 400)
+    i, j, dist = SpatialIndex(left).pairs_within(SpatialIndex(right), radius)
+    expected = [(a, b, haversine_miles(p, q))
+                for a, (_, p) in enumerate(left) for b, (_, q) in enumerate(right)
+                if haversine_miles(p, q) <= radius]
+    assert list(zip(i.tolist(), j.tolist(), dist)) == expected
+
+
+def test_pairs_within_keeps_boundary_and_coincident_pairs():
+    left = SpatialIndex([("c", GeoPoint(0.0, 0.0))])
+    pts = [("same", GeoPoint(0.0, 0.0)), ("edge", GeoPoint(0.0, 1.0)), ("far", GeoPoint(0.0, 3.0))]
+    exact = haversine_miles(GeoPoint(0.0, 0.0), pts[1][1])
+    i, j, dist = left.pairs_within(SpatialIndex(pts), exact)
+    assert j.tolist() == [0, 1] and dist == [0.0, exact]
+    assert [len(a) for a in left.pairs_within(SpatialIndex([]), 10.0)] == [0, 0, 0]

@@ -142,6 +142,36 @@ def patient(rid, zid, age, sex, race, code, charge):
                          diagnosis_code=code, total_charge=charge)
 
 
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_zone_attribute_rejected_with_location(self, tmp_path, text):
+        path = tmp_path / "zones.csv"
+        path.write_text(
+            f"{ZONES_HEADER},poverty_rate\n"
+            "z1,39.0,-76.0,1000,12,0,8.5\n"
+            f"z2,39.1,-76.0,1000,12,0,{text}\n"
+        )
+        with pytest.raises(ValidationError, match=r"zones.csv:3: column 'poverty_rate' is not finite"):
+            load_zones(path)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_zone_coordinate_rejected_with_location(self, tmp_path, text):
+        path = tmp_path / "zones.csv"
+        path.write_text(f"{ZONES_HEADER}\nz1,{text},-76.0,1000,12,1\n")
+        with pytest.raises(ValidationError, match=r"zones.csv:2: column 'lat' is not finite"):
+            load_zones(path)
+
+    @pytest.mark.parametrize("column", ["lat", "lon"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_facility_coordinate_rejected_with_location(self, tmp_path, text, column):
+        lat, lon = (text, "-76.0") if column == "lat" else ("39.0", text)
+        path = tmp_path / "facilities.csv"
+        path.write_text(f"facility_id,lat,lon,beds\nh1,39.0,-76.0,10\nh2,{lat},{lon},20\n")
+        with pytest.raises(ValidationError,
+                           match=rf"facilities.csv:3: column '{column}' is not finite"):
+            load_facilities(path)
+
+
 class TestCohortSummary:
     def test_single_cohort_record(self):
         summary = cohort_summary([patient("r1", "z1", 80, "F", "White", "G30", 30000)])

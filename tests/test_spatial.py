@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from geoaccess import (
     GeoPoint,
@@ -15,7 +18,7 @@ from geoaccess import (
 )
 from geoaccess.spatial import benjamini_hochberg
 
-from oracles import ref_bh_reject, ref_gi_star, ref_pearson
+from oracles import ref_bh_reject, ref_gi_star, ref_pairwise_miles, ref_pearson, ref_weights
 
 MILE_DEG = 1.0 / 3958.7613 * 180.0 / math.pi  # one mile of arc, in degrees
 
@@ -108,6 +111,90 @@ class TestBuildWeights:
             build_weights(pts[:1], "fixed_band", include_self=True, band=1.0)
         with pytest.raises(ValidationError):
             build_weights(pts, "voronoi", include_self=True)
+
+
+@st.composite
+def lattice_points(draw, max_n=30):
+    """Points on a small lattice around (0, 0) under shuffled ids.
+
+    Cells mirrored through the origin lie at exactly equal distances
+    from it, and coincident points are possible, so knn ties occur.
+    """
+    n = draw(st.integers(2, max_n))
+    cells = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                          min_size=n, max_size=n))
+    ids = draw(st.permutations([f"f{i:02d}" for i in range(n)]))
+    return [(pid, GeoPoint(r * MILE_DEG, c * MILE_DEG)) for pid, (r, c) in zip(ids, cells)]
+
+
+@st.composite
+def scattered_points(draw, max_n=30):
+    n = draw(st.integers(2, max_n))
+    coords = draw(st.lists(st.tuples(st.floats(38.9, 39.1), st.floats(-76.1, -75.9)),
+                           min_size=n, max_size=n))
+    return [(f"s{i:02d}", GeoPoint(lat, lon)) for i, (lat, lon) in enumerate(coords)]
+
+
+any_points = st.one_of(lattice_points(), scattered_points())
+
+
+class TestWeightsAgainstBruteForce:
+    @given(any_points, st.floats(0.05, 8.0), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_fixed_band_equals_oracle(self, pts, band, include_self):
+        w = build_weights(pts, "fixed_band", include_self=include_self, band=band)
+        neighbors, isolated = ref_weights(pts, "fixed_band", include_self, band=band)
+        assert [list(nb) for nb in w.neighbors] == neighbors
+        assert list(w.isolated) == isolated
+
+    @given(any_points, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pair_on_band_edge_is_included(self, pts, data):
+        n = len(pts)
+        a = data.draw(st.integers(0, n - 1))
+        b = data.draw(st.integers(0, n - 1).filter(lambda j: j != a))
+        band = float(ref_pairwise_miles([p.lat for _, p in pts], [p.lon for _, p in pts])[a, b])
+        assume(band > 0.0)
+        w = build_weights(pts, "fixed_band", include_self=True, band=band)
+        assert b in w.neighbors[a] and a in w.neighbors[b]
+        assert [list(nb) for nb in w.neighbors] == ref_weights(pts, "fixed_band", True, band=band)[0]
+
+    @given(any_points, st.data(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_knn_equals_oracle_with_ties_broken_by_id(self, pts, data, include_self):
+        k = data.draw(st.integers(1, len(pts) - 1))
+        w = build_weights(pts, "knn", include_self=include_self, k=k)
+        neighbors, _ = ref_weights(pts, "knn", include_self, k=k)
+        assert [list(nb) for nb in w.neighbors] == neighbors
+        assert not w.isolated.any()
+
+    @given(any_points, st.floats(0.05, 8.0))
+    @settings(max_examples=100, deadline=None)
+    def test_fixed_band_is_symmetric(self, pts, band):
+        w = build_weights(pts, "fixed_band", include_self=False, band=band)
+        sets = [set(map(int, nb)) for nb in w.neighbors]
+        assert all(i in sets[j] for i in range(len(pts)) for j in sets[i])
+
+    def test_equidistant_knn_tie_goes_to_smaller_id(self):
+        # "m" sits at the origin, "z" and "a" mirror each other through it,
+        # so its single nearest neighbour is an exact tie won by the smaller id.
+        pts = [("z", GeoPoint(0.0, -0.25)), ("m", GeoPoint(0.0, 0.0)), ("a", GeoPoint(0.0, 0.25))]
+        dist = ref_pairwise_miles([p.lat for _, p in pts], [p.lon for _, p in pts])
+        assert dist[1, 0] == dist[1, 2]
+        w = build_weights(pts, "knn", include_self=False, k=1)
+        assert list(w.neighbors[1]) == [2]
+
+    def test_fixed_band_memory_grows_with_neighbours_not_n_squared(self):
+        # 5,000 features: a dense n x n float matrix alone would be 200 MB.
+        pts = random_points(8, 5000)
+        tracemalloc.start()
+        try:
+            w = build_weights(pts, "fixed_band", include_self=True, band=15.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(nb) for nb in w.neighbors) > 5000
+        assert peak < 100 * 2**20
 
 
 class TestGiStar:
