@@ -49,7 +49,7 @@ def _add_config_flags(p: _Parser):
     g.add_argument("--fdr", action="store_true", default=None,
                    help="apply Benjamini-Hochberg correction to hot spot classes")
     g.add_argument("--min-neighbors", type=int, dest="min_neighbors")
-    g.add_argument("--workers", type=int)
+    g.add_argument("--workers", type=int, help="accepted (>= 1) and has no effect")
     g.add_argument("--poverty-col", dest="poverty_column")
     g.add_argument("--prevalence-cols", dest="prevalence_columns",
                    help="comma-separated prevalence column names")

@@ -1,7 +1,8 @@
 """File ingestion: strict CSV schemas, GeoJSON geometry join, cohort filter.
 
 All readers demand exact headers (required columns, in order) and reject
-bad rows by line number. Files are UTF-8, comma separated, RFC 4180.
+bad rows by line number. Files are UTF-8 (a leading byte order mark, as
+spreadsheet exports write, is dropped), comma separated, RFC 4180.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def is_adrd_code(code: str) -> bool:
 
 def _read_rows(path, required, extras_allowed: bool):
     """Yield (line_number, row-dict-with-attrs) after header validation."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -200,7 +201,7 @@ def load_zones(path, geometry_path=None) -> list[DemandZone]:
 
 
 def _load_geometries(path, known_ids) -> dict:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

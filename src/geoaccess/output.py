@@ -56,6 +56,7 @@ def write_geojson(path, zones, attributes_by_zone) -> None:
             {"type": "Feature", "geometry": zone.geometry, "properties": properties}
         )
     doc = {"type": "FeatureCollection", "features": features}
+    # json.dumps takes the C encoder; json.dump would stream through the
+    # pure-Python one. The bytes are the same.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")

@@ -9,7 +9,10 @@ Three building blocks:
 * a local bivariate association measure: the Pearson correlation of two
   variables over each feature's neighborhood, tested by conditional
   permutation (hold x, globally permute y with seeded, per-permutation
-  random streams so results never depend on scheduling).
+  random streams).
+
+The neighbor graph is one binary CSR matrix; neighborhood sums for both
+statistics are products with it.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.special import erfc
 
 from .errors import ValidationError
 from .geo import EARTH_RADIUS_MILES, SpatialIndex, chord_bound
-from .parallel import map_indexed
 
 HOT_99, HOT_95, HOT_90 = "HotSpot99", "HotSpot95", "HotSpot90"
 COLD_99, COLD_95, COLD_90 = "ColdSpot99", "ColdSpot95", "ColdSpot90"
@@ -36,6 +39,9 @@ UNDEFINED = "Undefined"
 # Two-sided confidence cutoffs for 90/95/99 percent.
 _Z_CUTS = ((2.576, HOT_99, COLD_99), (1.960, HOT_95, COLD_95), (1.645, HOT_90, COLD_90))
 _FDR_ALPHAS = ((0.01, HOT_99, COLD_99), (0.05, HOT_95, COLD_95), (0.10, HOT_90, COLD_90))
+
+# Permuted y columns pushed through the neighbor matrix in one product.
+_PERM_BLOCK = 64
 
 __all__ = [
     "SpatialWeights",
@@ -51,19 +57,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpatialWeights:
-    """Binary neighbor structure (every listed neighbor has weight 1.0).
+    """Binary neighbor graph as an n x n CSR matrix of ones.
 
-    ``neighbors[i]`` holds ascending feature indices and includes ``i``
-    itself exactly when ``include_self`` is set. ``isolated`` flags
+    Row ``i`` of ``matrix`` holds ascending feature indices and includes
+    ``i`` itself exactly when ``include_self`` is set. ``isolated`` flags
     fixed-band features with no neighbor besides themselves.
     """
 
     scheme: str
     param: float
     ids: list
-    neighbors: list
+    matrix: sparse.csr_array
     include_self: bool
     isolated: np.ndarray
+
+    @property
+    def neighbors(self) -> list:
+        """Per-feature neighbor index arrays (views of the matrix rows)."""
+        return np.split(self.matrix.indices, self.matrix.indptr[1:-1])
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -141,7 +152,8 @@ def build_weights(points, scheme: str, include_self: bool, k: int | None = None,
         chosen = cols[rank_in_row < k].reshape(n, k)
         if include_self:
             chosen = np.column_stack((chosen, own))
-        neighbors = list(np.sort(chosen, axis=1))
+        cols = np.sort(chosen, axis=1).ravel()
+        rows = np.repeat(own, chosen.shape[1])
     elif scheme == "fixed_band":
         if band is None or not band > 0:
             raise ValidationError(f"fixed_band weights require band > 0, got {band!r}")
@@ -154,11 +166,12 @@ def build_weights(points, scheme: str, include_self: bool, k: int | None = None,
         # and the columns within them.
         keys = [i * n + j, j * n + i] + ([own * (n + 1)] if include_self else [])
         rows, cols = np.divmod(np.sort(np.concatenate(keys)), n)
-        neighbors = np.split(cols, np.cumsum(np.bincount(rows, minlength=n))[:-1])
     else:
         raise ValidationError(f"unknown weights scheme {scheme!r}; expected 'knn' or 'fixed_band'")
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    matrix = sparse.csr_array((np.ones(cols.size), cols, indptr), shape=(n, n))
     return SpatialWeights(
-        scheme=scheme, param=param, ids=list(ids), neighbors=neighbors,
+        scheme=scheme, param=param, ids=list(ids), matrix=matrix,
         include_self=include_self, isolated=isolated,
     )
 
@@ -191,13 +204,11 @@ def getis_ord_gi_star(values, weights: SpatialWeights) -> HotSpotResult:
     s = math.sqrt(max(float((x * x).mean()) - xbar * xbar, 0.0))
     z = np.zeros(n)
     if s > 0.0:
-        for i, nbrs in enumerate(weights.neighbors):
-            w = float(len(nbrs))
-            bracket = (n * w - w * w) / (n - 1.0)
-            if bracket <= 0.0:
-                continue
-            s1 = float(x[nbrs].sum())
-            z[i] = (s1 - xbar * w) / (s * math.sqrt(bracket))
+        w = np.diff(weights.matrix.indptr).astype(float)
+        bracket = (n * w - w * w) / (n - 1.0)
+        ok = bracket > 0.0
+        s1 = weights.matrix @ x
+        z[ok] = (s1[ok] - xbar * w[ok]) / (s * np.sqrt(bracket[ok]))
     p = erfc(np.abs(z) / math.sqrt(2.0))
     return HotSpotResult(ids=list(weights.ids), z=z, p=p)
 
@@ -246,16 +257,6 @@ def classify_hotspots(result: HotSpotResult, fdr: bool = False) -> HotSpotResult
     return HotSpotResult(ids=result.ids, z=result.z, p=result.p, category=category)
 
 
-def _neighborhoods(weights: SpatialWeights):
-    """Per-feature neighborhood index arrays: neighbors plus the feature."""
-    hoods = []
-    for i, nbrs in enumerate(weights.neighbors):
-        hood = set(int(j) for j in nbrs)
-        hood.add(i)
-        hoods.append(np.array(sorted(hood), dtype=np.intp))
-    return hoods
-
-
 def local_bivariate(
     x,
     y,
@@ -271,9 +272,11 @@ def local_bivariate(
     For each feature, ``local_r`` is the correlation of (x, y) over the
     feature's neighborhood (itself included). Significance holds x fixed
     and globally permutes y; each permutation draws its own generator
-    from (seed, permutation index), so identical seeds give identical
-    results at any worker count. The pseudo p-value uses the
-    (count + 1) / (permutations + 1) convention and can never be zero.
+    from (seed, permutation index), and the permutations are evaluated
+    in blocks of columns, so identical seeds give identical results. The
+    pseudo p-value uses the (count + 1) / (permutations + 1) convention
+    and can never be zero. ``workers`` is validated and otherwise
+    unused: the computation runs in one thread.
 
     A feature is Undefined when its neighborhood is smaller than
     ``min_neighbors`` or either variable is constant there (its
@@ -293,31 +296,25 @@ def local_bivariate(
         raise ValidationError(f"permutations must be >= 19, got {permutations}")
     if min_neighbors < 2:
         raise ValidationError(f"min_neighbors must be >= 2, got {min_neighbors}")
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
 
-    hoods = _neighborhoods(weights)
-    sizes = np.array([h.size for h in hoods], dtype=float)
-    max_m = max(h.size for h in hoods)
-    nbr = np.zeros((n, max_m), dtype=np.intp)
-    mask = np.zeros((n, max_m))
-    for i, h in enumerate(hoods):
-        nbr[i, : h.size] = h
-        mask[i, : h.size] = 1.0
+    hood = weights.matrix
+    if not weights.include_self:
+        hood = hood + sparse.eye_array(n, format="csr")
+    # Per-feature columns, broadcast against blocks of y columns.
+    sizes = np.diff(hood.indptr).astype(float)[:, None]
+    sum_x = hood @ xv[:, None]
+    sxx = sizes * (hood @ (xv * xv)[:, None]) - sum_x * sum_x
 
-    xg = xv[nbr] * mask
-    sum_x = xg.sum(axis=1)
-    sum_xx = (xg * xg).sum(axis=1)
-    sxx = sizes * sum_xx - sum_x * sum_x
-
-    def correlations(yvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-feature r plus a validity mask (y-variance > 0)."""
-        yg = yvec[nbr] * mask
-        sum_y = yg.sum(axis=1)
-        sum_yy = (yg * yg).sum(axis=1)
-        sum_xy = (xg * yg).sum(axis=1)
-        syy = sizes * sum_yy - sum_y * sum_y
+    def correlations(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-feature r for each column of ys, plus a validity mask (y-variance > 0)."""
+        sum_y = hood @ ys
+        syy = sizes * (hood @ (ys * ys)) - sum_y * sum_y
+        sum_xy = hood @ (xv[:, None] * ys)
         denom2 = sxx * syy
         valid = (sxx > 0.0) & (syy > 0.0)
-        r = np.zeros(n)
+        r = np.zeros(ys.shape)
         np.divide(
             sizes * sum_xy - sum_x * sum_y,
             np.sqrt(np.where(denom2 > 0.0, denom2, 1.0)),
@@ -326,20 +323,19 @@ def local_bivariate(
         )
         return np.clip(r, -1.0, 1.0), valid
 
-    r_obs, y_valid = correlations(yv)
-    defined = (sizes >= min_neighbors) & (sxx > 0.0) & y_valid
+    r_obs, y_valid = correlations(yv[:, None])
     abs_obs = np.abs(r_obs)
 
-    def one_permutation(m: int) -> np.ndarray:
-        rng = np.random.default_rng([seed, m])
-        r_perm, _ = correlations(yv[rng.permutation(n)])
-        return (np.abs(r_perm) >= abs_obs).astype(np.int64)
-
-    counts_per_perm = map_indexed(one_permutation, range(permutations), workers=workers)
     exceed = np.zeros(n, dtype=np.int64)
-    for c in counts_per_perm:
-        exceed += c
+    for start in range(0, permutations, _PERM_BLOCK):
+        block = range(start, min(start + _PERM_BLOCK, permutations))
+        ys = np.stack([yv[np.random.default_rng([seed, m]).permutation(n)] for m in block],
+                      axis=1)
+        r_perm, _ = correlations(ys)
+        exceed += (np.abs(r_perm) >= abs_obs).sum(axis=1)
 
+    defined = ((sizes >= min_neighbors) & (sxx > 0.0) & y_valid)[:, 0]
+    r_obs = r_obs[:, 0]
     pseudo_p = np.ones(n)
     pseudo_p[defined] = (exceed[defined] + 1.0) / (permutations + 1.0)
     local_r = np.where(defined, r_obs, np.nan)

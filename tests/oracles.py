@@ -60,7 +60,8 @@ def ref_gini_pairwise(values):
 
 
 def ref_gi_star(values, neighbor_lists):
-    """Direct evaluation of the hot-spot z formula with binary weights."""
+    """Direct evaluation of the hot-spot z formula with binary weights,
+    one neighbourhood gather and sum per feature."""
     x = np.asarray(values, dtype=float)
     n = x.size
     xbar = x.mean()
@@ -97,6 +98,53 @@ def ref_pearson(x, y):
     if denom == 0.0:
         return None
     return float(xc @ yc) / denom
+
+
+def ref_local_bivariate(x, y, neighbor_lists, permutations, seed, min_neighbors, alpha=0.05):
+    """Local bivariate association by a gather per zone and a loop per permutation.
+
+    neighbor_lists: per zone its neighbour indices; the zone itself is
+    added when absent. r is the centred Pearson correlation over the
+    neighbourhood, clipped to [-1, 1]. Permutation m reorders y by
+    ``default_rng([seed, m]).permutation(n)``, and a replicate whose y is
+    constant over the neighbourhood counts as r = 0. Returns (local_r,
+    pseudo_p, category); an Undefined zone has r NaN and p 1.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.size
+    hoods = [np.array(sorted(set(map(int, nbrs)) | {i})) for i, nbrs in enumerate(neighbor_lists)]
+
+    def r_at(yv, hood):
+        r = ref_pearson(x[hood], yv[hood])
+        return None if r is None else min(1.0, max(-1.0, r))
+
+    observed = [r_at(y, hood) for hood in hoods]
+    exceed = [0] * n
+    for m in range(permutations):
+        permuted = y[np.random.default_rng([seed, m]).permutation(n)]
+        for i, hood in enumerate(hoods):
+            if observed[i] is not None:
+                r = r_at(permuted, hood)
+                exceed[i] += abs(0.0 if r is None else r) >= abs(observed[i])
+    local_r, pseudo_p, category = [], [], []
+    for i, hood in enumerate(hoods):
+        r = observed[i]
+        if hood.size < min_neighbors or r is None:
+            local_r.append(math.nan)
+            pseudo_p.append(1.0)
+            category.append("Undefined")
+            continue
+        p = (exceed[i] + 1.0) / (permutations + 1.0)
+        local_r.append(r)
+        pseudo_p.append(p)
+        if p <= alpha and r > 0:
+            category.append("PositiveSignificant")
+        elif p <= alpha and r < 0:
+            category.append("NegativeSignificant")
+        else:
+            category.append("NotSignificant")
+    return np.array(local_r), np.array(pseudo_p), category
 
 
 def ref_pairwise_miles(lats, lons):

@@ -214,6 +214,11 @@ class TestAlgebraicProperties:
         assert serial.zone_scores == parallel.zone_scores
         assert serial.facility_ratios == parallel.facility_ratios
 
+    def test_worker_count_below_one_rejected(self):
+        zones, facilities = random_instance(10)
+        with pytest.raises(ValidationError, match="workers"):
+            accessibility_scores(zones, facilities, 15.0, workers=0)
+
     def test_results_independent_of_input_order(self):
         zones, facilities = random_instance(12)
         forward = accessibility_scores(zones, facilities, 15.0)

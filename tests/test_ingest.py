@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoaccess import (
     PatientRecord,
@@ -170,6 +172,80 @@ class TestNonFiniteNumbers:
         with pytest.raises(ValidationError,
                            match=rf"facilities.csv:3: column '{column}' is not finite"):
             load_facilities(path)
+
+
+class TestByteOrderMark:
+    def test_bom_prefixed_csv_loads(self, tmp_path):
+        path = tmp_path / "facilities.csv"
+        path.write_bytes(b"\xef\xbb\xbffacility_id,lat,lon,beds\nh1,39.0,-76.0,120\n")
+        facs = load_facilities(path)
+        assert [f.facility_id for f in facs] == ["h1"]
+
+    def test_bom_prefixed_geojson_loads(self, tmp_path):
+        csv_path = tmp_path / "zones.csv"
+        csv_path.write_text(f"{ZONES_HEADER}\nz1,39.0,-76.0,1000,12,1\n")
+        geo_path = tmp_path / "zones.geojson"
+        doc = {"type": "FeatureCollection", "features": [{
+            "type": "Feature", "properties": {"zone_id": "z1"},
+            "geometry": {"type": "Point", "coordinates": [-76.0, 39.0]}}]}
+        geo_path.write_bytes(b"\xef\xbb\xbf" + json.dumps(doc).encode("utf-8"))
+        assert load_zones(csv_path, geometry_path=geo_path)[0].geometry == doc["features"][0]["geometry"]
+
+
+zone_rows = st.lists(
+    st.tuples(
+        st.floats(-90.0, 90.0), st.floats(-180.0, 180.0), st.integers(0, 10**6),
+        st.integers(0, 10**4), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1, max_size=8,
+)
+# Layouts a zone file may come in: line ending, blank lines after the last
+# row, and a leading byte order mark.
+layouts = st.tuples(st.sampled_from(["\n", "\r\n"]), st.integers(0, 3), st.booleans())
+# No digits, separators, quotes or line breaks: the cell never parses as
+# a finite number and the row keeps its shape.
+junk_cells = st.text(alphabet="abefinxyzAEFINXYZ .+-_$%", max_size=8)
+NUMERIC_ZONE_COLUMNS = ["lat", "lon", "population", "adrd_patients", "poverty_rate"]
+
+
+def zone_file_bytes(cells, layout) -> bytes:
+    newline, blank_lines, bom = layout
+    lines = [f"{ZONES_HEADER},poverty_rate"] + [",".join(row) for row in cells]
+    text = newline.join(lines) + newline * (1 + blank_lines)
+    return ("\ufeff" if bom else "").encode("utf-8") + text.encode("utf-8")
+
+
+def zone_cells(rows):
+    return [[f"z{i}", repr(lat), repr(lon), str(pop), str(pat), "1" if urban else "0", repr(pov)]
+            for i, (lat, lon, pop, pat, urban, pov) in enumerate(rows)]
+
+
+class TestIngestProperties:
+    @given(zone_rows, layouts)
+    @settings(max_examples=100, deadline=None)
+    def test_line_endings_blank_tail_and_bom_load_the_same_rows(self, tmp_path_factory, rows,
+                                                                 layout):
+        path = tmp_path_factory.mktemp("zones") / "zones.csv"
+        path.write_bytes(zone_file_bytes(zone_cells(rows), layout))
+        zones = load_zones(path)
+        assert [z.zone_id for z in zones] == [f"z{i}" for i in range(len(rows))]
+        for z, (lat, lon, pop, pat, urban, pov) in zip(zones, rows):
+            assert (z.centroid.lat, z.centroid.lon) == (lat, lon)
+            assert (z.population, z.adrd_patients, z.urban) == (pop, pat, urban)
+            assert z.attributes == {"poverty_rate": pov}
+
+    @given(zone_rows, layouts, junk_cells, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_junk_numeric_cell_rejected_with_location(self, tmp_path_factory, rows, layout,
+                                                       junk, data):
+        cells = zone_cells(rows)
+        row = data.draw(st.integers(0, len(rows) - 1))
+        column = data.draw(st.sampled_from(NUMERIC_ZONE_COLUMNS))
+        cells[row][(ZONES_HEADER.split(",") + ["poverty_rate"]).index(column)] = junk
+        path = tmp_path_factory.mktemp("zones") / "zones.csv"
+        path.write_bytes(zone_file_bytes(cells, layout))
+        with pytest.raises(ValidationError, match=rf"zones.csv:{row + 2}: column '{column}'"):
+            load_zones(path)
 
 
 class TestCohortSummary:

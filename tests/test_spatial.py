@@ -18,7 +18,14 @@ from geoaccess import (
 )
 from geoaccess.spatial import benjamini_hochberg
 
-from oracles import ref_bh_reject, ref_gi_star, ref_pairwise_miles, ref_pearson, ref_weights
+from oracles import (
+    ref_bh_reject,
+    ref_gi_star,
+    ref_local_bivariate,
+    ref_pairwise_miles,
+    ref_pearson,
+    ref_weights,
+)
 
 MILE_DEG = 1.0 / 3958.7613 * 180.0 / math.pi  # one mile of arc, in degrees
 
@@ -372,3 +379,74 @@ class TestLocalBivariate:
             local_bivariate([1.0] * 9, [1.0] * 10, w)
         with pytest.raises(ValidationError):
             local_bivariate([1.0] * 10, [1.0] * 10, w, permutations=10)
+
+    def test_worker_count_below_one_rejected(self):
+        pts = random_points(42, 10)
+        w = build_weights(pts, "knn", include_self=True, k=3)
+        x = np.arange(10, dtype=float)
+        with pytest.raises(ValidationError, match="workers"):
+            local_bivariate(x, x[::-1], w, permutations=19, workers=0)
+
+    def test_memory_grows_with_neighbours_not_largest_neighbourhood(self):
+        # 500 zones in one tight cluster among 5,500 grid zones ~10 miles
+        # apart: every cluster zone has ~500 neighbours, every grid zone ~9.
+        # A gather padded to the largest neighbourhood would hold 6,000 x
+        # ~500 entries per array.
+        rng = np.random.default_rng(43)
+        pts = [(f"c{i:03d}", GeoPoint(float(rng.uniform(38.99, 39.01)),
+                                      float(rng.uniform(-76.01, -75.99)))) for i in range(500)]
+        pts += [(f"g{i:04d}", GeoPoint(35.0 + 0.15 * (i // 100), -90.0 + 0.15 * (i % 100)))
+                for i in range(5500)]
+        w = build_weights(pts, "fixed_band", include_self=True, band=15.0)
+        x, y = rng.normal(0.0, 1.0, (2, len(pts)))
+        tracemalloc.start()
+        try:
+            res = local_bivariate(x, y, w, permutations=19, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert max(len(nb) for nb in w.neighbors) >= 500
+        assert res.pseudo_p.size == len(pts)
+        assert peak < 50 * 2**20
+
+
+@st.composite
+def weighted_case(draw, self_required=False):
+    """Points, weights over them (fixed band or knn) and continuous x, y.
+
+    x and y are seeded normal draws, so neighbourhood variances sit far
+    from zero and no permutation correlation ties the observed one.
+    """
+    pts = draw(any_points.filter(lambda p: len(p) >= 4))
+    n = len(pts)
+    include_self = True if self_required else draw(st.booleans())
+    if draw(st.sampled_from(["fixed_band", "knn"])) == "knn":
+        w = build_weights(pts, "knn", include_self=include_self, k=draw(st.integers(2, n - 1)))
+    else:
+        w = build_weights(pts, "fixed_band", include_self=include_self,
+                          band=draw(st.floats(0.5, 8.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(draw(st.floats(-5.0, 5.0)), 1.0, n)
+    y = rng.normal(draw(st.floats(-5.0, 5.0)), 1.0, n)
+    return w, x, y
+
+
+class TestKernelsAgainstOracles:
+    @given(weighted_case(self_required=True))
+    @settings(max_examples=150, deadline=None)
+    def test_gi_star_equals_oracle(self, case):
+        w, x, _ = case
+        res = getis_ord_gi_star(x, w)
+        expected = ref_gi_star(x, [list(map(int, nb)) for nb in w.neighbors])
+        np.testing.assert_allclose(res.z, expected, rtol=1e-12, atol=1e-12)
+
+    @given(weighted_case(), st.integers(0, 1000), st.integers(3, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_local_bivariate_equals_oracle(self, case, seed, min_neighbors):
+        w, x, y = case
+        res = local_bivariate(x, y, w, permutations=19, seed=seed, min_neighbors=min_neighbors)
+        local_r, pseudo_p, category = ref_local_bivariate(
+            x, y, w.neighbors, permutations=19, seed=seed, min_neighbors=min_neighbors)
+        np.testing.assert_allclose(res.local_r, local_r, rtol=0.0, atol=1e-10)
+        np.testing.assert_array_equal(res.pseudo_p, pseudo_p)
+        assert res.category == category
