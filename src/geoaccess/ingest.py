@@ -167,7 +167,7 @@ def load_zones(path, geometry_path=None) -> list[DemandZone]:
     property matching a CSV row.
     """
     attr_cols, rows = _read_rows(path, ZONE_COLUMNS, extras_allowed=True)
-    zones = []
+    fields = []
     seen: dict[str, int] = {}
     for lineno, row in rows:
         zid = row["zone_id"]
@@ -177,27 +177,16 @@ def load_zones(path, geometry_path=None) -> list[DemandZone]:
             )
         seen[zid] = lineno
         attributes = {name: _parse_float(path, lineno, name, row[name]) for name in attr_cols}
-        zones.append(
-            DemandZone(
-                zone_id=zid,
-                centroid=_parse_point(path, lineno, row),
-                population=_parse_count(path, lineno, "population", row["population"]),
-                adrd_patients=_parse_count(path, lineno, "adrd_patients", row["adrd_patients"]),
-                urban=_parse_bool(path, lineno, "urban", row["urban"]),
-                attributes=attributes,
-            )
-        )
-    if geometry_path is not None:
-        geometries = _load_geometries(geometry_path, {z.zone_id for z in zones})
-        zones = [
-            DemandZone(
-                zone_id=z.zone_id, centroid=z.centroid, population=z.population,
-                adrd_patients=z.adrd_patients, urban=z.urban, attributes=z.attributes,
-                geometry=geometries.get(z.zone_id),
-            )
-            for z in zones
-        ]
-    return zones
+        fields.append(dict(
+            zone_id=zid,
+            centroid=_parse_point(path, lineno, row),
+            population=_parse_count(path, lineno, "population", row["population"]),
+            adrd_patients=_parse_count(path, lineno, "adrd_patients", row["adrd_patients"]),
+            urban=_parse_bool(path, lineno, "urban", row["urban"]),
+            attributes=attributes,
+        ))
+    geometries = {} if geometry_path is None else _load_geometries(geometry_path, seen)
+    return [DemandZone(**f, geometry=geometries.get(f["zone_id"])) for f in fields]
 
 
 def _load_geometries(path, known_ids) -> dict:

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
+import tempfile
 
 from .accessibility import accessibility_scores
 from .config import RunConfig
 from .equity import gini_stratified, welch_t_test
 from .errors import ValidationError
 from .outcomes import aggregate_years, classify_service_status
-from .output import write_csv, write_geojson
+from .output import GeoJSONWriter, write_csv
 from .risk import fit_risk_model, health_risk_index
 from .spatial import build_weights, classify_hotspots, getis_ord_gi_star, local_bivariate
 
@@ -184,36 +186,64 @@ def run_pipeline(zones, facilities, counties, out_dir, cfg: RunConfig) -> dict:
     Returns a mapping from stage name to the written CSV path. GeoJSON
     twins appear alongside each zone-level CSV when any zone carries
     geometry. One zone neighbour graph serves the Gi* and bivariate stages.
+    The files are written into a temporary sibling of ``out_dir`` and
+    appear in ``out_dir`` only once every stage has succeeded.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = os.fspath(out_dir)
+    parent, base = os.path.split(os.path.abspath(out_dir))
+    os.makedirs(parent, exist_ok=True)
+    tmp_dir = tempfile.mkdtemp(prefix=f".{base}.", dir=parent)
+    try:
+        written = _write_outputs(zones, facilities, counties, tmp_dir, cfg)
+        _publish(tmp_dir, out_dir)
+    except BaseException:
+        shutil.rmtree(tmp_dir, ignore_errors=True)
+        raise
+    return {name: os.path.join(out_dir, file_name) for name, file_name in written.items()}
+
+
+def _publish(tmp_dir, out_dir) -> None:
+    """Move the finished files from ``tmp_dir`` to ``out_dir``."""
+    if not os.path.exists(out_dir):
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_dir, 0o777 & ~umask)  # mkdtemp makes it private
+        os.rename(tmp_dir, out_dir)
+        return
+    for name in sorted(os.listdir(tmp_dir)):
+        os.replace(os.path.join(tmp_dir, name), os.path.join(out_dir, name))
+    os.rmdir(tmp_dir)
+
+
+def _write_outputs(zones, facilities, counties, out_dir, cfg: RunConfig) -> dict:
+    """Every stage of ``run_pipeline``, written into ``out_dir``; returns
+    stage name -> CSV file name."""
     zones = sorted_zones(zones)
     poverty = cfg.poverty_column
-    has_geometry = any(z.geometry is not None for z in zones)
+    geojson = GeoJSONWriter(zones) if any(z.geometry is not None for z in zones) else None
     written: dict[str, str] = {}
 
-    def emit(name, header, rows, geo_attrs=None):
-        path = os.path.join(out_dir, f"{name}.csv")
-        write_csv(path, header, rows)
-        written[name] = path
-        if geo_attrs is not None and has_geometry:
-            write_geojson(os.path.join(out_dir, f"{name}.geojson"), zones, geo_attrs)
+    def emit(name, header, rows, zone_level=False):
+        written[name] = f"{name}.csv"
+        write_csv(os.path.join(out_dir, written[name]), header, rows)
+        if zone_level and geojson is not None:
+            columns = header[1:]
+            geojson.write(os.path.join(out_dir, f"{name}.geojson"),
+                          {row[0]: dict(zip(columns, row[1:])) for row in rows})
 
     field = compute_access(zones, facilities, cfg)
     acc_rows = access_rows(zones, field)
-    emit("access", ACCESS_HEADER, acc_rows,
-         {zid: {"accessibility": v} for zid, v in acc_rows})
+    emit("access", ACCESS_HEADER, acc_rows, zone_level=True)
 
     emit("gini", GINI_HEADER, gini_rows(zones, field))
 
     weights = _zone_weights(zones, cfg)
     access_by_zone = {zid: v for zid, v in acc_rows}
     hs_rows = hotspot_rows(zones, [access_by_zone[z.zone_id] for z in zones], cfg, weights)
-    emit("hotspot_accessibility", HOTSPOT_HEADER, hs_rows,
-         {r[0]: {"value": r[1], "z": r[2], "p": r[3], "category": r[4]} for r in hs_rows})
+    emit("hotspot_accessibility", HOTSPOT_HEADER, hs_rows, zone_level=True)
 
     rk_rows, _ = risk_rows(zones, cfg)
-    emit("risk_index", RISK_HEADER, rk_rows,
-         {zid: {"risk_index": v} for zid, v in rk_rows})
+    emit("risk_index", RISK_HEADER, rk_rows, zone_level=True)
 
     computed = {
         "accessibility": access_by_zone,
@@ -221,9 +251,7 @@ def run_pipeline(zones, facilities, counties, out_dir, cfg: RunConfig) -> dict:
     }
     for y_name in ("accessibility", "risk_index"):
         rows = bivariate_rows(zones, poverty, y_name, cfg, computed, weights)
-        emit(f"bivariate_{poverty}_{y_name}", BIVARIATE_HEADER, rows,
-             {r[0]: {"x_value": r[1], "y_value": r[2], "local_r": r[3],
-                     "pseudo_p": r[4], "category": r[5]} for r in rows})
+        emit(f"bivariate_{poverty}_{y_name}", BIVARIATE_HEADER, rows, zone_level=True)
 
     emit("mortality", MORTALITY_HEADER, mortality_rows(counties))
     return written

@@ -5,6 +5,8 @@ from the package code paths it checks. Values frozen into tests were
 produced by these same routines (or scipy) before the build.
 """
 
+import csv
+import json
 import math
 
 import numpy as np
@@ -224,3 +226,41 @@ def ref_2sfca(zones, facilities, d0, demand="patients", family="gaussian"):
                     total += ratios[f.facility_id] * decay_weight(d, d0, family)
         scores[z.zone_id] = total
     return ratios, scores, skipped
+
+
+def _ref_format(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    return str(value)
+
+
+def ref_write_csv(path, header, rows):
+    """CSV with every cell formatted on its own, one writerow per row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_ref_format(v) for v in row])
+
+
+def ref_write_geojson(path, zones, attributes_by_zone):
+    """The whole FeatureCollection built as one document and dumped once."""
+    features = []
+    for zone in sorted(zones, key=lambda z: z.zone_id):
+        if zone.geometry is None:
+            continue
+        properties = {"zone_id": zone.zone_id}
+        for name, value in attributes_by_zone.get(zone.zone_id, {}).items():
+            properties[name] = float(f"{float(value):.9g}") if isinstance(value, float) else value
+        features.append(
+            {"type": "Feature", "geometry": zone.geometry, "properties": properties}
+        )
+    doc = {"type": "FeatureCollection", "features": features}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -96,6 +97,29 @@ class TestLoadZones:
         }))
         with pytest.raises(ValidationError, match="'zX'"):
             load_zones(csv_path, geometry_path=geo_path)
+
+    def test_csv_error_reported_before_geometry_error(self, tmp_path):
+        csv_path = tmp_path / "zones.csv"
+        csv_path.write_text(f"{ZONES_HEADER}\nz1,39.0,-76.0,1000,12,1\nz2,39.0,-76.0,x,12,1\n")
+        geo_path = tmp_path / "zones.geojson"
+        geo_path.write_text("not json")
+        with pytest.raises(ValidationError, match=r"zones.csv:3: column 'population'"):
+            load_zones(csv_path, geometry_path=geo_path)
+
+    def test_geometry_join_leaves_zones_without_a_feature_bare(self, tmp_path):
+        csv_path = tmp_path / "zones.csv"
+        csv_path.write_text(f"{ZONES_HEADER},poverty_rate\n"
+                            "z1,39.0,-76.0,1000,12,1,8.5\nz2,38.0,-75.0,50,0,0,9.5\n")
+        geo_path = tmp_path / "zones.geojson"
+        point = {"type": "Point", "coordinates": [-75.0, 38.0]}
+        geo_path.write_text(json.dumps({
+            "type": "FeatureCollection",
+            "features": [{"type": "Feature", "properties": {"zone_id": "z2"}, "geometry": point}],
+        }))
+        with_geometry = load_zones(csv_path, geometry_path=geo_path)
+        bare = load_zones(csv_path)
+        assert [z.geometry for z in with_geometry] == [None, point]
+        assert [dataclasses.replace(z, geometry=None) for z in with_geometry] == bare
 
 
 class TestOtherLoaders:

@@ -1,0 +1,83 @@
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from geoaccess import DemandZone, GeoPoint
+from geoaccess.output import GeoJSONWriter, write_csv, write_geojson
+from oracles import ref_write_csv, ref_write_geojson
+
+# Ids that break naive string splicing: quotes, backslashes, commas,
+# non-ASCII, and the text between two encoded features.
+awkward_ids = st.one_of(
+    st.sampled_from(['a"b', "a\\b", "a,b", "zoné", "東京", "},{", '"},{"type":"Feature"}']),
+    st.text(min_size=1, max_size=6),
+)
+edge_floats = st.sampled_from([-0.0, 0.0, 1e-300, 1e16, 123456789.0, 0.1, -2.5e-7])
+floats = st.one_of(edge_floats, st.floats(allow_nan=False, allow_infinity=False))
+json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**20, 10**20), st.text(max_size=6), floats,
+    floats.map(np.float64),
+)
+csv_values = st.one_of(
+    json_values, st.floats(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+)
+coordinates = st.floats(-180.0, 180.0)
+geometries = st.one_of(
+    st.none(),
+    st.builds(lambda x, y: {"type": "Point", "coordinates": [x, y]}, coordinates, coordinates),
+    st.lists(st.tuples(coordinates, coordinates), min_size=3, max_size=5).map(
+        lambda ring: {"type": "Polygon", "coordinates": [[list(p) for p in ring + ring[:1]]]}),
+)
+
+
+def zone(zone_id, geometry):
+    return DemandZone(zone_id, GeoPoint(0.0, 0.0), 1.0, 0.0, False, geometry=geometry)
+
+
+@st.composite
+def zones_and_attributes(draw):
+    zones = draw(st.lists(st.builds(zone, awkward_ids, geometries), max_size=8))
+    names = st.text(min_size=1, max_size=5)
+    # Some zones get no entry at all; a few entries name no zone.
+    ids = [z.zone_id for z in zones if draw(st.booleans())] + draw(st.lists(awkward_ids,
+                                                                           max_size=2))
+    attributes = {zid: draw(st.dictionaries(names, json_values, max_size=4)) for zid in ids}
+    return zones, attributes
+
+
+@given(zones_and_attributes())
+@settings(max_examples=100, deadline=None)
+def test_write_geojson_matches_whole_document_dump(tmp_path_factory, case):
+    zones, attributes = case
+    out = tmp_path_factory.mktemp("geojson")
+    ref_write_geojson(out / "ref.geojson", zones, attributes)
+    write_geojson(out / "new.geojson", zones, attributes)
+    assert (out / "new.geojson").read_bytes() == (out / "ref.geojson").read_bytes()
+
+
+@given(zones_and_attributes(), zones_and_attributes())
+@settings(max_examples=30, deadline=None)
+def test_one_writer_serves_many_files(tmp_path_factory, case, other):
+    zones, attributes = case
+    out = tmp_path_factory.mktemp("geojson")
+    writer = GeoJSONWriter(zones)
+    for i, attrs in enumerate((attributes, other[1], {})):
+        writer.write(out / f"new{i}.geojson", attrs)
+        ref_write_geojson(out / f"ref{i}.geojson", zones, attrs)
+        assert (out / f"new{i}.geojson").read_bytes() == (out / f"ref{i}.geojson").read_bytes()
+
+
+@given(st.lists(awkward_ids, min_size=1, max_size=4).flatmap(
+    lambda header: st.tuples(
+        st.just(header),
+        st.lists(st.lists(csv_values, min_size=len(header), max_size=len(header)), max_size=6),
+    )))
+@settings(max_examples=100, deadline=None)
+def test_write_csv_matches_per_cell_formatting(tmp_path_factory, case):
+    header, rows = case
+    out = tmp_path_factory.mktemp("csv")
+    ref_write_csv(out / "ref.csv", header, rows)
+    write_csv(out / "new.csv", header, rows)
+    assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+

@@ -1,9 +1,14 @@
+import dataclasses
 import filecmp
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoaccess import RunConfig, generate_synthetic_region, run_pipeline
 from geoaccess import pipeline as pl
+from oracles import ref_write_geojson
 
 
 @pytest.mark.parametrize("scheme", ["fixed_band", "knn"])
@@ -37,3 +42,101 @@ def test_run_pipeline_builds_weights_once_and_shares_them(tmp_path, monkeypatch,
     match, mismatch, errors = filecmp.cmpfiles(tmp_path / "shared", tmp_path / "own", names,
                                                shallow=False)
     assert (mismatch, errors) == ([], [])
+
+
+def with_squares(zones, half):
+    """Every zone with a square polygon of half-width ``half`` degrees."""
+    out = []
+    for z in zones:
+        lat, lon = z.centroid.lat, z.centroid.lon
+        ring = [[lon + dx, lat + dy]
+                for dx, dy in ((-half, -half), (half, -half), (half, half), (-half, half),
+                               (-half, -half))]
+        out.append(dataclasses.replace(z, geometry={"type": "Polygon", "coordinates": [ring]}))
+    return out
+
+
+def hand_built_attributes(zones, facilities, cfg):
+    """The per-file attribute dicts, spelled out stage by stage."""
+    field = pl.compute_access(zones, facilities, cfg)
+    acc_rows = pl.access_rows(zones, field)
+    access_by_zone = dict(acc_rows)
+    hs_rows = pl.hotspot_rows(zones, [access_by_zone[z.zone_id] for z in zones], cfg)
+    rk_rows, _ = pl.risk_rows(zones, cfg)
+    attributes = {
+        "access": {zid: {"accessibility": v} for zid, v in acc_rows},
+        "hotspot_accessibility": {r[0]: {"value": r[1], "z": r[2], "p": r[3], "category": r[4]}
+                                  for r in hs_rows},
+        "risk_index": {zid: {"risk_index": v} for zid, v in rk_rows},
+    }
+    computed = {"accessibility": access_by_zone, "risk_index": dict(rk_rows)}
+    for y_name in ("accessibility", "risk_index"):
+        rows = pl.bivariate_rows(zones, cfg.poverty_column, y_name, cfg, computed)
+        attributes[f"bivariate_{cfg.poverty_column}_{y_name}"] = {
+            r[0]: {"x_value": r[1], "y_value": r[2], "local_r": r[3], "pseudo_p": r[4],
+                   "category": r[5]}
+            for r in rows
+        }
+    return attributes
+
+
+@given(st.floats(1e-4, 0.05), st.sampled_from(["fixed_band", "knn"]))
+@settings(max_examples=4, deadline=None)
+def test_geojson_twins_carry_each_table_as_properties(tmp_path_factory, half, scheme):
+    zones, facilities, counties = generate_synthetic_region(3)
+    zones = pl.sorted_zones(with_squares(zones, half))
+    cfg = RunConfig(weights_scheme=scheme)
+    out = tmp_path_factory.mktemp("run") / "out"
+    run_pipeline(zones, facilities, counties, out, cfg)
+    expected = hand_built_attributes(zones, facilities, cfg)
+    assert sorted(p.stem for p in out.glob("*.geojson")) == sorted(expected)
+    for name, attributes in expected.items():
+        ref = out.parent / f"{name}.ref.geojson"
+        ref_write_geojson(ref, zones, attributes)
+        assert (out / f"{name}.geojson").read_bytes() == ref.read_bytes(), name
+
+
+def failing_mortality(*args, **kwargs):
+    raise RuntimeError("mortality stage failed")
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(pl, "mortality_rows", failing_mortality)
+    with pytest.raises(RuntimeError, match="mortality stage failed"):
+        run_pipeline(*generate_synthetic_region(3), tmp_path / "out", RunConfig())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_run_leaves_existing_directory_untouched(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "access.csv").write_text("earlier run\n")
+    monkeypatch.setattr(pl, "mortality_rows", failing_mortality)
+    with pytest.raises(RuntimeError):
+        run_pipeline(*generate_synthetic_region(3), out, RunConfig())
+    assert list(tmp_path.iterdir()) == [out]
+    assert [p.name for p in out.iterdir()] == ["access.csv"]
+    assert (out / "access.csv").read_text() == "earlier run\n"
+
+
+def test_run_into_existing_directory_replaces_its_files(tmp_path):
+    region = generate_synthetic_region(3)
+    fresh = run_pipeline(*region, tmp_path / "fresh", RunConfig())
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "access.csv").write_text("earlier run\n")
+    (out / "notes.txt").write_text("kept\n")
+    written = run_pipeline(*region, out, RunConfig())
+    assert written == {name: str(out / os.path.basename(p)) for name, p in fresh.items()}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "out"]
+    names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert sorted(p.name for p in out.iterdir()) == sorted(names + ["notes.txt"])
+    match, mismatch, errors = filecmp.cmpfiles(tmp_path / "fresh", out, names, shallow=False)
+    assert (mismatch, errors) == ([], [])
+    assert (out / "notes.txt").read_text() == "kept\n"
+
+
+def test_new_output_directory_gets_the_default_mode(tmp_path):
+    run_pipeline(*generate_synthetic_region(3), tmp_path / "out", RunConfig())
+    (tmp_path / "plain").mkdir()
+    assert (tmp_path / "out").stat().st_mode == (tmp_path / "plain").stat().st_mode
