@@ -125,13 +125,13 @@ def _load_sorted_zones(args):
     return pl.sorted_zones(zones)
 
 
-def _maybe_geojson(args, zones, attrs_by_zone):
+def _maybe_geojson(args, zones, header, rows):
     path = getattr(args, "geojson_out", None)
     if path is None:
         return
     if not any(z.geometry is not None for z in zones):
         raise ValidationError("--geojson-out requires --geometry with joined features")
-    write_geojson(path, zones, attrs_by_zone)
+    write_geojson(path, zones, pl.zone_properties(header, rows))
 
 
 def _parse_years(spec: str, counties):
@@ -160,7 +160,7 @@ def _cmd_access(args, cfg):
     write_csv(args.out, pl.ACCESS_HEADER, rows)
     for fac_id, reason in field.skipped_facilities:
         print(f"note: facility {fac_id} skipped: {reason}", file=sys.stderr)
-    _maybe_geojson(args, zones, {zid: {"accessibility": v} for zid, v in rows})
+    _maybe_geojson(args, zones, pl.ACCESS_HEADER, rows)
 
 
 def _cmd_gini(args, cfg):
@@ -197,9 +197,7 @@ def _cmd_hotspot(args, cfg):
         values = pl.resolve_series(zones, args.value_col)
     rows = pl.hotspot_rows(zones, values, cfg)
     write_csv(args.out, pl.HOTSPOT_HEADER, rows)
-    _maybe_geojson(args, zones, {
-        r[0]: {"value": r[1], "z": r[2], "p": r[3], "category": r[4]} for r in rows
-    })
+    _maybe_geojson(args, zones, pl.HOTSPOT_HEADER, rows)
 
 
 def _cmd_bivariate(args, cfg):
@@ -214,10 +212,7 @@ def _cmd_bivariate(args, cfg):
         computed["risk_index"] = {zid: v for zid, v in rk_rows}
     rows = pl.bivariate_rows(zones, args.x, args.y, cfg, computed)
     write_csv(args.out, pl.BIVARIATE_HEADER, rows)
-    _maybe_geojson(args, zones, {
-        r[0]: {"x_value": r[1], "y_value": r[2], "local_r": r[3],
-               "pseudo_p": r[4], "category": r[5]} for r in rows
-    })
+    _maybe_geojson(args, zones, pl.BIVARIATE_HEADER, rows)
 
 
 def _cmd_risk_index(args, cfg):
@@ -229,7 +224,7 @@ def _cmd_risk_index(args, cfg):
         f"captured variance {index.captured_variance:.4f}",
         file=sys.stderr,
     )
-    _maybe_geojson(args, zones, {zid: {"risk_index": v} for zid, v in rows})
+    _maybe_geojson(args, zones, pl.RISK_HEADER, rows)
 
 
 def _cmd_mortality(args, cfg):

@@ -40,7 +40,7 @@ __all__ = [
     "BIVARIATE_HEADER", "MORTALITY_HEADER", "TTEST_HEADER",
     "sorted_zones", "resolve_series", "compute_access", "access_rows",
     "gini_rows", "hotspot_rows", "risk_rows", "bivariate_rows",
-    "mortality_rows", "ttest_rows", "run_pipeline",
+    "mortality_rows", "ttest_rows", "run_pipeline", "zone_properties",
 ]
 
 
@@ -186,33 +186,34 @@ def run_pipeline(zones, facilities, counties, out_dir, cfg: RunConfig) -> dict:
     Returns a mapping from stage name to the written CSV path. GeoJSON
     twins appear alongside each zone-level CSV when any zone carries
     geometry. One zone neighbour graph serves the Gi* and bivariate stages.
-    The files are written into a temporary sibling of ``out_dir`` and
-    appear in ``out_dir`` only once every stage has succeeded.
+    The files are written into a temporary directory (inside ``out_dir``
+    when it exists, else beside it, so it is on the same filesystem) and
+    moved into ``out_dir`` only once every stage has succeeded.
     """
     out_dir = os.fspath(out_dir)
-    parent, base = os.path.split(os.path.abspath(out_dir))
-    os.makedirs(parent, exist_ok=True)
-    tmp_dir = tempfile.mkdtemp(prefix=f".{base}.", dir=parent)
+    if os.path.isdir(out_dir):
+        tmp_dir = tempfile.mkdtemp(prefix=".tmp", dir=out_dir)
+    else:
+        parent, base = os.path.split(os.path.abspath(out_dir))
+        os.makedirs(parent, exist_ok=True)
+        tmp_dir = tempfile.mkdtemp(prefix=f".{base}.", dir=parent)
     try:
         written = _write_outputs(zones, facilities, counties, tmp_dir, cfg)
-        _publish(tmp_dir, out_dir)
+        os.makedirs(out_dir, exist_ok=True)
+        for name in sorted(os.listdir(tmp_dir)):
+            os.replace(os.path.join(tmp_dir, name), os.path.join(out_dir, name))
+        os.rmdir(tmp_dir)
     except BaseException:
         shutil.rmtree(tmp_dir, ignore_errors=True)
         raise
     return {name: os.path.join(out_dir, file_name) for name, file_name in written.items()}
 
 
-def _publish(tmp_dir, out_dir) -> None:
-    """Move the finished files from ``tmp_dir`` to ``out_dir``."""
-    if not os.path.exists(out_dir):
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp_dir, 0o777 & ~umask)  # mkdtemp makes it private
-        os.rename(tmp_dir, out_dir)
-        return
-    for name in sorted(os.listdir(tmp_dir)):
-        os.replace(os.path.join(tmp_dir, name), os.path.join(out_dir, name))
-    os.rmdir(tmp_dir)
+def zone_properties(header, rows) -> dict:
+    """zone_id -> GeoJSON properties of a zone-level table: each row's
+    cells after the id, named by the header."""
+    columns = header[1:]
+    return {row[0]: dict(zip(columns, row[1:])) for row in rows}
 
 
 def _write_outputs(zones, facilities, counties, out_dir, cfg: RunConfig) -> dict:
@@ -227,9 +228,7 @@ def _write_outputs(zones, facilities, counties, out_dir, cfg: RunConfig) -> dict
         written[name] = f"{name}.csv"
         write_csv(os.path.join(out_dir, written[name]), header, rows)
         if zone_level and geojson is not None:
-            columns = header[1:]
-            geojson.write(os.path.join(out_dir, f"{name}.geojson"),
-                          {row[0]: dict(zip(columns, row[1:])) for row in rows})
+            geojson.write(os.path.join(out_dir, f"{name}.geojson"), zone_properties(header, rows))
 
     field = compute_access(zones, facilities, cfg)
     acc_rows = access_rows(zones, field)

@@ -136,6 +136,44 @@ def test_run_into_existing_directory_replaces_its_files(tmp_path):
     assert (out / "notes.txt").read_text() == "kept\n"
 
 
+def test_run_into_existing_directory_stages_inside_it(tmp_path, monkeypatch):
+    # Staging inside out_dir keeps the temp files on out_dir's filesystem
+    # (out_dir may be a mount point) and needs no write access to its parent.
+    out = tmp_path / "out"
+    out.mkdir()
+    seen = []
+    mortality = pl.mortality_rows
+
+    def looking_mortality(*args, **kwargs):
+        seen.append(([p.name for p in tmp_path.iterdir()],
+                     [(p.name, p.is_dir()) for p in out.iterdir()]))
+        return mortality(*args, **kwargs)
+
+    monkeypatch.setattr(pl, "mortality_rows", looking_mortality)
+    written = run_pipeline(*generate_synthetic_region(3), out, RunConfig())
+    [(siblings, inside)] = seen
+    assert siblings == ["out"]
+    [(staging, is_dir)] = inside
+    assert is_dir and staging.startswith(".")
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        os.path.basename(p) for p in written.values())
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                    reason="directory permissions do not bind root")
+def test_run_into_existing_directory_under_read_only_parent(tmp_path):
+    locked = tmp_path / "locked"
+    out = locked / "out"
+    out.mkdir(parents=True)
+    locked.chmod(0o555)
+    try:
+        written = run_pipeline(*generate_synthetic_region(3), out, RunConfig())
+    finally:
+        locked.chmod(0o755)
+    assert [p.name for p in locked.iterdir()] == ["out"]
+    assert all(os.path.isfile(p) for p in written.values())
+
+
 def test_new_output_directory_gets_the_default_mode(tmp_path):
     run_pipeline(*generate_synthetic_region(3), tmp_path / "out", RunConfig())
     (tmp_path / "plain").mkdir()
