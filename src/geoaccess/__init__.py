@@ -38,7 +38,7 @@ from .outcomes import (
     mortality_ratios,
 )
 from .pipeline import run_pipeline
-from .risk import PcaModel, RiskIndex, health_risk_index, jacobi_eigh, pca_fit, standardize
+from .risk import PcaModel, RiskIndex, health_risk_index, pca_fit, standardize
 from .spatial import (
     BivariateResult,
     HotSpotResult,
@@ -89,7 +89,6 @@ __all__ = [
     "health_risk_index",
     "impedance",
     "is_adrd_code",
-    "jacobi_eigh",
     "load_config",
     "load_counties",
     "load_facilities",

@@ -16,7 +16,6 @@ from . import pipeline as pl
 from .config import RunConfig, load_config
 from .errors import ValidationError
 from .ingest import load_counties, load_facilities, load_zones
-from .outcomes import AGGREGATE_YEAR
 from .output import write_csv, write_geojson
 from .synth import generate_synthetic_region
 
@@ -134,9 +133,10 @@ def _maybe_geojson(args, zones, header, rows):
     write_geojson(path, zones, pl.zone_properties(header, rows))
 
 
-def _parse_years(spec: str, counties):
+def _parse_years(spec: str):
+    """Calendar years named by --years; None ("all") means every year present."""
     if spec == "all":
-        return sorted({c.year for c in counties if c.year != AGGREGATE_YEAR})
+        return None
     if ":" in spec:
         first, last = spec.split(":", 1)
         try:
@@ -229,7 +229,7 @@ def _cmd_risk_index(args, cfg):
 
 def _cmd_mortality(args, cfg):
     counties = load_counties(args.counties)
-    years = _parse_years(args.years, counties)
+    years = _parse_years(args.years)
     write_csv(args.out, pl.MORTALITY_HEADER, pl.mortality_rows(counties, years))
 
 

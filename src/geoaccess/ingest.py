@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .accessibility import DemandZone, Facility
 from .errors import ValidationError
 from .geo import GeoPoint
-from .outcomes import CountyOutcome
+from .outcomes import AGGREGATE_YEAR, CountyOutcome
 
 ADRD_CATEGORIES = ("F01", "F03", "G30", "G31")
 
@@ -237,6 +237,10 @@ def load_counties(path) -> list[CountyOutcome]:
     seen: dict[tuple, int] = {}
     for lineno, row in rows:
         year = _parse_count(path, lineno, "year", row["year"])
+        if year == AGGREGATE_YEAR:
+            raise ValidationError(
+                f"{path}:{lineno}: year {year} is reserved for multi-year averaged records"
+            )
         key = (row["county_id"], year)
         if key in seen:
             raise ValidationError(

@@ -135,19 +135,16 @@ def _mean(values) -> float:
     return sum(values) / len(values)
 
 
-def classify_service_status(counties, elevated_sd: float = 1.0,
-                            center: str = "mean") -> list[ServiceStatus]:
-    """Label counties against state-wide central ratios.
+def classify_service_status(counties, elevated_sd: float = 1.0) -> list[ServiceStatus]:
+    """Label counties against state-wide mean ratios.
 
-    Underserved: deaths per patient above the state center while the
+    Underserved: deaths per patient above the state mean while the
     diagnosis rate sits below it. Overserved: the mirror image. Anything
     else with defined ratios is Typical; a county missing a required
     denominator is InsufficientData and never enters the state means.
     ``elevated`` flags a deaths-per-population rate more than
     ``elevated_sd`` sample standard deviations above the state mean.
     """
-    if center not in ("mean", "median"):
-        raise ValidationError(f"center must be 'mean' or 'median', got {center!r}")
     ratios = {c.county_id: mortality_ratios(c) for c in counties}
     defined = [
         r for r in ratios.values()
@@ -155,18 +152,8 @@ def classify_service_status(counties, elevated_sd: float = 1.0,
     ]
     if len(defined) < 2:
         raise ValidationError("service classification requires >= 2 counties with defined ratios")
-
-    def central(values):
-        if center == "mean":
-            return _mean(values)
-        ordered = sorted(values)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            return ordered[mid]
-        return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-    mortality_center = central([r.deaths_per_patient for r in defined])
-    diagnosis_center = central([r.diagnosis_rate for r in defined])
+    mortality_mean = _mean([r.deaths_per_patient for r in defined])
+    diagnosis_mean = _mean([r.diagnosis_rate for r in defined])
     pop_rates = [r.deaths_per_pop50 for r in ratios.values() if r.deaths_per_pop50 is not None]
     pop_mean = _mean(pop_rates) if pop_rates else 0.0
     if len(pop_rates) > 1:
@@ -180,9 +167,9 @@ def classify_service_status(counties, elevated_sd: float = 1.0,
         r = ratios[county.county_id]
         if r.deaths_per_patient is None or r.diagnosis_rate is None:
             label = INSUFFICIENT
-        elif r.deaths_per_patient > mortality_center and r.diagnosis_rate < diagnosis_center:
+        elif r.deaths_per_patient > mortality_mean and r.diagnosis_rate < diagnosis_mean:
             label = UNDERSERVED
-        elif r.deaths_per_patient < mortality_center and r.diagnosis_rate > diagnosis_center:
+        elif r.deaths_per_patient < mortality_mean and r.diagnosis_rate > diagnosis_mean:
             label = OVERSERVED
         else:
             label = TYPICAL

@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import json
 
+import numpy as np
+
 __all__ = ["format_value", "write_csv", "GeoJSONWriter", "write_geojson", "quantize"]
 
 # The C encoder behind json.dumps(doc, sort_keys=True, separators=(",", ":")).
@@ -22,6 +24,8 @@ def quantize(x: float) -> float:
 
 
 def format_value(value) -> str:
+    if isinstance(value, np.generic):
+        value = value.item()  # numpy scalars spell like their Python twins
     if value is None:
         return ""
     if isinstance(value, bool):

@@ -1,9 +1,8 @@
 """Composite health-risk index from correlation-matrix PCA.
 
 Variables are standardized to zero mean and unit sample variance, the
-correlation matrix is diagonalized with a cyclic Jacobi iteration
-(converged until every off-diagonal entry is below 1e-12 in magnitude),
-and the index is the explained-variance-weighted sum of the retained
+correlation matrix is diagonalized with ``numpy.linalg.eigh``, and the
+index is the explained-variance-weighted sum of the retained
 component scores. Components are kept up to a cumulative
 explained-variance target and each is sign-aligned so that a larger
 index always means a larger overall burden of the input variables.
@@ -24,7 +23,6 @@ __all__ = [
     "PcaModel",
     "RiskIndex",
     "standardize",
-    "jacobi_eigh",
     "pca_fit",
     "retained_components",
     "health_risk_index",
@@ -79,56 +77,6 @@ def standardize(matrix, columns=None):
     return (x - means) / stds, means, stds
 
 
-def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps run until every off-diagonal magnitude drops below ``tol``.
-    Returns (eigenvalues, eigenvectors-as-columns), unsorted.
-    """
-    a = np.array(matrix, dtype=float, copy=True)
-    p = a.shape[0]
-    if a.shape != (p, p):
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.T, atol=1e-10):
-        raise ValidationError("jacobi_eigh requires a symmetric matrix")
-    v = np.eye(p)
-    if p == 1:
-        return np.array([a[0, 0]]), v
-    for _ in range(max_sweeps):
-        off = np.abs(a - np.diag(np.diag(a))).max()
-        if off < tol:
-            break
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                aij = a[i, j]
-                if aij == 0.0:
-                    continue
-                theta = (a[j, j] - a[i, i]) / (2.0 * aij)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_i = a[:, i].copy()
-                col_j = a[:, j].copy()
-                a[:, i] = c * col_i - s * col_j
-                a[:, j] = s * col_i + c * col_j
-                row_i = a[i, :].copy()
-                row_j = a[j, :].copy()
-                a[i, :] = c * row_i - s * row_j
-                a[j, :] = s * row_i + c * row_j
-                a[i, j] = 0.0
-                a[j, i] = 0.0
-                vi = v[:, i].copy()
-                vj = v[:, j].copy()
-                v[:, i] = c * vi - s * vj
-                v[:, j] = s * vi + c * vj
-    else:
-        raise ValidationError("jacobi_eigh failed to converge")
-    return np.diag(a).copy(), v
-
-
 def pca_fit(standardized, columns=None, means=None, stds=None) -> PcaModel:
     """Fit PCA on an already-standardized matrix via its correlation matrix.
 
@@ -144,7 +92,7 @@ def pca_fit(standardized, columns=None, means=None, stds=None) -> PcaModel:
     n = z.shape[0]
     corr = (z.T @ z) / (n - 1.0)
     corr = 0.5 * (corr + corr.T)
-    eigenvalues, vectors = jacobi_eigh(corr)
+    eigenvalues, vectors = np.linalg.eigh(corr)
     eigenvalues = np.where(eigenvalues < 0.0, 0.0, eigenvalues)
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from geoaccess.errors import ValidationError
+
 R_MILES = 3958.7613
 
 
@@ -231,7 +233,7 @@ def ref_2sfca(zones, facilities, d0, demand="patients", family="gaussian"):
 def _ref_format(value):
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, int):
         return str(value)
@@ -264,3 +266,151 @@ def ref_write_geojson(path, zones, attributes_by_zone):
     doc = {"type": "FeatureCollection", "features": features}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+_FPMIN = 1e-300
+_EPS = 1e-15
+_MAX_ITER = 500
+
+
+def _beta_continued_fraction(a, b, x):
+    """Continued fraction for the incomplete beta, by modified Lentz."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    d = 1.0 / d
+    h = d
+    for m in range(1, _MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            return h
+    raise ValidationError(f"incomplete beta failed to converge for a={a}, b={b}, x={x}")
+
+
+def regularized_incomplete_beta(a, b, x):
+    """I_x(a, b) for a, b > 0 and x in [0, 1], by the Lentz continued fraction."""
+    if not (a > 0 and b > 0):
+        raise ValidationError(f"beta parameters must be positive, got a={a!r}, b={b!r}")
+    if not 0.0 <= x <= 1.0:
+        raise ValidationError(f"beta argument must be in [0, 1], got {x!r}")
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    log_front = (
+        math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
+        + a * math.log(x)
+        + b * math.log1p(-x)
+    )
+    front = math.exp(log_front)
+    # Use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) on the side where the
+    # continued fraction converges fastest.
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_continued_fraction(a, b, x) / a
+    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
+
+
+def student_t_two_sided_p(t, df):
+    """Two-sided Student-t tail: I_x(df/2, 1/2) with x = df / (df + t**2)."""
+    if not df > 0:
+        raise ValidationError(f"degrees of freedom must be > 0, got {df!r}")
+    if math.isinf(t):
+        return 0.0
+    x = df / (df + t * t)
+    p = regularized_incomplete_beta(0.5 * df, 0.5, x)
+    return min(1.0, max(0.0, p))
+
+
+def normal_cdf(z):
+    """Standard normal CDF via erfc."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def jacobi_eigh(matrix, tol=1e-12, max_sweeps=100):
+    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
+
+    Sweeps run until every off-diagonal magnitude drops below ``tol``.
+    Returns (eigenvalues, eigenvectors-as-columns), unsorted.
+    """
+    a = np.array(matrix, dtype=float, copy=True)
+    p = a.shape[0]
+    if a.shape != (p, p):
+        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    if not np.allclose(a, a.T, atol=1e-10):
+        raise ValidationError("jacobi_eigh requires a symmetric matrix")
+    v = np.eye(p)
+    if p == 1:
+        return np.array([a[0, 0]]), v
+    for _ in range(max_sweeps):
+        off = np.abs(a - np.diag(np.diag(a))).max()
+        if off < tol:
+            break
+        for i in range(p - 1):
+            for j in range(i + 1, p):
+                aij = a[i, j]
+                if aij == 0.0:
+                    continue
+                theta = (a[j, j] - a[i, i]) / (2.0 * aij)
+                if theta == 0.0:
+                    t = 1.0
+                else:
+                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                col_i = a[:, i].copy()
+                col_j = a[:, j].copy()
+                a[:, i] = c * col_i - s * col_j
+                a[:, j] = s * col_i + c * col_j
+                row_i = a[i, :].copy()
+                row_j = a[j, :].copy()
+                a[i, :] = c * row_i - s * row_j
+                a[j, :] = s * row_i + c * row_j
+                a[i, j] = 0.0
+                a[j, i] = 0.0
+                vi = v[:, i].copy()
+                vj = v[:, j].copy()
+                v[:, i] = c * vi - s * vj
+                v[:, j] = s * vi + c * vj
+    else:
+        raise ValidationError("jacobi_eigh failed to converge")
+    return np.diag(a).copy(), v
+
+
+def ref_pca(standardized):
+    """Correlation-matrix PCA by Jacobi: descending eigenvalues clipped at 0,
+    each eigenvector's largest-magnitude entry (first on ties) made >= 0."""
+    z = np.asarray(standardized, dtype=float)
+    corr = (z.T @ z) / (z.shape[0] - 1.0)
+    evals, vecs = jacobi_eigh(0.5 * (corr + corr.T))
+    evals = np.maximum(evals, 0.0)
+    order = np.argsort(-evals, kind="stable")
+    evals, vecs = evals[order], vecs[:, order]
+    for c in range(vecs.shape[1]):
+        if vecs[np.argmax(np.abs(vecs[:, c])), c] < 0.0:
+            vecs[:, c] = -vecs[:, c]
+    return evals, vecs

@@ -191,6 +191,24 @@ class TestPipeline:
         for path in out.iterdir():
             assert filecmp.cmp(path, solo / path.name, shallow=False), path.name
 
+    def test_year_zero_county_row_fails_both_paths(self, synth_dir, tmp_path, capsys):
+        # Year 0 is the multi-year sentinel; both commands must reject it
+        # rather than one averaging it in and the other dropping it.
+        counties = tmp_path / "counties.csv"
+        counties.write_text(
+            "county_id,year,adrd_deaths,adrd_patients,population_50plus\n"
+            "A,2019,10,100,1000\nA,0,90,100,1000\nB,2019,10,100,1000\n"
+            "C,2019,12,90,1000\nD,2019,8,110,1000\n"
+        )
+        z, f = str(synth_dir / "zones.csv"), str(synth_dir / "facilities.csv")
+        assert run("mortality", "--counties", str(counties),
+                   "--out", str(tmp_path / "m.csv")) == 1
+        assert "counties.csv:3:" in capsys.readouterr().err
+        assert run("pipeline", "--zones", z, "--facilities", f, "--counties", str(counties),
+                   "--out-dir", str(tmp_path / "run")) == 1
+        assert "counties.csv:3:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_two_runs_and_worker_counts_are_byte_identical(self, synth_dir, tmp_path):
         z, f, c = (str(synth_dir / n) for n in ("zones.csv", "facilities.csv", "counties.csv"))
         dirs = []

@@ -13,7 +13,7 @@ from geoaccess import (
     welch_t_test,
 )
 
-from oracles import ref_gini_pairwise
+from oracles import ref_gini_pairwise, student_t_two_sided_p
 
 # Welch reference case a=[1,2,3], b=[2,4,6]; t and df by hand, p frozen
 # from an independent statistical oracle before the build.
@@ -163,3 +163,28 @@ class TestWelch:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValidationError):
             welch_t_test([], [1.0, 2.0])
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(2, 700), n_b=st.integers(2, 400),
+       gap=st.floats(0.0, 100.0), sd_a=st.floats(0.01, 10.0), sd_b=st.floats(0.01, 10.0))
+@settings(max_examples=200, deadline=None)
+def test_welch_p_matches_continued_fraction_oracle(seed, n_a, n_b, gap, sd_a, sd_b):
+    rng = np.random.default_rng(seed)
+    res = welch_t_test(rng.normal(0.0, sd_a, n_a), rng.normal(gap, sd_b, n_b))
+    want = student_t_two_sided_p(res.t, res.df)
+    assert 0.0 <= res.p <= 1.0
+    assert not (res.degenerate or res.infinite_separation)
+    if want >= 1e-300:
+        assert res.p == pytest.approx(want, rel=1e-10, abs=0)
+    else:
+        assert res.p < 1e-300
+
+
+def test_welch_p_far_tail_stays_in_range():
+    # t about -77 on df about 597: the oracle's tail is subnormal (~3e-312).
+    a = np.linspace(0.0, 0.19, 600)
+    b = np.linspace(0.3, 0.49, 300)
+    res = welch_t_test(a, b)
+    assert 0.0 < student_t_two_sided_p(res.t, res.df) < 1e-300
+    assert 0.0 <= res.p < 1e-300
+    assert not (res.degenerate or res.infinite_separation)

@@ -145,6 +145,16 @@ class TestOtherLoaders:
         with pytest.raises(ValidationError, match="duplicate county-year"):
             load_counties(path)
 
+    def test_year_zero_rejected_with_line(self, tmp_path):
+        # Year 0 marks multi-year averaged records and never comes from a file.
+        path = tmp_path / "counties.csv"
+        path.write_text(
+            "county_id,year,adrd_deaths,adrd_patients,population_50plus\n"
+            "c1,2020,5,40,900\nc1,0,6,44,900\n"
+        )
+        with pytest.raises(ValidationError, match=r"counties\.csv:3: year 0 is reserved"):
+            load_counties(path)
+
     def test_counties_load(self, tmp_path):
         path = tmp_path / "counties.csv"
         path.write_text(

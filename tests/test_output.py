@@ -81,3 +81,8 @@ def test_write_csv_matches_per_cell_formatting(tmp_path_factory, case):
     write_csv(out / "new.csv", header, rows)
     assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
 
+
+
+def test_write_csv_spells_numpy_booleans_as_flags(tmp_path):
+    write_csv(tmp_path / "np.csv", ["a", "b"], [[np.bool_(True), np.bool_(False)]])
+    assert (tmp_path / "np.csv").read_text() == "a,b\n1,0\n"

