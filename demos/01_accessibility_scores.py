@@ -10,7 +10,7 @@ that ties the two steps together.
 
 import numpy as np
 
-from geoaccess import accessibility_scores, generate_synthetic_region, impedance
+from geoaccess import accessibility_scores, decay_weight, generate_synthetic_region
 
 # A deterministic region: 40 urban zones packed around a core full of
 # large hospitals, 80 rural zones spread over the periphery.
@@ -20,7 +20,7 @@ zones = sorted(zones, key=lambda z: z.zone_id)
 # The decay weight starts just under 0.4 at the facility doorstep and
 # fades to exactly zero at the 15-mile catchment boundary.
 for d in (0.0, 5.0, 10.0, 15.0):
-    print(f"decay weight at {d:4.1f} miles: {impedance(d, 15.0):.4f}")
+    print(f"decay weight at {d:4.1f} miles: {decay_weight(d, 15.0):.4f}")
 
 field = accessibility_scores(zones, facilities, d0=15.0)
 

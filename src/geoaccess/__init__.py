@@ -13,8 +13,6 @@ from .accessibility import (
     Facility,
     accessibility_scores,
     decay_weight,
-    facility_ratio,
-    impedance,
 )
 from .config import RunConfig, load_config
 from .equity import GiniResult, StratifiedGini, TTestResult, gini, gini_stratified, welch_t_test
@@ -80,14 +78,12 @@ __all__ = [
     "classify_service_status",
     "cohort_summary",
     "decay_weight",
-    "facility_ratio",
     "generate_synthetic_region",
     "getis_ord_gi_star",
     "gini",
     "gini_stratified",
     "haversine_miles",
     "health_risk_index",
-    "impedance",
     "is_adrd_code",
     "load_config",
     "load_counties",

@@ -34,9 +34,7 @@ __all__ = [
     "DemandZone",
     "Facility",
     "AccessibilityField",
-    "impedance",
     "decay_weight",
-    "facility_ratio",
     "accessibility_scores",
 ]
 
@@ -96,16 +94,6 @@ class AccessibilityField:
     skipped_facilities: list
 
 
-def impedance(d: float, d0: float) -> float:
-    """Truncated Gaussian distance-decay weight.
-
-    Returns ``exp(-(d/d0)**2 / 2) - exp(-1/2)`` for ``d <= d0`` and 0
-    beyond; strictly decreasing on [0, d0] and continuous (value 0) at
-    the boundary.
-    """
-    return decay_weight(d, d0, "gaussian")
-
-
 def decay_weight(d: float, d0: float, family: str = "gaussian") -> float:
     """Distance-decay weight under a named family.
 
@@ -129,21 +117,41 @@ def decay_weight(d: float, d0: float, family: str = "gaussian") -> float:
     return (1.0 + d / d0) ** -2 - 0.25
 
 
-def _step_one(zones, facilities, d0: float, demand: str, family: str):
-    """Catchment pairs, supply-to-demand ratios and skipped facilities.
+def accessibility_scores(
+    zones,
+    facilities,
+    d0: float = DEFAULT_CATCHMENT_MILES,
+    demand: str = "patients",
+    family: str = "gaussian",
+) -> AccessibilityField:
+    """Two-step floating catchment area scores for every zone.
 
-    Inputs are sorted by id. The pairs within ``d0`` come back as arrays
-    (facility index, zone index, decay weight) sorted by (facility,
-    zone). Distances and weights are scalar libm results, and
-    ``np.bincount`` adds terms in ascending zone id order, so each ratio
-    has the bits of a sequential scan.
+    Facilities with zero weighted demand are skipped (with a recorded
+    reason) rather than treated as infinite supply. Both steps sum over
+    one list of facility-zone pairs in ascending id order, so results do
+    not depend on input order.
+
+    Raises
+    ------
+    ValidationError
+        On an empty zone list, duplicate ids, or invalid parameters.
+        An empty facility list is valid and yields all-zero scores.
     """
+    zones = sorted(zones, key=lambda z: z.zone_id)
+    facilities = sorted(facilities, key=lambda f: f.facility_id)
+    if not zones:
+        raise ValidationError("accessibility requires at least one demand zone")
     if not d0 > 0:
         raise ValidationError(f"catchment threshold must be > 0, got {d0!r}")
     if demand not in DEMAND_COLUMNS:
         raise ValidationError(f"unknown demand column {demand!r}; expected one of {DEMAND_COLUMNS}")
     if family not in DECAY_FAMILIES:
         raise ValidationError(f"unknown impedance family {family!r}; expected one of {DECAY_FAMILIES}")
+
+    # Step one: the pairs within d0 as arrays (facility index, zone index,
+    # decay weight) sorted by (facility, zone). Distances and weights are
+    # scalar libm results, and np.bincount adds terms in ascending zone id
+    # order, so each ratio has the bits of a sequential scan.
     fac_index = SpatialIndex([(f.facility_id, f.location) for f in facilities])
     zone_index = SpatialIndex([(z.zone_id, z.centroid) for z in zones])
     fac, zone, dist = fac_index.pairs_within(zone_index, d0)
@@ -160,58 +168,6 @@ def _step_one(zones, facilities, d0: float, demand: str, family: str):
             skipped.append((f.facility_id, "zero weighted demand within catchment"))
         else:
             ratios[f.facility_id] = f.beds / total
-    return (fac, zone, weight), ratios, skipped
-
-
-def facility_ratio(
-    facility: Facility,
-    zones,
-    d0: float = DEFAULT_CATCHMENT_MILES,
-    demand: str = "patients",
-    family: str = "gaussian",
-):
-    """Supply-to-demand ratio of one facility, or None when no one demands it.
-
-    The denominator is the decay-weighted demand of every zone within the
-    catchment. A denominator of exactly zero (no zone in range, or all
-    in-range zones with zero demand or zero weight) yields None; such a
-    facility is excluded from step two.
-    """
-    zones = sorted(zones, key=lambda z: z.zone_id)
-    _, ratios, _ = _step_one(zones, [facility], d0, demand, family)
-    return ratios.get(facility.facility_id)
-
-
-def accessibility_scores(
-    zones,
-    facilities,
-    d0: float = DEFAULT_CATCHMENT_MILES,
-    demand: str = "patients",
-    family: str = "gaussian",
-    workers: int = 1,
-) -> AccessibilityField:
-    """Two-step floating catchment area scores for every zone.
-
-    Facilities with zero weighted demand are skipped (with a recorded
-    reason) rather than treated as infinite supply. Both steps sum over
-    one list of facility-zone pairs in ascending id order, so results do
-    not depend on input order. ``workers`` is validated and otherwise
-    unused: the computation runs in one thread.
-
-    Raises
-    ------
-    ValidationError
-        On an empty zone list, duplicate ids, or invalid parameters.
-        An empty facility list is valid and yields all-zero scores.
-    """
-    zones = sorted(zones, key=lambda z: z.zone_id)
-    facilities = sorted(facilities, key=lambda f: f.facility_id)
-    if not zones:
-        raise ValidationError("accessibility requires at least one demand zone")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-
-    (fac, zone, weight), ratios, skipped = _step_one(zones, facilities, d0, demand, family)
 
     # Step two: per-zone decay-weighted sums of the facility ratios, added
     # in ascending facility id order within each zone. A skipped facility

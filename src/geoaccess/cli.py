@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import pipeline as pl
-from .config import RunConfig, load_config
+from .config import CONFIG_KEYS, RunConfig, load_config
 from .errors import ValidationError
 from .ingest import load_counties, load_facilities, load_zones
 from .output import write_csv, write_geojson
@@ -48,21 +48,13 @@ def _add_config_flags(p: _Parser):
     g.add_argument("--fdr", action="store_true", default=None,
                    help="apply Benjamini-Hochberg correction to hot spot classes")
     g.add_argument("--min-neighbors", type=int, dest="min_neighbors")
-    g.add_argument("--workers", type=int, help="accepted (>= 1) and has no effect")
     g.add_argument("--poverty-col", dest="poverty_column")
     g.add_argument("--prevalence-cols", dest="prevalence_columns",
                    help="comma-separated prevalence column names")
 
 
-_CONFIG_KEYS = (
-    "catchment_miles", "impedance", "demand", "weights_scheme", "band_miles", "knn_k",
-    "permutations", "seed", "variance_target", "fdr", "min_neighbors", "workers",
-    "poverty_column", "prevalence_columns",
-)
-
-
 def _resolve_config(args) -> RunConfig:
-    overrides = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
+    overrides = {k: getattr(args, k, None) for k in CONFIG_KEYS}
     if overrides.get("prevalence_columns") is not None:
         overrides["prevalence_columns"] = tuple(
             c.strip() for c in overrides["prevalence_columns"].split(",") if c.strip()

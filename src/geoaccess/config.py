@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -29,7 +30,10 @@ DEFAULT_PREVALENCE_COLUMNS = (
 
 _SCHEMES = ("fixed_band", "knn")
 
-__all__ = ["ENV_SEED", "DEFAULT_PREVALENCE_COLUMNS", "RunConfig", "load_config"]
+_INTEGER_FIELDS = ("knn_k", "permutations", "min_neighbors", "seed")
+_NUMBER_FIELDS = ("catchment_miles", "band_miles", "variance_target")
+
+__all__ = ["ENV_SEED", "DEFAULT_PREVALENCE_COLUMNS", "CONFIG_KEYS", "RunConfig", "load_config"]
 
 
 @dataclass(frozen=True)
@@ -45,23 +49,21 @@ class RunConfig:
     variance_target: float = 0.75
     fdr: bool = False
     min_neighbors: int = 8
-    workers: int = 1
     poverty_column: str = "poverty_rate"
     prevalence_columns: tuple = DEFAULT_PREVALENCE_COLUMNS
 
     def __post_init__(self):
-        positive = (
-            ("catchment_miles", self.catchment_miles),
-            ("band_miles", self.band_miles),
-            ("knn_k", self.knn_k),
-            ("permutations", self.permutations),
-            ("variance_target", self.variance_target),
-            ("min_neighbors", self.min_neighbors),
-            ("workers", self.workers),
-        )
-        for name, value in positive:
-            if not value > 0:
+        typed = [(name, numbers.Integral, "an integer") for name in _INTEGER_FIELDS]
+        typed += [(name, numbers.Real, "a number") for name in _NUMBER_FIELDS]
+        for name, kind, noun in typed:
+            value = getattr(self, name)
+            # bool is an int subclass; a JSON true must not pass as 1.
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValidationError(f"config {name} must be {noun}, got {value!r}")
+            if name != "seed" and not value > 0:
                 raise ValidationError(f"config {name} must be positive, got {value!r}")
+        if self.seed < 0:
+            raise ValidationError(f"config seed must be non-negative, got {self.seed!r}")
         if self.variance_target > 1.0:
             raise ValidationError(
                 f"config variance_target must be in (0, 1], got {self.variance_target!r}"
@@ -74,9 +76,11 @@ class RunConfig:
             raise ValidationError(f"config weights_scheme must be one of {_SCHEMES}")
         if not isinstance(self.fdr, bool):
             raise ValidationError(f"config fdr must be a boolean, got {self.fdr!r}")
+        if not self.prevalence_columns:
+            raise ValidationError("config prevalence_columns must name at least one column")
 
 
-_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(RunConfig))
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
 def load_config(path=None, overrides=None, env=None) -> RunConfig:
@@ -95,7 +99,7 @@ def load_config(path=None, overrides=None, env=None) -> RunConfig:
                 raise ValidationError(f"{path}: invalid JSON: {exc}")
         if not isinstance(raw, dict):
             raise ValidationError(f"{path}: config must be a JSON object")
-        unknown = sorted(set(raw) - set(_FIELD_NAMES))
+        unknown = sorted(set(raw) - set(CONFIG_KEYS))
         if unknown:
             raise ValidationError(f"{path}: unknown config keys {unknown}")
         values.update(raw)
@@ -107,7 +111,7 @@ def load_config(path=None, overrides=None, env=None) -> RunConfig:
     for name, value in (overrides or {}).items():
         if value is None:
             continue
-        if name not in _FIELD_NAMES:
+        if name not in CONFIG_KEYS:
             raise ValidationError(f"unknown config override {name!r}")
         values[name] = value
     if "prevalence_columns" in values and not isinstance(values["prevalence_columns"], tuple):

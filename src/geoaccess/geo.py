@@ -77,9 +77,9 @@ class SpatialIndex:
     candidate is then re-checked with :func:`haversine_miles`, so query
     results are exactly what a brute-force linear scan returns. The index
     is immutable after construction and safe to share across threads.
-    Ids must be unique; a duplicate is rejected by name. ``tree``, the
-    embedding ``xyz`` (in miles) and the coordinates in radians (``phi``,
-    ``lam``, with ``cos_phi``) are exposed for pair queries.
+    Ids must be unique; a duplicate is rejected by name. ``tree`` and the
+    embedding ``xyz`` (in miles) are exposed for neighbour queries, and
+    :meth:`arc_miles` measures the pairs they return.
     """
 
     def __init__(self, points):
@@ -90,26 +90,27 @@ class SpatialIndex:
                 raise ValidationError(f"duplicate id in spatial index: {pid!r}")
             seen.add(pid)
         self.points = [pt for _, pt in points]
-        self.phi = np.radians(np.array([p.lat for p in self.points], dtype=float))
-        self.lam = np.radians(np.array([p.lon for p in self.points], dtype=float))
-        self.cos_phi = np.cos(self.phi)
+        self._phi = np.radians(np.array([p.lat for p in self.points], dtype=float))
+        self._lam = np.radians(np.array([p.lon for p in self.points], dtype=float))
+        self._cos_phi = np.cos(self._phi)
         self.xyz = EARTH_RADIUS_MILES * np.column_stack((
-            self.cos_phi * np.cos(self.lam), self.cos_phi * np.sin(self.lam), np.sin(self.phi)))
+            self._cos_phi * np.cos(self._lam), self._cos_phi * np.sin(self._lam),
+            np.sin(self._phi)))
         self.tree = cKDTree(self.xyz)
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def within_radius(self, center: GeoPoint, radius: float):
-        """All (id, distance) pairs with great-circle distance <= radius.
+    def arc_miles(self, i, j) -> np.ndarray:
+        """Haversine miles from point ``i[m]`` to point ``j[m]``, elementwise.
 
-        The boundary is included. Results are sorted ascending by
-        distance, ties broken by id.
+        The numpy operations are those of a full distance matrix, so each
+        pair gets the same bits whichever pairs are asked for.
         """
-        i, _, dist = self.pairs_within(SpatialIndex([(None, center)]), radius)
-        hits = [(self.ids[a], d) for a, d in zip(i.tolist(), dist)]
-        hits.sort(key=lambda pair: (pair[1], pair[0]))
-        return hits
+        dphi = 0.5 * (self._phi[i] - self._phi[j])
+        dlam = 0.5 * (self._lam[i] - self._lam[j])
+        s = np.sin(dphi) ** 2 + self._cos_phi[i] * self._cos_phi[j] * np.sin(dlam) ** 2
+        return 2.0 * EARTH_RADIUS_MILES * np.arcsin(np.minimum(1.0, np.sqrt(s)))
 
     def pairs_within(self, other: SpatialIndex, radius: float):
         """Every pair of a point here and a point of ``other`` at most ``radius`` apart.

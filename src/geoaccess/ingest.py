@@ -85,11 +85,10 @@ def is_adrd_code(code: str) -> bool:
     one of F01, F03, G30, G31 or extend it, directly or after a dot.
     Substring hits elsewhere do not count, so F10 is not F01.
     """
-    if not code:
-        raise ValidationError("diagnosis code must be non-empty")
     c = code.strip().upper()
-    return any(c == cat or c.startswith(cat + ".") or (c.startswith(cat) and len(c) > 3)
-               for cat in ADRD_CATEGORIES)
+    if not c:
+        raise ValidationError("diagnosis code must be non-empty")
+    return c.startswith(ADRD_CATEGORIES)
 
 
 def _read_rows(path, required, extras_allowed: bool):
@@ -273,8 +272,7 @@ def load_patients(path) -> list[PatientRecord]:
                 f"{path}:{lineno}: duplicate record_id {rid!r} (first seen at line {seen[rid]})"
             )
         seen[rid] = lineno
-        code = row["diagnosis_code"].strip().upper()
-        if not code:
+        if not row["diagnosis_code"].strip():
             raise ValidationError(f"{path}:{lineno}: empty diagnosis_code")
         records.append(
             PatientRecord(
@@ -283,7 +281,7 @@ def load_patients(path) -> list[PatientRecord]:
                 age=_parse_float(path, lineno, "age", row["age"]),
                 sex=row["sex"].strip(),
                 race=row["race"].strip(),
-                diagnosis_code=code,
+                diagnosis_code=row["diagnosis_code"],
                 total_charge=_parse_float(path, lineno, "total_charge", row["total_charge"]),
             )
         )

@@ -49,11 +49,8 @@ def sorted_zones(zones):
 
 
 def compute_access(zones, facilities, cfg: RunConfig):
-    return accessibility_scores(
-        zones, facilities,
-        d0=cfg.catchment_miles, demand=cfg.demand, family=cfg.impedance,
-        workers=cfg.workers,
-    )
+    return accessibility_scores(zones, facilities, d0=cfg.catchment_miles, demand=cfg.demand,
+                                family=cfg.impedance)
 
 
 def _zone_weights(zones, cfg: RunConfig):
@@ -123,11 +120,8 @@ def bivariate_rows(zones, x_name: str, y_name: str, cfg: RunConfig, computed=Non
     x = resolve_series(zones, x_name, computed)
     y = resolve_series(zones, y_name, computed)
     weights = _zone_weights(zones, cfg) if weights is None else weights
-    result = local_bivariate(
-        x, y, weights,
-        permutations=cfg.permutations, seed=cfg.seed,
-        min_neighbors=cfg.min_neighbors, workers=cfg.workers,
-    )
+    result = local_bivariate(x, y, weights, permutations=cfg.permutations, seed=cfg.seed,
+                             min_neighbors=cfg.min_neighbors)
     rows = []
     for zid, xv, yv, r, p, cat in zip(result.ids, x, y, result.local_r, result.pseudo_p,
                                       result.category):

@@ -43,9 +43,6 @@ class PcaModel:
     eigenvalues: np.ndarray
     loadings: np.ndarray
     explained_ratio: np.ndarray
-    columns: list | None = None
-    means: np.ndarray | None = None
-    stds: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,7 @@ def standardize(matrix, columns=None):
     return (x - means) / stds, means, stds
 
 
-def pca_fit(standardized, columns=None, means=None, stds=None) -> PcaModel:
+def pca_fit(standardized) -> PcaModel:
     """Fit PCA on an already-standardized matrix via its correlation matrix.
 
     Eigenvalues come back in descending order with orthonormal, sign-fixed
@@ -102,14 +99,7 @@ def pca_fit(standardized, columns=None, means=None, stds=None) -> PcaModel:
         if vectors[lead, c] < 0.0:
             vectors[:, c] = -vectors[:, c]
     explained = eigenvalues / eigenvalues.sum()
-    return PcaModel(
-        eigenvalues=eigenvalues,
-        loadings=vectors,
-        explained_ratio=explained,
-        columns=list(columns) if columns is not None else None,
-        means=None if means is None else np.asarray(means, dtype=float),
-        stds=None if stds is None else np.asarray(stds, dtype=float),
-    )
+    return PcaModel(eigenvalues=eigenvalues, loadings=vectors, explained_ratio=explained)
 
 
 def retained_components(explained_ratio, target: float):
@@ -155,6 +145,5 @@ def health_risk_index(model: PcaModel, standardized, target: float = DEFAULT_VAR
 
 def fit_risk_model(matrix, columns=None):
     """Standardize a raw matrix and fit the PCA model in one step."""
-    z, means, stds = standardize(matrix, columns=columns)
-    model = pca_fit(z, columns=columns, means=means, stds=stds)
-    return model, z
+    z, _, _ = standardize(matrix, columns=columns)
+    return pca_fit(z), z

@@ -26,7 +26,7 @@ from scipy import sparse
 from scipy.special import erfc
 
 from .errors import ValidationError
-from .geo import EARTH_RADIUS_MILES, SpatialIndex, chord_bound
+from .geo import SpatialIndex, chord_bound
 
 HOT_99, HOT_95, HOT_90 = "HotSpot99", "HotSpot95", "HotSpot90"
 COLD_99, COLD_95, COLD_90 = "ColdSpot99", "ColdSpot95", "ColdSpot90"
@@ -64,8 +64,6 @@ class SpatialWeights:
     fixed-band features with no neighbor besides themselves.
     """
 
-    scheme: str
-    param: float
     ids: list
     matrix: sparse.csr_array
     include_self: bool
@@ -98,18 +96,6 @@ class BivariateResult:
     seed: int
 
 
-def _arc_miles(index: SpatialIndex, i, j) -> np.ndarray:
-    """Haversine miles from point ``i[m]`` to point ``j[m]``, elementwise.
-
-    The numpy operations are those of a full distance matrix, so each
-    pair gets the same bits whichever pairs are asked for.
-    """
-    dphi = 0.5 * (index.phi[i] - index.phi[j])
-    dlam = 0.5 * (index.lam[i] - index.lam[j])
-    s = np.sin(dphi) ** 2 + index.cos_phi[i] * index.cos_phi[j] * np.sin(dlam) ** 2
-    return 2.0 * EARTH_RADIUS_MILES * np.arcsin(np.minimum(1.0, np.sqrt(s)))
-
-
 def build_weights(points, scheme: str, include_self: bool, k: int | None = None,
                   band: float | None = None) -> SpatialWeights:
     """Construct binary spatial weights over (id, GeoPoint) features.
@@ -135,7 +121,6 @@ def build_weights(points, scheme: str, include_self: bool, k: int | None = None,
             raise ValidationError(f"knn weights require k >= 1, got {k!r}")
         if k >= n:
             raise ValidationError(f"knn k={k} must be smaller than the feature count {n}")
-        param = float(k)
         # The k+1 nearest by chord (self included) reach past the k-th other
         # feature; every feature within that chord is a candidate, so all
         # ties at the k-th distance are seen and broken by id.
@@ -146,7 +131,7 @@ def build_weights(points, scheme: str, include_self: bool, k: int | None = None,
         rows, cols = rows[rows != cols], cols[rows != cols]
         id_rank = np.empty(n, dtype=np.intp)
         id_rank[sorted(range(n), key=ids.__getitem__)] = own
-        order = np.lexsort((id_rank[cols], _arc_miles(index, rows, cols), rows))
+        order = np.lexsort((id_rank[cols], index.arc_miles(rows, cols), rows))
         rows, cols = rows[order], cols[order]
         rank_in_row = np.arange(rows.size) - np.searchsorted(rows, rows)
         chosen = cols[rank_in_row < k].reshape(n, k)
@@ -157,9 +142,8 @@ def build_weights(points, scheme: str, include_self: bool, k: int | None = None,
     elif scheme == "fixed_band":
         if band is None or not band > 0:
             raise ValidationError(f"fixed_band weights require band > 0, got {band!r}")
-        param = float(band)
         i, j = index.tree.query_pairs(chord_bound(band), output_type="ndarray").astype(np.intp).T
-        near = _arc_miles(index, i, j) <= band
+        near = index.arc_miles(i, j) <= band
         i, j = i[near], j[near]
         isolated = np.bincount(np.concatenate((i, j)), minlength=n) == 0
         # Entry (row, col) as the key row * n + col: one sort orders rows
@@ -170,10 +154,8 @@ def build_weights(points, scheme: str, include_self: bool, k: int | None = None,
         raise ValidationError(f"unknown weights scheme {scheme!r}; expected 'knn' or 'fixed_band'")
     indptr = np.searchsorted(rows, np.arange(n + 1))
     matrix = sparse.csr_array((np.ones(cols.size), cols, indptr), shape=(n, n))
-    return SpatialWeights(
-        scheme=scheme, param=param, ids=list(ids), matrix=matrix,
-        include_self=include_self, isolated=isolated,
-    )
+    return SpatialWeights(ids=list(ids), matrix=matrix, include_self=include_self,
+                          isolated=isolated)
 
 
 def getis_ord_gi_star(values, weights: SpatialWeights) -> HotSpotResult:

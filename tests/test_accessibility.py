@@ -12,9 +12,7 @@ from geoaccess import (
     ValidationError,
     accessibility_scores,
     decay_weight,
-    facility_ratio,
     haversine_miles,
-    impedance,
 )
 from geoaccess.accessibility import DECAY_FAMILIES, DEMAND_COLUMNS
 
@@ -36,31 +34,31 @@ def facility(fid, lat, lon, beds):
 
 class TestImpedance:
     def test_at_zero(self):
-        assert impedance(0.0, 15.0) == pytest.approx(F_AT_ZERO, abs=1e-12)
+        assert decay_weight(0.0, 15.0) == pytest.approx(F_AT_ZERO, abs=1e-12)
 
     def test_at_boundary_is_exactly_zero(self):
-        assert impedance(15.0, 15.0) == 0.0
+        assert decay_weight(15.0, 15.0) == 0.0
 
     def test_midpoint(self):
-        assert impedance(7.5, 15.0) == pytest.approx(F_AT_HALF, abs=1e-9)
+        assert decay_weight(7.5, 15.0) == pytest.approx(F_AT_HALF, abs=1e-9)
 
     def test_beyond_boundary(self):
-        assert impedance(15.0001, 15.0) == 0.0
+        assert decay_weight(15.0001, 15.0) == 0.0
 
     def test_strictly_decreasing_inside(self):
         ds = np.linspace(0.0, 15.0, 200)
-        ws = [impedance(float(d), 15.0) for d in ds]
+        ws = [decay_weight(float(d), 15.0) for d in ds]
         assert all(a > b for a, b in zip(ws, ws[1:]))
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValidationError):
-            impedance(1.0, 0.0)
+            decay_weight(1.0, 0.0)
         with pytest.raises(ValidationError):
-            impedance(1.0, -3.0)
+            decay_weight(1.0, -3.0)
 
     def test_rejects_negative_distance(self):
         with pytest.raises(ValidationError):
-            impedance(-1.0, 15.0)
+            decay_weight(-1.0, 15.0)
 
     @pytest.mark.parametrize("family", ["exponential", "power"])
     def test_alternative_families_share_the_contract(self, family):
@@ -79,24 +77,29 @@ class TestFacilityRatio:
     def test_single_zone_at_distance_zero(self):
         fac = facility("h1", 39.0, -76.0, 100)
         z = zone("z1", 39.0, -76.0, patients=50)
-        assert facility_ratio(fac, [z], 15.0) == pytest.approx(D_SINGLE_ZONE, rel=1e-6)
+        field = accessibility_scores([z], [fac], 15.0)
+        assert field.facility_ratios["h1"] == pytest.approx(D_SINGLE_ZONE, rel=1e-6)
 
     def test_no_zone_in_range_gives_no_demand_marker(self):
         fac = facility("h1", 39.0, -76.0, 100)
         z = zone("z1", 10.0, 10.0, patients=50)
-        assert facility_ratio(fac, [z], 15.0) is None
+        field = accessibility_scores([z], [fac], 15.0)
+        assert "h1" not in field.facility_ratios
+        assert field.skipped_facilities == [("h1", "no demand zone within catchment")]
 
     def test_zero_patients_in_range_gives_no_demand_marker(self):
         fac = facility("h1", 39.0, -76.0, 100)
         z = zone("z1", 39.0, -76.0, patients=0)
-        assert facility_ratio(fac, [z], 15.0) is None
+        field = accessibility_scores([z], [fac], 15.0)
+        assert "h1" not in field.facility_ratios
+        assert field.skipped_facilities == [("h1", "zero weighted demand within catchment")]
 
     def test_halving_demand_doubles_ratio(self):
         fac = facility("h1", 39.0, -76.0, 120)
         zs = [zone("z1", 39.05, -76.0, 40), zone("z2", 38.95, -76.0, 40)]
         halved = [zone("z1", 39.05, -76.0, 20), zone("z2", 38.95, -76.0, 20)]
-        full = facility_ratio(fac, zs, 15.0)
-        half = facility_ratio(fac, halved, 15.0)
+        full = accessibility_scores(zs, [fac], 15.0).facility_ratios["h1"]
+        half = accessibility_scores(halved, [fac], 15.0).facility_ratios["h1"]
         assert half == pytest.approx(2.0 * full, rel=1e-12)
 
 
@@ -206,18 +209,6 @@ class TestAlgebraicProperties:
         fac = facility("h1", 39.0, -76.0, 100)
         by_pop = accessibility_scores([z], [fac], 15.0, demand="population")
         assert by_pop.zone_scores["z1"] == pytest.approx(0.5, abs=1e-12)
-
-    def test_serial_and_parallel_runs_are_bit_identical(self):
-        zones, facilities = random_instance(9)
-        serial = accessibility_scores(zones, facilities, 15.0, workers=1)
-        parallel = accessibility_scores(zones, facilities, 15.0, workers=4)
-        assert serial.zone_scores == parallel.zone_scores
-        assert serial.facility_ratios == parallel.facility_ratios
-
-    def test_worker_count_below_one_rejected(self):
-        zones, facilities = random_instance(10)
-        with pytest.raises(ValidationError, match="workers"):
-            accessibility_scores(zones, facilities, 15.0, workers=0)
 
     def test_results_independent_of_input_order(self):
         zones, facilities = random_instance(12)

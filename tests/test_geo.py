@@ -54,9 +54,20 @@ def test_out_of_range_points_rejected(lat, lon):
         GeoPoint(lat, lon)
 
 
+def _one(point):
+    return SpatialIndex([("c", point)])
+
+
+def _scan(left, right, radius):
+    """Every (left index, right index, distance) within radius, by brute force."""
+    return [(a, b, haversine_miles(p, q))
+            for a, (_, p) in enumerate(left) for b, (_, q) in enumerate(right)
+            if haversine_miles(p, q) <= radius]
+
+
 def test_empty_index_returns_empty():
-    index = SpatialIndex([])
-    assert index.within_radius(GeoPoint(0.0, 0.0), 100.0) == []
+    i, j, dist = SpatialIndex([]).pairs_within(_one(GeoPoint(0.0, 0.0)), 100.0)
+    assert i.size == 0 and j.size == 0 and dist == []
 
 
 def test_index_holds_all_points():
@@ -72,50 +83,41 @@ def test_duplicate_id_rejected_by_name():
 
 def test_zero_radius_excluding_center_is_empty():
     index = SpatialIndex([("a", GeoPoint(1.0, 1.0))])
-    assert index.within_radius(GeoPoint(0.0, 0.0), 0.0) == []
+    assert index.pairs_within(_one(GeoPoint(0.0, 0.0)), 0.0)[2] == []
 
 
 def test_zero_radius_on_coincident_point():
     index = SpatialIndex([("a", GeoPoint(1.0, 1.0)), ("b", GeoPoint(2.0, 2.0))])
-    assert index.within_radius(GeoPoint(1.0, 1.0), 0.0) == [("a", 0.0)]
+    i, j, dist = index.pairs_within(_one(GeoPoint(1.0, 1.0)), 0.0)
+    assert (i.tolist(), j.tolist(), dist) == ([0], [0], [0.0])
 
 
 def test_negative_radius_rejected():
     index = SpatialIndex([("a", GeoPoint(0.0, 0.0))])
     with pytest.raises(ValidationError):
-        index.within_radius(GeoPoint(0.0, 0.0), -1.0)
-
-
-def _brute_force(points, center, radius):
-    hits = []
-    for pid, p in points:
-        d = haversine_miles(center, p)
-        if d <= radius:
-            hits.append((pid, d))
-    hits.sort(key=lambda pair: (pair[1], pair[0]))
-    return hits
+        index.pairs_within(_one(GeoPoint(0.0, 0.0)), -1.0)
 
 
 @pytest.mark.parametrize("radius", [15.0, 0.5, 120.0])
 def test_index_matches_linear_scan(radius):
     rng = np.random.default_rng(7)
-    points = [
-        (f"p{i:04d}", GeoPoint(float(rng.uniform(37.0, 40.0)), float(rng.uniform(-79.0, -75.0))))
-        for i in range(1000)
-    ]
-    index = SpatialIndex(points)
-    for _ in range(50):
-        center = GeoPoint(float(rng.uniform(37.0, 40.0)), float(rng.uniform(-79.0, -75.0)))
-        assert index.within_radius(center, radius) == _brute_force(points, center, radius)
+
+    def scatter(prefix, n):
+        return [(f"{prefix}{i:04d}", GeoPoint(float(rng.uniform(37.0, 40.0)),
+                                              float(rng.uniform(-79.0, -75.0))))
+                for i in range(n)]
+
+    points, centers = scatter("p", 1000), scatter("c", 50)
+    i, j, dist = SpatialIndex(centers).pairs_within(SpatialIndex(points), radius)
+    assert list(zip(i.tolist(), j.tolist(), dist)) == _scan(centers, points, radius)
 
 
 def test_boundary_distance_is_included():
     pts = [("edge", GeoPoint(0.0, 1.0)), ("far", GeoPoint(0.0, 3.0))]
-    index = SpatialIndex(pts)
     center = GeoPoint(0.0, 0.0)
     exact = haversine_miles(center, pts[0][1])
-    hits = index.within_radius(center, exact)
-    assert hits == [("edge", exact)]
+    i, j, dist = SpatialIndex(pts).pairs_within(_one(center), exact)
+    assert (i.tolist(), dist) == ([0], [exact])
 
 
 def test_haversine_agrees_with_independent_formula():
@@ -138,10 +140,7 @@ def test_pairs_within_matches_pairwise_scan(radius):
 
     left, right = scatter("a", 60), scatter("b", 400)
     i, j, dist = SpatialIndex(left).pairs_within(SpatialIndex(right), radius)
-    expected = [(a, b, haversine_miles(p, q))
-                for a, (_, p) in enumerate(left) for b, (_, q) in enumerate(right)
-                if haversine_miles(p, q) <= radius]
-    assert list(zip(i.tolist(), j.tolist(), dist)) == expected
+    assert list(zip(i.tolist(), j.tolist(), dist)) == _scan(left, right, radius)
 
 
 def test_pairs_within_keeps_boundary_and_coincident_pairs():

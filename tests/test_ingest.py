@@ -33,6 +33,10 @@ class TestAdrdCodes:
         with pytest.raises(ValidationError):
             is_adrd_code("")
 
+    def test_whitespace_only_code_rejected(self):
+        with pytest.raises(ValidationError):
+            is_adrd_code("   ")
+
 
 class TestLoadZones:
     def test_minimal_file(self, tmp_path):
