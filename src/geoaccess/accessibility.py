@@ -15,6 +15,7 @@ runs; the Gaussian is the default and the one the test suite pins down.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,21 +101,38 @@ def decay_weight(d: float, d0: float, family: str = "gaussian") -> float:
     All families are truncated at ``d0``, reach exactly zero there, and
     decrease strictly on [0, d0]. "gaussian" is the primary form; the
     shifted "exponential" and "power" analogues exist for sensitivity
-    analysis only.
+    analysis only. A one-distance call of the weights
+    :func:`accessibility_scores` uses, so both give the same bits.
     """
-    if not d0 > 0:
-        raise ValidationError(f"catchment threshold must be > 0, got {d0!r}")
-    if d < 0:
-        raise ValidationError(f"distance must be >= 0, got {d!r}")
+    _check_decay(d0, family)
+    if not 0 <= d <= sys.float_info.max:
+        raise ValidationError(f"distance d must be finite and >= 0, got {d!r}")
+    return _decay(np.array([d], dtype=float), d0, family).tolist()[0]
+
+
+def _check_decay(d0, family):
+    if not 0 < d0 <= sys.float_info.max:
+        raise ValidationError(f"catchment threshold d0 must be finite and > 0, got {d0!r}")
     if family not in DECAY_FAMILIES:
         raise ValidationError(f"unknown impedance family {family!r}; expected one of {DECAY_FAMILIES}")
-    if d > d0:
-        return 0.0
+
+
+def _decay(dist: np.ndarray, d0: float, family: str) -> np.ndarray:
+    """Decay weights of checked distances, elementwise.
+
+    Division and the final subtraction are IEEE-exact, so numpy does
+    them; ``exp`` and ``**`` (libm ``pow``) are Python-float libm calls,
+    whose last bits numpy's ufuncs do not keep.
+    """
+    q, n, exp = dist / d0, dist.size, math.exp
     if family == "gaussian":
-        return math.exp(-0.5 * (d / d0) ** 2) - math.exp(-0.5)
-    if family == "exponential":
-        return math.exp(-d / d0) - math.exp(-1.0)
-    return (1.0 + d / d0) ** -2 - 0.25
+        w = np.fromiter((exp(-0.5 * v ** 2) for v in q.tolist()), float, n) - exp(-0.5)
+    elif family == "exponential":
+        w = np.fromiter(map(exp, (-q).tolist()), float, n) - exp(-1.0)
+    else:
+        w = np.fromiter((v ** -2 for v in (1.0 + q).tolist()), float, n) - 0.25
+    w[dist > d0] = 0.0
+    return w
 
 
 def accessibility_scores(
@@ -141,21 +159,19 @@ def accessibility_scores(
     facilities = sorted(facilities, key=lambda f: f.facility_id)
     if not zones:
         raise ValidationError("accessibility requires at least one demand zone")
-    if not d0 > 0:
-        raise ValidationError(f"catchment threshold must be > 0, got {d0!r}")
+    _check_decay(d0, family)
     if demand not in DEMAND_COLUMNS:
         raise ValidationError(f"unknown demand column {demand!r}; expected one of {DEMAND_COLUMNS}")
-    if family not in DECAY_FAMILIES:
-        raise ValidationError(f"unknown impedance family {family!r}; expected one of {DECAY_FAMILIES}")
 
     # Step one: the pairs within d0 as arrays (facility index, zone index,
-    # decay weight) sorted by (facility, zone). Distances and weights are
-    # scalar libm results, and np.bincount adds terms in ascending zone id
-    # order, so each ratio has the bits of a sequential scan.
+    # decay weight) sorted by (facility, zone). Distances and weights come
+    # from array code with the bits of haversine_miles and decay_weight,
+    # and np.bincount adds terms in ascending zone id order, so each ratio
+    # has the bits of a sequential scan.
     fac_index = SpatialIndex([(f.facility_id, f.location) for f in facilities])
     zone_index = SpatialIndex([(z.zone_id, z.centroid) for z in zones])
     fac, zone, dist = fac_index.pairs_within(zone_index, d0)
-    weight = np.array([decay_weight(d, d0, family) for d in dist], dtype=float)
+    weight = _decay(np.array(dist, dtype=float), d0, family)
     need = np.array([z.adrd_patients if demand == "patients" else z.population for z in zones])
     denom = np.bincount(fac, weights=need[zone] * weight, minlength=len(facilities))
     reach = np.bincount(fac, minlength=len(facilities))

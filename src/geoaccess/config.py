@@ -11,6 +11,7 @@ import dataclasses
 import json
 import numbers
 import os
+import sys
 from dataclasses import dataclass
 
 from .accessibility import DECAY_FAMILIES, DEMAND_COLUMNS
@@ -62,6 +63,9 @@ class RunConfig:
                 raise ValidationError(f"config {name} must be {noun}, got {value!r}")
             if name != "seed" and not value > 0:
                 raise ValidationError(f"config {name} must be positive, got {value!r}")
+            # Catches a JSON Infinity and an integer too large for a float.
+            if name in _NUMBER_FIELDS and not value <= sys.float_info.max:
+                raise ValidationError(f"config {name} must be finite, got {value!r}")
         if self.seed < 0:
             raise ValidationError(f"config seed must be non-negative, got {self.seed!r}")
         if self.variance_target > 1.0:

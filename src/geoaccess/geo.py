@@ -16,6 +16,8 @@ from scipy.spatial import cKDTree
 from .errors import ValidationError
 
 EARTH_RADIUS_MILES = 3958.7613
+# The factor CPython's math.radians multiplies by.
+_DEG = math.pi / 180.0
 
 __all__ = [
     "EARTH_RADIUS_MILES",
@@ -48,14 +50,34 @@ def haversine_miles(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points, in miles.
 
     Symmetric, non-negative, and zero exactly when the two points carry
-    identical coordinates.
+    identical coordinates. A one-pair call of the distance
+    :meth:`SpatialIndex.pairs_within` computes, so both give the same bits.
     """
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dphi = math.radians(b.lat - a.lat)
-    dlam = math.radians(b.lon - a.lon)
-    s = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_MILES * math.asin(min(1.0, math.sqrt(s)))
+    return _haversine(*_coords([a]), *_coords([b])).tolist()[0]
+
+
+def _coords(points):
+    """Latitude, longitude and libm ``cos(radians(lat))`` arrays of ``points``."""
+    lat = np.array([p.lat for p in points], dtype=float)
+    lon = np.array([p.lon for p in points], dtype=float)
+    return lat, lon, np.fromiter(map(math.cos, (lat * _DEG).tolist()), float, lat.size)
+
+
+def _haversine(lat1, lon1, cos1, lat2, lon2, cos2) -> np.ndarray:
+    """Haversine miles from point 1 to point 2, elementwise.
+
+    Subtraction, scaling, products and the square root are IEEE-exact,
+    so numpy does them; sine, ``** 2`` (libm ``pow``) and arcsine are
+    Python-float libm calls, whose last bits numpy's ufuncs do not keep.
+    The result is bit for bit ``2 R asin(min(1, sqrt(s)))`` with
+    ``s = sin(dphi / 2) ** 2 + cos1 * cos2 * sin(dlam / 2) ** 2``.
+    """
+    sin, n = math.sin, lat1.size
+    s = np.fromiter((sin(a) ** 2 + c * sin(b) ** 2 for a, b, c in zip(
+        ((lat2 - lat1) * _DEG / 2.0).tolist(), ((lon2 - lon1) * _DEG / 2.0).tolist(),
+        (cos1 * cos2).tolist())), float, n)
+    h = np.minimum(1.0, np.sqrt(s)).tolist()
+    return 2.0 * EARTH_RADIUS_MILES * np.fromiter(map(math.asin, h), float, n)
 
 
 def chord_bound(radius: float) -> float:
@@ -74,12 +96,14 @@ class SpatialIndex:
     """Radius-query index over identified points.
 
     A k-d tree on the unit-sphere embedding prunes candidates; every
-    candidate is then re-checked with :func:`haversine_miles`, so query
-    results are exactly what a brute-force linear scan returns. The index
-    is immutable after construction and safe to share across threads.
-    Ids must be unique; a duplicate is rejected by name. ``tree`` and the
-    embedding ``xyz`` (in miles) are exposed for neighbour queries, and
-    :meth:`arc_miles` measures the pairs they return.
+    candidate is then re-checked with the haversine distance over the pair
+    arrays, from the per-point ``lat``, ``lon`` and libm ``cos_lat`` kept
+    here, so query results are exactly what a brute-force linear scan with
+    :func:`haversine_miles` returns. The index is immutable after
+    construction and safe to share across threads. Ids must be unique; a
+    duplicate is rejected by name. ``tree`` and the embedding ``xyz`` (in
+    miles) are exposed for neighbour queries, and :meth:`arc_miles`
+    measures the pairs they return.
     """
 
     def __init__(self, points):
@@ -90,8 +114,9 @@ class SpatialIndex:
                 raise ValidationError(f"duplicate id in spatial index: {pid!r}")
             seen.add(pid)
         self.points = [pt for _, pt in points]
-        self._phi = np.radians(np.array([p.lat for p in self.points], dtype=float))
-        self._lam = np.radians(np.array([p.lon for p in self.points], dtype=float))
+        self.lat, self.lon, self.cos_lat = _coords(self.points)
+        self._phi = np.radians(self.lat)
+        self._lam = np.radians(self.lon)
         self._cos_phi = np.cos(self._phi)
         self.xyz = EARTH_RADIUS_MILES * np.column_stack((
             self._cos_phi * np.cos(self._lam), self._cos_phi * np.sin(self._lam),
@@ -116,20 +141,22 @@ class SpatialIndex:
         """Every pair of a point here and a point of ``other`` at most ``radius`` apart.
 
         Returns index arrays ``i`` (into this index) and ``j`` (into
-        ``other``) sorted by (i, j), and the distances
-        ``haversine_miles(self.points[i], other.points[j])`` as floats.
-        Candidates come from the two trees under :func:`chord_bound`, so
-        the pairs are exactly those a brute-force scan keeps.
+        ``other``) sorted by (i, j), and the distances as floats, each
+        bit for bit ``haversine_miles(self.points[i], other.points[j])``.
+        Candidates come from the two trees under :func:`chord_bound` and
+        are measured together over the pair arrays, so the pairs are
+        exactly those a brute-force scan keeps.
         """
         if not (math.isfinite(radius) and radius >= 0.0):
-            raise ValidationError(f"radius must be non-negative, got {radius!r}")
+            raise ValidationError(f"radius must be finite and non-negative, got {radius!r}")
         cand = self.tree.sparse_distance_matrix(other.tree, chord_bound(radius),
                                                  output_type="ndarray")
-        order = np.lexsort((cand["j"], cand["i"]))
-        i = cand["i"][order].astype(np.intp)
-        j = cand["j"][order].astype(np.intp)
-        dist = np.array([haversine_miles(self.points[a], other.points[b])
-                         for a, b in zip(i.tolist(), j.tolist())], dtype=float)
+        # One integer key per pair sorts by (i, j) faster than a lexsort.
+        key = cand["i"].astype(np.intp) * len(other) + cand["j"]
+        key.sort()
+        i, j = np.divmod(key, len(other))
+        dist = _haversine(self.lat[i], self.lon[i], self.cos_lat[i],
+                          other.lat[j], other.lon[j], other.cos_lat[j])
         keep = dist <= radius
         return i[keep], j[keep], dist[keep].tolist()
 

@@ -22,6 +22,35 @@ def ref_haversine(lat1, lon1, lat2, lon2):
     return 2 * R_MILES * math.asin(min(1.0, math.sqrt(s)))
 
 
+def ref_haversine_libm(a, b):
+    """Great-circle miles between GeoPoints ``a`` and ``b``, one libm call at a time.
+
+    The package's scalar formula as it stood before distances moved to
+    pair arrays; :meth:`SpatialIndex.pairs_within` must match it bit for bit.
+    """
+    phi1 = math.radians(a.lat)
+    phi2 = math.radians(b.lat)
+    dphi = math.radians(b.lat - a.lat)
+    dlam = math.radians(b.lon - a.lon)
+    s = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
+    return 2.0 * R_MILES * math.asin(min(1.0, math.sqrt(s)))
+
+
+def ref_decay(d, d0, family="gaussian"):
+    """Decay weight of one distance by the scalar libm formula of each family.
+
+    The package's scalar formula as it stood before weights moved to
+    arrays; ``decay_weight`` must match it bit for bit.
+    """
+    if d > d0:
+        return 0.0
+    if family == "gaussian":
+        return math.exp(-0.5 * (d / d0) ** 2) - math.exp(-0.5)
+    if family == "exponential":
+        return math.exp(-d / d0) - math.exp(-1.0)
+    return (1.0 + d / d0) ** -2 - 0.25
+
+
 def ref_impedance(d, d0):
     if d > d0:
         return 0.0
@@ -190,14 +219,12 @@ def ref_2sfca(zones, facilities, d0, demand="patients", family="gaussian"):
     """Two-step floating catchment by a sequential scan over every pair.
 
     zones: DemandZone list; facilities: Facility list. Distances and
-    weights come from the package's scalar haversine_miles and
-    decay_weight, so this pins the pairing and the summation order (each
-    sum runs in ascending id order from 0.0) bit for bit. Returns
-    (facility_ratios, zone_scores, skipped_facilities) as the package
-    reports them.
+    weights come one pair at a time from ref_haversine_libm and
+    ref_decay, so this pins the libm results, the pairing and the
+    summation order (each sum runs in ascending id order from 0.0) bit
+    for bit. Returns (facility_ratios, zone_scores, skipped_facilities)
+    as the package reports them.
     """
-    from geoaccess import decay_weight, haversine_miles
-
     zones = sorted(zones, key=lambda z: z.zone_id)
     facilities = sorted(facilities, key=lambda f: f.facility_id)
 
@@ -206,14 +233,14 @@ def ref_2sfca(zones, facilities, d0, demand="patients", family="gaussian"):
 
     ratios, skipped = {}, []
     for f in facilities:
-        in_range = [(z, haversine_miles(f.location, z.centroid)) for z in zones]
+        in_range = [(z, ref_haversine_libm(f.location, z.centroid)) for z in zones]
         in_range = [(z, d) for z, d in in_range if d <= d0]
         if not in_range:
             skipped.append((f.facility_id, "no demand zone within catchment"))
             continue
         denom = 0.0
         for z, d in in_range:
-            denom += need(z) * decay_weight(d, d0, family)
+            denom += need(z) * ref_decay(d, d0, family)
         if denom == 0.0:
             skipped.append((f.facility_id, "zero weighted demand within catchment"))
             continue
@@ -223,9 +250,9 @@ def ref_2sfca(zones, facilities, d0, demand="patients", family="gaussian"):
         total = 0.0
         for f in facilities:
             if f.facility_id in ratios:
-                d = haversine_miles(z.centroid, f.location)
+                d = ref_haversine_libm(z.centroid, f.location)
                 if d <= d0:
-                    total += ratios[f.facility_id] * decay_weight(d, d0, family)
+                    total += ratios[f.facility_id] * ref_decay(d, d0, family)
         scores[z.zone_id] = total
     return ratios, scores, skipped
 

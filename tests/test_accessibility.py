@@ -14,13 +14,24 @@ from geoaccess import (
     decay_weight,
     haversine_miles,
 )
-from geoaccess.accessibility import DECAY_FAMILIES, DEMAND_COLUMNS
+from geoaccess.accessibility import DECAY_FAMILIES, DEMAND_COLUMNS, _decay
 
-from oracles import ref_2sfca, ref_direct_accessibility
+from oracles import ref_2sfca, ref_decay, ref_direct_accessibility
 
 F_AT_ZERO = 0.3934693402873666          # 1 - exp(-1/2)
 F_AT_HALF = 0.27596624287196203          # exp(-1/8) - exp(-1/2)
 D_SINGLE_ZONE = 5.082988165073597        # 100 / (50 * F_AT_ZERO)
+
+# Distances (miles, d0 = 15) where a numpy swap in the decay moves bits on
+# x86-64 glibc, found once by a seeded search (default_rng(2026), uniform on
+# [0, 15], rounded to 1e-6).
+LIBM_SENSITIVE_MILES = (
+    10.79786, 9.816753, 11.961875, 7.638704,  # gaussian: q ** 2 != q * q moves the weight
+    6.491441, 3.41838,                        # gaussian: np.exp != math.exp
+    5.477712, 13.119361,                      # exponential: np.exp != math.exp
+    5.32376, 9.791772,                        # power: (1 + q) ** -2 != 1 / ((1 + q) * (1 + q))
+    0.192607, 6.529697,                       # power: (1 + q) ** -2 != np.power(1 + q, -2)
+)
 
 
 def zone(zid, lat, lon, patients, population=1000, urban=False):
@@ -51,14 +62,24 @@ class TestImpedance:
         assert all(a > b for a, b in zip(ws, ws[1:]))
 
     def test_rejects_bad_threshold(self):
-        with pytest.raises(ValidationError):
-            decay_weight(1.0, 0.0)
-        with pytest.raises(ValidationError):
-            decay_weight(1.0, -3.0)
+        for d0 in (0.0, -3.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="d0"):
+                decay_weight(1.0, d0)
+            with pytest.raises(ValidationError, match="d0"):
+                accessibility_scores([zone("z1", 39.0, -76.0, 5)], [], d0)
 
     def test_rejects_negative_distance(self):
-        with pytest.raises(ValidationError):
-            decay_weight(-1.0, 15.0)
+        for d in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="distance d"):
+                decay_weight(d, 15.0)
+
+    @pytest.mark.parametrize("family", DECAY_FAMILIES)
+    def test_weights_are_the_libm_formula_bit_for_bit(self, family):
+        rng = np.random.default_rng(3)
+        ds = np.concatenate([LIBM_SENSITIVE_MILES, [0.0, 15.0, 16.0], rng.uniform(0.0, 16.0, 2000)])
+        want = [ref_decay(d, 15.0, family) for d in ds.tolist()]
+        assert _decay(ds, 15.0, family).tolist() == want
+        assert [decay_weight(d, 15.0, family) for d in ds.tolist()] == want
 
     @pytest.mark.parametrize("family", ["exponential", "power"])
     def test_alternative_families_share_the_contract(self, family):

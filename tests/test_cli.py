@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import filecmp
+import math
 
 import pytest
 
@@ -183,6 +184,9 @@ class TestConfigValidation:
         pytest.param({"catchment_miles": "15"}, "catchment_miles", id="string-catchment"),
         pytest.param({"variance_target": True}, "variance_target", id="bool-variance_target"),
         pytest.param({"prevalence_columns": []}, "prevalence_columns", id="empty-prevalence"),
+        pytest.param({"catchment_miles": math.inf}, "catchment_miles", id="infinite-catchment"),
+        pytest.param({"band_miles": math.inf}, "band_miles", id="infinite-band"),
+        pytest.param({"catchment_miles": 10 ** 400}, "catchment_miles", id="huge-integer-catchment"),
     ])
     def test_bad_value_is_named_and_exits_1(self, synth_dir, tmp_path, capsys, values, name):
         cfg = tmp_path / "cfg.json"

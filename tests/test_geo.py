@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geoaccess import GeoPoint, SpatialIndex, ValidationError, haversine_miles
 
-from oracles import ref_haversine
+from oracles import R_MILES, ref_haversine, ref_haversine_libm
 
 # Frozen before the build by an independent haversine script.
 BALTIMORE_ANNAPOLIS_MILES = 22.496019573570347
@@ -59,10 +59,10 @@ def _one(point):
 
 
 def _scan(left, right, radius):
-    """Every (left index, right index, distance) within radius, by brute force."""
-    return [(a, b, haversine_miles(p, q))
+    """Every (left index, right index, distance) within radius, by a scalar libm scan."""
+    return [(a, b, ref_haversine_libm(p, q))
             for a, (_, p) in enumerate(left) for b, (_, q) in enumerate(right)
-            if haversine_miles(p, q) <= radius]
+            if ref_haversine_libm(p, q) <= radius]
 
 
 def test_empty_index_returns_empty():
@@ -150,3 +150,35 @@ def test_pairs_within_keeps_boundary_and_coincident_pairs():
     i, j, dist = left.pairs_within(SpatialIndex(pts), exact)
     assert j.tolist() == [0, 1] and dist == [0.0, exact]
     assert [len(a) for a in left.pairs_within(SpatialIndex([]), 10.0)] == [0, 0, 0]
+
+
+HALF_CIRCUMFERENCE_MILES = math.pi * R_MILES
+globe_point = st.builds(
+    GeoPoint,
+    st.one_of(st.sampled_from([-90.0, 0.0, 90.0]), st.floats(-90.0, 90.0)),
+    st.one_of(st.sampled_from([-180.0, 0.0, 180.0]), st.floats(-180.0, 180.0)),
+)
+
+
+def _antipode(p, nudge):
+    lon = p.lon - 180.0 if p.lon > 0.0 else p.lon + 180.0
+    return GeoPoint(-p.lat, min(180.0, max(-180.0, lon + nudge)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(globe_point, min_size=1, max_size=12), st.lists(globe_point, max_size=30),
+       st.lists(st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6)), max_size=12),
+       st.one_of(st.sampled_from([0.0, HALF_CIRCUMFERENCE_MILES]),
+                 st.floats(0.0, HALF_CIRCUMFERENCE_MILES)))
+# An exact antipode whose libm s rounds to 1 + 2**-52, above 1; its distance is
+# the half circumference, the largest radius asked for.
+@example([GeoPoint(48.333, -141.899)], [], [0.0], HALF_CIRCUMFERENCE_MILES)
+def test_pairs_within_is_the_libm_scan_on_the_whole_globe(left, extra, nudges, radius):
+    # The right side holds coincident copies of left points and their
+    # (nearly) antipodal points, besides points anywhere on the globe.
+    right = extra + left[: len(left) // 2 + 1] + [_antipode(p, d) for p, d in zip(left, nudges)]
+    left = [(f"a{k}", p) for k, p in enumerate(left)]
+    right = [(f"b{k}", p) for k, p in enumerate(right)]
+    i, j, dist = SpatialIndex(left).pairs_within(SpatialIndex(right), radius)
+    assert list(zip(i.tolist(), j.tolist(), dist)) == _scan(left, right, radius)
+    assert dist == [haversine_miles(left[a][1], right[b][1]) for a, b in zip(i.tolist(), j.tolist())]
