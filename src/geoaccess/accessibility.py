@@ -171,7 +171,7 @@ def accessibility_scores(
     fac_index = SpatialIndex([(f.facility_id, f.location) for f in facilities])
     zone_index = SpatialIndex([(z.zone_id, z.centroid) for z in zones])
     fac, zone, dist = fac_index.pairs_within(zone_index, d0)
-    weight = _decay(np.array(dist, dtype=float), d0, family)
+    weight = _decay(dist, d0, family)
     need = np.array([z.adrd_patients if demand == "patients" else z.population for z in zones])
     denom = np.bincount(fac, weights=need[zone] * weight, minlength=len(facilities))
     reach = np.bincount(fac, minlength=len(facilities))

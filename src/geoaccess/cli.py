@@ -16,7 +16,7 @@ from . import pipeline as pl
 from .config import CONFIG_KEYS, RunConfig, load_config
 from .errors import ValidationError
 from .ingest import load_counties, load_facilities, load_zones
-from .output import write_csv, write_geojson
+from .output import GeoJSONWriter, Table, write_csv
 from .synth import generate_synthetic_region
 
 __all__ = ["main"]
@@ -116,13 +116,15 @@ def _load_sorted_zones(args):
     return pl.sorted_zones(zones)
 
 
-def _maybe_geojson(args, zones, header, rows):
+def _write_zone_table(args, zones, header, rows):
+    """--out and, with --geojson-out, its GeoJSON twin, from one rendering."""
     path = getattr(args, "geojson_out", None)
-    if path is None:
-        return
-    if not any(z.geometry is not None for z in zones):
+    if path is not None and not any(z.geometry is not None for z in zones):
         raise ValidationError("--geojson-out requires --geometry with joined features")
-    write_geojson(path, zones, pl.zone_properties(header, rows))
+    table = Table(header, rows)
+    table.write_csv(args.out)
+    if path is not None:
+        GeoJSONWriter(zones).write_table(path, table)
 
 
 def _parse_years(spec: str):
@@ -149,10 +151,9 @@ def _cmd_access(args, cfg):
     facilities = load_facilities(args.facilities)
     field = pl.compute_access(zones, facilities, cfg)
     rows = pl.access_rows(zones, field)
-    write_csv(args.out, pl.ACCESS_HEADER, rows)
     for fac_id, reason in field.skipped_facilities:
         print(f"note: facility {fac_id} skipped: {reason}", file=sys.stderr)
-    _maybe_geojson(args, zones, pl.ACCESS_HEADER, rows)
+    _write_zone_table(args, zones, pl.ACCESS_HEADER, rows)
 
 
 def _cmd_gini(args, cfg):
@@ -188,8 +189,7 @@ def _cmd_hotspot(args, cfg):
     else:
         values = pl.resolve_series(zones, args.value_col)
     rows = pl.hotspot_rows(zones, values, cfg)
-    write_csv(args.out, pl.HOTSPOT_HEADER, rows)
-    _maybe_geojson(args, zones, pl.HOTSPOT_HEADER, rows)
+    _write_zone_table(args, zones, pl.HOTSPOT_HEADER, rows)
 
 
 def _cmd_bivariate(args, cfg):
@@ -203,20 +203,18 @@ def _cmd_bivariate(args, cfg):
         rk_rows, _ = pl.risk_rows(zones, cfg)
         computed["risk_index"] = {zid: v for zid, v in rk_rows}
     rows = pl.bivariate_rows(zones, args.x, args.y, cfg, computed)
-    write_csv(args.out, pl.BIVARIATE_HEADER, rows)
-    _maybe_geojson(args, zones, pl.BIVARIATE_HEADER, rows)
+    _write_zone_table(args, zones, pl.BIVARIATE_HEADER, rows)
 
 
 def _cmd_risk_index(args, cfg):
     zones = _load_sorted_zones(args)
     rows, index = pl.risk_rows(zones, cfg)
-    write_csv(args.out, pl.RISK_HEADER, rows)
     print(
         f"retained {index.retained_components} components, "
         f"captured variance {index.captured_variance:.4f}",
         file=sys.stderr,
     )
-    _maybe_geojson(args, zones, pl.RISK_HEADER, rows)
+    _write_zone_table(args, zones, pl.RISK_HEADER, rows)
 
 
 def _cmd_mortality(args, cfg):

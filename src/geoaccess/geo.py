@@ -141,8 +141,8 @@ class SpatialIndex:
         """Every pair of a point here and a point of ``other`` at most ``radius`` apart.
 
         Returns index arrays ``i`` (into this index) and ``j`` (into
-        ``other``) sorted by (i, j), and the distances as floats, each
-        bit for bit ``haversine_miles(self.points[i], other.points[j])``.
+        ``other``) sorted by (i, j), and the distances as a float array,
+        each bit for bit ``haversine_miles(self.points[i], other.points[j])``.
         Candidates come from the two trees under :func:`chord_bound` and
         are measured together over the pair arrays, so the pairs are
         exactly those a brute-force scan keeps.
@@ -158,5 +158,5 @@ class SpatialIndex:
         dist = _haversine(self.lat[i], self.lon[i], self.cos_lat[i],
                           other.lat[j], other.lon[j], other.cos_lat[j])
         keep = dist <= radius
-        return i[keep], j[keep], dist[keep].tolist()
+        return i[keep], j[keep], dist[keep]
 

@@ -17,7 +17,7 @@ from .config import RunConfig
 from .equity import gini_stratified, welch_t_test
 from .errors import ValidationError
 from .outcomes import aggregate_years, classify_service_status
-from .output import GeoJSONWriter, write_csv
+from .output import GeoJSONWriter, Table
 from .risk import fit_risk_model, health_risk_index
 from .spatial import build_weights, classify_hotspots, getis_ord_gi_star, local_bivariate
 
@@ -40,7 +40,7 @@ __all__ = [
     "BIVARIATE_HEADER", "MORTALITY_HEADER", "TTEST_HEADER",
     "sorted_zones", "resolve_series", "compute_access", "access_rows",
     "gini_rows", "hotspot_rows", "risk_rows", "bivariate_rows",
-    "mortality_rows", "ttest_rows", "run_pipeline", "zone_properties",
+    "mortality_rows", "ttest_rows", "run_pipeline",
 ]
 
 
@@ -203,13 +203,6 @@ def run_pipeline(zones, facilities, counties, out_dir, cfg: RunConfig) -> dict:
     return {name: os.path.join(out_dir, file_name) for name, file_name in written.items()}
 
 
-def zone_properties(header, rows) -> dict:
-    """zone_id -> GeoJSON properties of a zone-level table: each row's
-    cells after the id, named by the header."""
-    columns = header[1:]
-    return {row[0]: dict(zip(columns, row[1:])) for row in rows}
-
-
 def _write_outputs(zones, facilities, counties, out_dir, cfg: RunConfig) -> dict:
     """Every stage of ``run_pipeline``, written into ``out_dir``; returns
     stage name -> CSV file name."""
@@ -220,9 +213,10 @@ def _write_outputs(zones, facilities, counties, out_dir, cfg: RunConfig) -> dict
 
     def emit(name, header, rows, zone_level=False):
         written[name] = f"{name}.csv"
-        write_csv(os.path.join(out_dir, written[name]), header, rows)
+        table = Table(header, rows)
+        table.write_csv(os.path.join(out_dir, written[name]))
         if zone_level and geojson is not None:
-            geojson.write(os.path.join(out_dir, f"{name}.geojson"), zone_properties(header, rows))
+            geojson.write_table(os.path.join(out_dir, f"{name}.geojson"), table)
 
     field = compute_access(zones, facilities, cfg)
     acc_rows = access_rows(zones, field)

@@ -321,6 +321,7 @@ class TestGeoJson:
                    "--facilities", str(synth_dir / "facilities.csv"),
                    "--out", str(tmp_path / "a.csv"),
                    "--geojson-out", str(tmp_path / "a.geojson")) == 1
+        assert not (tmp_path / "a.csv").exists()  # the refused run writes no CSV either
 
     def test_pipeline_emits_geojson_with_geometry(self, synth_dir, tmp_path):
         geom = self._geometry_for(synth_dir / "zones.csv", tmp_path)
@@ -341,11 +342,21 @@ class TestGeoJson:
             assert doc["type"] == "FeatureCollection"
             assert all(f["type"] == "Feature" and "zone_id" in f["properties"]
                        for f in doc["features"])
-        # a stage run on its own produces the identical GeoJSON bytes
-        solo = tmp_path / "solo_hotspot.geojson"
-        assert run("hotspot", "--zones", str(synth_dir / "zones.csv"),
-                   "--geometry", str(geom),
-                   "--facilities", str(synth_dir / "facilities.csv"),
-                   "--out", str(tmp_path / "solo_hotspot.csv"),
-                   "--geojson-out", str(solo)) == 0
-        assert solo.read_bytes() == (out / "hotspot_accessibility.geojson").read_bytes()
+        # each stage run on its own writes the pipeline's CSV and GeoJSON bytes
+        facilities = ["--facilities", str(synth_dir / "facilities.csv")]
+        solo_runs = {
+            "access": ["access", *facilities],
+            "hotspot_accessibility": ["hotspot", *facilities],
+            "risk_index": ["risk-index"],
+            "bivariate_poverty_rate_accessibility":
+                ["bivariate", "--x", "poverty_rate", "--y", "accessibility", *facilities],
+            "bivariate_poverty_rate_risk_index":
+                ["bivariate", "--x", "poverty_rate", "--y", "risk_index"],
+        }
+        assert set(solo_runs) == {name[: -len(".geojson")] for name in geo_files}
+        for name, argv in solo_runs.items():
+            solo = tmp_path / f"solo_{name}"
+            assert run(*argv, "--zones", str(synth_dir / "zones.csv"), "--geometry", str(geom),
+                       "--out", f"{solo}.csv", "--geojson-out", f"{solo}.geojson") == 0
+            for ext in (".csv", ".geojson"):
+                assert filecmp.cmp(f"{solo}{ext}", out / f"{name}{ext}", shallow=False), name + ext

@@ -67,7 +67,7 @@ def _scan(left, right, radius):
 
 def test_empty_index_returns_empty():
     i, j, dist = SpatialIndex([]).pairs_within(_one(GeoPoint(0.0, 0.0)), 100.0)
-    assert i.size == 0 and j.size == 0 and dist == []
+    assert i.size == 0 and j.size == 0 and dist.tolist() == []
 
 
 def test_index_holds_all_points():
@@ -83,13 +83,13 @@ def test_duplicate_id_rejected_by_name():
 
 def test_zero_radius_excluding_center_is_empty():
     index = SpatialIndex([("a", GeoPoint(1.0, 1.0))])
-    assert index.pairs_within(_one(GeoPoint(0.0, 0.0)), 0.0)[2] == []
+    assert index.pairs_within(_one(GeoPoint(0.0, 0.0)), 0.0)[2].tolist() == []
 
 
 def test_zero_radius_on_coincident_point():
     index = SpatialIndex([("a", GeoPoint(1.0, 1.0)), ("b", GeoPoint(2.0, 2.0))])
     i, j, dist = index.pairs_within(_one(GeoPoint(1.0, 1.0)), 0.0)
-    assert (i.tolist(), j.tolist(), dist) == ([0], [0], [0.0])
+    assert (i.tolist(), j.tolist(), dist.tolist()) == ([0], [0], [0.0])
 
 
 def test_negative_radius_rejected():
@@ -109,7 +109,7 @@ def test_index_matches_linear_scan(radius):
 
     points, centers = scatter("p", 1000), scatter("c", 50)
     i, j, dist = SpatialIndex(centers).pairs_within(SpatialIndex(points), radius)
-    assert list(zip(i.tolist(), j.tolist(), dist)) == _scan(centers, points, radius)
+    assert list(zip(i.tolist(), j.tolist(), dist.tolist())) == _scan(centers, points, radius)
 
 
 def test_boundary_distance_is_included():
@@ -117,7 +117,7 @@ def test_boundary_distance_is_included():
     center = GeoPoint(0.0, 0.0)
     exact = haversine_miles(center, pts[0][1])
     i, j, dist = SpatialIndex(pts).pairs_within(_one(center), exact)
-    assert (i.tolist(), dist) == ([0], [exact])
+    assert (i.tolist(), dist.tolist()) == ([0], [exact])
 
 
 def test_haversine_agrees_with_independent_formula():
@@ -140,7 +140,7 @@ def test_pairs_within_matches_pairwise_scan(radius):
 
     left, right = scatter("a", 60), scatter("b", 400)
     i, j, dist = SpatialIndex(left).pairs_within(SpatialIndex(right), radius)
-    assert list(zip(i.tolist(), j.tolist(), dist)) == _scan(left, right, radius)
+    assert list(zip(i.tolist(), j.tolist(), dist.tolist())) == _scan(left, right, radius)
 
 
 def test_pairs_within_keeps_boundary_and_coincident_pairs():
@@ -148,7 +148,7 @@ def test_pairs_within_keeps_boundary_and_coincident_pairs():
     pts = [("same", GeoPoint(0.0, 0.0)), ("edge", GeoPoint(0.0, 1.0)), ("far", GeoPoint(0.0, 3.0))]
     exact = haversine_miles(GeoPoint(0.0, 0.0), pts[1][1])
     i, j, dist = left.pairs_within(SpatialIndex(pts), exact)
-    assert j.tolist() == [0, 1] and dist == [0.0, exact]
+    assert j.tolist() == [0, 1] and dist.tolist() == [0.0, exact]
     assert [len(a) for a in left.pairs_within(SpatialIndex([]), 10.0)] == [0, 0, 0]
 
 
@@ -180,5 +180,6 @@ def test_pairs_within_is_the_libm_scan_on_the_whole_globe(left, extra, nudges, r
     left = [(f"a{k}", p) for k, p in enumerate(left)]
     right = [(f"b{k}", p) for k, p in enumerate(right)]
     i, j, dist = SpatialIndex(left).pairs_within(SpatialIndex(right), radius)
-    assert list(zip(i.tolist(), j.tolist(), dist)) == _scan(left, right, radius)
-    assert dist == [haversine_miles(left[a][1], right[b][1]) for a, b in zip(i.tolist(), j.tolist())]
+    assert list(zip(i.tolist(), j.tolist(), dist.tolist())) == _scan(left, right, radius)
+    assert dist.tolist() == [haversine_miles(left[a][1], right[b][1])
+                             for a, b in zip(i.tolist(), j.tolist())]

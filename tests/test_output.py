@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoaccess import DemandZone, GeoPoint
-from geoaccess.output import GeoJSONWriter, write_csv, write_geojson
+from geoaccess.output import GeoJSONWriter, Table, write_csv, write_geojson
 from oracles import ref_write_csv, ref_write_geojson
 
 # Ids that break naive string splicing: quotes, backslashes, commas,
@@ -29,6 +31,41 @@ geometries = st.one_of(
     st.lists(st.tuples(coordinates, coordinates), min_size=3, max_size=5).map(
         lambda ring: {"type": "Polygon", "coordinates": [[list(p) for p in ring + ring[:1]]]}),
 )
+
+# Column families: every cell of a column is drawn from one family, so the
+# column-wise fast paths (floats, optional floats, strings) and their
+# fallbacks run on whole columns, not on mixed ones.
+nonfinite = st.sampled_from([math.nan, math.inf, -math.inf])
+json_families = [
+    floats,
+    st.one_of(st.none(), floats),
+    st.one_of(floats, nonfinite),
+    st.one_of(st.none(), floats, nonfinite),
+    floats.map(np.float64),
+    st.integers(-10**20, 10**20),
+    st.booleans(),
+    awkward_ids,
+]
+csv_families = json_families + [
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+]
+
+
+@st.composite
+def family_rows(draw, first, families, width):
+    """Rows whose first column is drawn from ``first`` and every other
+    column from one family."""
+    kinds = [draw(st.sampled_from(families)) for _ in range(width - 1)]
+    ids = draw(st.lists(first, max_size=8))
+    return [[zid, *(draw(kind) for kind in kinds)] for zid in ids]
+
+
+@st.composite
+def family_tables(draw):
+    header = draw(st.lists(awkward_ids, min_size=1, max_size=5))
+    first = draw(st.sampled_from(csv_families))
+    return header, draw(family_rows(first, csv_families, len(header)))
 
 
 def zone(zone_id, geometry):
@@ -68,12 +105,15 @@ def test_one_writer_serves_many_files(tmp_path_factory, case, other):
         assert (out / f"new{i}.geojson").read_bytes() == (out / f"ref{i}.geojson").read_bytes()
 
 
-@given(st.lists(awkward_ids, min_size=1, max_size=4).flatmap(
+mixed_tables = st.lists(awkward_ids, min_size=1, max_size=4).flatmap(
     lambda header: st.tuples(
         st.just(header),
         st.lists(st.lists(csv_values, min_size=len(header), max_size=len(header)), max_size=6),
-    )))
-@settings(max_examples=100, deadline=None)
+    ))
+
+
+@given(st.one_of(mixed_tables, family_tables()))
+@settings(max_examples=200, deadline=None)
 def test_write_csv_matches_per_cell_formatting(tmp_path_factory, case):
     header, rows = case
     out = tmp_path_factory.mktemp("csv")
@@ -82,7 +122,50 @@ def test_write_csv_matches_per_cell_formatting(tmp_path_factory, case):
     assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
 
 
-
 def test_write_csv_spells_numpy_booleans_as_flags(tmp_path):
     write_csv(tmp_path / "np.csv", ["a", "b"], [[np.bool_(True), np.bool_(False)]])
     assert (tmp_path / "np.csv").read_text() == "a,b\n1,0\n"
+
+
+@st.composite
+def zones_and_family_table(draw):
+    zones = draw(st.lists(st.builds(zone, awkward_ids, geometries), max_size=8))
+    # Row ids: zone ids (not every zone gets a row) and a few that name no zone.
+    first = st.one_of(st.sampled_from([z.zone_id for z in zones]), awkward_ids) if zones \
+        else awkward_ids
+    header = draw(st.lists(st.one_of(awkward_ids, st.just("zone_id")), min_size=1, max_size=5))
+    return zones, header, draw(family_rows(first, json_families, len(header)))
+
+
+@given(zones_and_family_table())
+@settings(max_examples=150, deadline=None)
+def test_table_and_its_twin_match_the_references(tmp_path_factory, case):
+    zones, header, rows = case
+    out = tmp_path_factory.mktemp("twin")
+    table = Table(header, rows)
+    table.write_csv(out / "new.csv")
+    ref_write_csv(out / "ref.csv", header, rows)
+    assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+    attributes = {row[0]: dict(zip(header[1:], row[1:])) for row in rows}
+    ref_write_geojson(out / "ref.geojson", zones, attributes)
+    GeoJSONWriter(zones).write_table(out / "new.geojson", table)
+    assert (out / "new.geojson").read_bytes() == (out / "ref.geojson").read_bytes()
+    write_geojson(out / "dict.geojson", zones, attributes)
+    assert (out / "dict.geojson").read_bytes() == (out / "ref.geojson").read_bytes()
+
+
+def test_twin_of_a_zone_without_a_row_and_of_an_empty_table(tmp_path):
+    point = {"type": "Point", "coordinates": [1.0, 2.0]}
+    zones = [zone("b", point), zone("a", point), zone("c", None)]
+    header = ["zone_id", "score", "label"]
+    for rows in ([["a", 0.1234567891, "x"], ["c", None, "y"]], []):
+        table = Table(header, rows)
+        table.write_csv(tmp_path / "new.csv")
+        GeoJSONWriter(zones).write_table(tmp_path / "new.geojson", table)
+        ref_write_csv(tmp_path / "ref.csv", header, rows)
+        ref_write_geojson(tmp_path / "ref.geojson", zones,
+                          {row[0]: dict(zip(header[1:], row[1:])) for row in rows})
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "new.geojson").read_bytes() == (tmp_path / "ref.geojson").read_bytes()
+    assert (tmp_path / "new.csv").read_text() == "zone_id,score,label\n"
+    assert (tmp_path / "new.geojson").read_text().count('"properties":{"zone_id":') == 2
