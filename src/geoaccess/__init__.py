@@ -45,6 +45,7 @@ from .spatial import (
     classify_hotspots,
     getis_ord_gi_star,
     local_bivariate,
+    local_bivariates,
 )
 from .synth import generate_synthetic_region
 
@@ -91,6 +92,7 @@ __all__ = [
     "load_patients",
     "load_zones",
     "local_bivariate",
+    "local_bivariates",
     "mortality_ratios",
     "pca_fit",
     "run_pipeline",

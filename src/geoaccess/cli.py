@@ -15,7 +15,8 @@ import sys
 from . import pipeline as pl
 from .config import CONFIG_KEYS, RunConfig, load_config
 from .errors import ValidationError
-from .ingest import load_counties, load_facilities, load_zones
+from .ingest import (COUNTY_COLUMNS, FACILITY_COLUMNS, ZONE_COLUMNS, load_counties,
+                     load_facilities, load_zones)
 from .output import GeoJSONWriter, Table, write_csv
 from .synth import generate_synthetic_region
 
@@ -243,15 +244,11 @@ def _cmd_synth(args, cfg):
          int(z.adrd_patients), z.urban] + [z.attributes[a] for a in attr_names]
         for z in sorted(zones, key=lambda z: z.zone_id)
     ]
-    write_csv(os.path.join(args.out_dir, "zones.csv"),
-              ["zone_id", "lat", "lon", "population", "adrd_patients", "urban"] + attr_names,
-              zone_rows)
-    write_csv(os.path.join(args.out_dir, "facilities.csv"),
-              ["facility_id", "lat", "lon", "beds"],
+    write_csv(os.path.join(args.out_dir, "zones.csv"), ZONE_COLUMNS + attr_names, zone_rows)
+    write_csv(os.path.join(args.out_dir, "facilities.csv"), FACILITY_COLUMNS,
               [[f.facility_id, f.location.lat, f.location.lon, int(f.beds)]
                for f in sorted(facilities, key=lambda f: f.facility_id)])
-    write_csv(os.path.join(args.out_dir, "counties.csv"),
-              ["county_id", "year", "adrd_deaths", "adrd_patients", "population_50plus"],
+    write_csv(os.path.join(args.out_dir, "counties.csv"), COUNTY_COLUMNS,
               [[c.county_id, c.year, int(c.adrd_deaths), int(c.adrd_patients),
                 int(c.population_50plus)]
                for c in sorted(counties, key=lambda c: (c.county_id, c.year))])

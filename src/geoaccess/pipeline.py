@@ -19,7 +19,7 @@ from .errors import ValidationError
 from .outcomes import aggregate_years, classify_service_status
 from .output import GeoJSONWriter, Table
 from .risk import fit_risk_model, health_risk_index
-from .spatial import build_weights, classify_hotspots, getis_ord_gi_star, local_bivariate
+from .spatial import build_weights, classify_hotspots, getis_ord_gi_star, local_bivariates
 
 ACCESS_HEADER = ["zone_id", "accessibility"]
 GINI_HEADER = ["stratum", "n", "mean", "gini"]
@@ -39,7 +39,7 @@ __all__ = [
     "ACCESS_HEADER", "GINI_HEADER", "HOTSPOT_HEADER", "RISK_HEADER",
     "BIVARIATE_HEADER", "MORTALITY_HEADER", "TTEST_HEADER",
     "sorted_zones", "resolve_series", "compute_access", "access_rows",
-    "gini_rows", "hotspot_rows", "risk_rows", "bivariate_rows",
+    "gini_rows", "hotspot_rows", "risk_rows", "bivariate_tables", "bivariate_rows",
     "mortality_rows", "ttest_rows", "run_pipeline",
 ]
 
@@ -115,18 +115,25 @@ def risk_rows(zones, cfg: RunConfig):
     return rows, index
 
 
+def bivariate_tables(zones, x_name: str, y_names, cfg: RunConfig, computed=None,
+                     weights=None) -> list:
+    """``bivariate_rows`` for each y column, all from one permutation pass."""
+    x = resolve_series(zones, x_name, computed)
+    ys = [resolve_series(zones, name, computed) for name in y_names]
+    weights = _zone_weights(zones, cfg) if weights is None else weights
+    results = local_bivariates(x, ys, weights, permutations=cfg.permutations, seed=cfg.seed,
+                               min_neighbors=cfg.min_neighbors)
+    return [
+        [(zid, xv, yv, None if math.isnan(r) else r, p, cat)
+         for zid, xv, yv, r, p, cat in zip(res.ids, x, y, res.local_r.tolist(),
+                                           res.pseudo_p.tolist(), res.category)]
+        for y, res in zip(ys, results)
+    ]
+
+
 def bivariate_rows(zones, x_name: str, y_name: str, cfg: RunConfig, computed=None,
                    weights=None):
-    x = resolve_series(zones, x_name, computed)
-    y = resolve_series(zones, y_name, computed)
-    weights = _zone_weights(zones, cfg) if weights is None else weights
-    result = local_bivariate(x, y, weights, permutations=cfg.permutations, seed=cfg.seed,
-                             min_neighbors=cfg.min_neighbors)
-    rows = []
-    for zid, xv, yv, r, p, cat in zip(result.ids, x, y, result.local_r, result.pseudo_p,
-                                      result.category):
-        rows.append((zid, xv, yv, None if math.isnan(r) else float(r), float(p), cat))
-    return rows
+    return bivariate_tables(zones, x_name, [y_name], cfg, computed, weights)[0]
 
 
 def mortality_rows(counties, years=None, elevated_sd: float = 1.0):
@@ -236,8 +243,9 @@ def _write_outputs(zones, facilities, counties, out_dir, cfg: RunConfig) -> dict
         "accessibility": access_by_zone,
         "risk_index": {zid: v for zid, v in rk_rows},
     }
-    for y_name in ("accessibility", "risk_index"):
-        rows = bivariate_rows(zones, poverty, y_name, cfg, computed, weights)
+    y_names = ("accessibility", "risk_index")
+    tables = bivariate_tables(zones, poverty, y_names, cfg, computed, weights)
+    for y_name, rows in zip(y_names, tables):
         emit(f"bivariate_{poverty}_{y_name}", BIVARIATE_HEADER, rows, zone_level=True)
 
     emit("mortality", MORTALITY_HEADER, mortality_rows(counties))

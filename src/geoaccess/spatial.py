@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
     "classify_hotspots",
     "benjamini_hochberg",
     "local_bivariate",
+    "local_bivariates",
 ]
 
 
@@ -239,17 +241,24 @@ def classify_hotspots(result: HotSpotResult, fdr: bool = False) -> HotSpotResult
     return HotSpotResult(ids=result.ids, z=result.z, p=result.p, category=category)
 
 
-def local_bivariate(
-    x,
-    y,
-    weights: SpatialWeights,
-    permutations: int = 199,
-    seed: int = 42,
-    min_neighbors: int = 8,
-    alpha: float = 0.05,
-    workers: int = 1,
-) -> BivariateResult:
-    """Neighborhood Pearson correlation with conditional permutation test.
+def _check_int(name: str, value, least: int) -> None:
+    # bool is an int subclass; True must not pass as 1.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def local_bivariate(x, y, weights: SpatialWeights, permutations: int = 199, seed: int = 42,
+                    min_neighbors: int = 8, alpha: float = 0.05,
+                    workers: int = 1) -> BivariateResult:
+    """``local_bivariates`` for one y. ``workers`` is validated and otherwise
+    unused: the computation runs in one thread."""
+    _check_int("workers", workers, 1)
+    return local_bivariates(x, [y], weights, permutations, seed, min_neighbors, alpha)[0]
+
+
+def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, seed: int = 42,
+                     min_neighbors: int = 8, alpha: float = 0.05) -> list[BivariateResult]:
+    """Neighborhood Pearson correlation of x with each y in ``ys``, permutation-tested.
 
     For each feature, ``local_r`` is the correlation of (x, y) over the
     feature's neighborhood (itself included). Significance holds x fixed
@@ -257,81 +266,85 @@ def local_bivariate(
     from (seed, permutation index), and the permutations are evaluated
     in blocks of columns, so identical seeds give identical results. The
     pseudo p-value uses the (count + 1) / (permutations + 1) convention
-    and can never be zero. ``workers`` is validated and otherwise
-    unused: the computation runs in one thread.
+    and can never be zero.
 
     A feature is Undefined when its neighborhood is smaller than
     ``min_neighbors`` or either variable is constant there (its
     pseudo p-value is reported as 1). A permutation replicate whose
     y-variance degenerates contributes a correlation of zero.
+
+    Every y shares one pass over the permutations and the x-side sums,
+    so each result equals its own ``local_bivariate`` call bit for bit;
+    rows Undefined whatever y is get no permutation sums.
     """
     xv = np.asarray(list(x), dtype=float)
-    yv = np.asarray(list(y), dtype=float)
+    yvs = [np.asarray(list(y), dtype=float) for y in ys]
     n = len(weights)
-    if xv.size != n or yv.size != n:
-        raise ValidationError(
-            f"variable lengths ({xv.size}, {yv.size}) do not match feature count {n}"
-        )
-    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
+    if any(v.size != n for v in (xv, *yvs)):
+        lengths = tuple(v.size for v in (xv, *yvs))
+        raise ValidationError(f"variable lengths {lengths} do not match feature count {n}")
+    if not all(np.all(np.isfinite(v)) for v in (xv, *yvs)):
         raise ValidationError("local_bivariate requires finite values")
-    if permutations < 19:
-        raise ValidationError(f"permutations must be >= 19, got {permutations}")
-    if min_neighbors < 2:
-        raise ValidationError(f"min_neighbors must be >= 2, got {min_neighbors}")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    _check_int("permutations", permutations, 19)
+    _check_int("seed", seed, 0)
+    _check_int("min_neighbors", min_neighbors, 2)
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be a number in (0, 1), got {alpha!r}")
 
     hood = weights.matrix
     if not weights.include_self:
         hood = hood + sparse.eye_array(n, format="csr")
-    # Per-feature columns, broadcast against blocks of y columns.
-    sizes = np.diff(hood.indptr).astype(float)[:, None]
-    sum_x = hood @ xv[:, None]
-    sxx = sizes * (hood @ (xv * xv)[:, None]) - sum_x * sum_x
+    sizes = np.diff(hood.indptr).astype(float)
+    sum_x = hood @ xv
+    sxx = sizes * (hood @ (xv * xv)) - sum_x * sum_x
+    rows = np.flatnonzero((sizes >= min_neighbors) & (sxx > 0.0))
+    # Kept rows as columns, broadcast against blocks of y columns.
+    hood, sizes, sum_x, sxx = hood[rows], sizes[rows, None], sum_x[rows, None], sxx[rows, None]
 
-    def correlations(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-feature r for each column of ys, plus a validity mask (y-variance > 0)."""
+    def correlations(yv, y2, idx):
+        """Per kept row, r for each column yv[idx], and where that y-variance is > 0."""
+        ys = yv[idx]
         sum_y = hood @ ys
-        syy = sizes * (hood @ (ys * ys)) - sum_y * sum_y
-        sum_xy = hood @ (xv[:, None] * ys)
-        denom2 = sxx * syy
-        valid = (sxx > 0.0) & (syy > 0.0)
-        r = np.zeros(ys.shape)
-        np.divide(
-            sizes * sum_xy - sum_x * sum_y,
-            np.sqrt(np.where(denom2 > 0.0, denom2, 1.0)),
-            out=r,
-            where=valid,
-        )
-        return np.clip(r, -1.0, 1.0), valid
+        syy = hood @ y2[idx]
+        syy *= sizes
+        syy -= sum_y * sum_y
+        r = hood @ np.multiply(ys, xv[:, None], out=ys)
+        r *= sizes
+        sum_y *= sum_x
+        r -= sum_y
+        valid = syy > 0.0
+        syy *= sxx
+        positive = syy > 0.0  # else (an underflow, or y constant) divide by sqrt(1)
+        np.sqrt(syy, out=syy, where=positive)
+        np.divide(r, syy, out=r, where=positive)
+        np.copyto(r, 0.0, where=~valid)
+        return np.clip(r, -1.0, 1.0, out=r), valid
 
-    r_obs, y_valid = correlations(yv[:, None])
-    abs_obs = np.abs(r_obs)
-
-    exceed = np.zeros(n, dtype=np.int64)
+    y2s = [yv * yv for yv in yvs]
+    observed = [correlations(yv, y2, np.arange(n)[:, None]) for yv, y2 in zip(yvs, y2s)]
+    abs_obs = [np.abs(r) for r, _ in observed]
+    exceed = [np.zeros(rows.size, dtype=np.int64) for _ in yvs]
     for start in range(0, permutations, _PERM_BLOCK):
         block = range(start, min(start + _PERM_BLOCK, permutations))
-        ys = np.stack([yv[np.random.default_rng([seed, m]).permutation(n)] for m in block],
-                      axis=1)
-        r_perm, _ = correlations(ys)
-        exceed += (np.abs(r_perm) >= abs_obs).sum(axis=1)
+        idx = np.stack([np.random.default_rng([seed, m]).permutation(n) for m in block], axis=1)
+        for yv, y2, a, count in zip(yvs, y2s, abs_obs, exceed):
+            r, _ = correlations(yv, y2, idx)
+            count += np.count_nonzero(np.abs(r, out=r) >= a, axis=1)
 
-    defined = ((sizes >= min_neighbors) & (sxx > 0.0) & y_valid)[:, 0]
-    r_obs = r_obs[:, 0]
-    pseudo_p = np.ones(n)
-    pseudo_p[defined] = (exceed[defined] + 1.0) / (permutations + 1.0)
-    local_r = np.where(defined, r_obs, np.nan)
-    category = []
-    for i in range(n):
-        if not defined[i]:
-            category.append(UNDEFINED)
-        elif pseudo_p[i] <= alpha and r_obs[i] > 0:
-            category.append(POSITIVE)
-        elif pseudo_p[i] <= alpha and r_obs[i] < 0:
-            category.append(NEGATIVE)
-        else:
-            category.append(NOT_SIGNIFICANT)
-    return BivariateResult(
-        ids=list(weights.ids), local_r=local_r, pseudo_p=pseudo_p,
-        category=category, permutations=permutations, seed=seed,
-    )
+    results = []
+    for (r_obs, valid), count in zip(observed, exceed):
+        valid = valid[:, 0]
+        defined = rows[valid]
+        local_r = np.full(n, np.nan)
+        local_r[defined] = r_obs[valid, 0]
+        pseudo_p = np.ones(n)
+        pseudo_p[defined] = (count[valid] + 1.0) / (permutations + 1.0)
+        # alpha < 1, so an Undefined row (p = 1) is never significant.
+        category = np.full(n, UNDEFINED, dtype=object)
+        category[defined] = NOT_SIGNIFICANT
+        category[(pseudo_p <= alpha) & (local_r > 0)] = POSITIVE
+        category[(pseudo_p <= alpha) & (local_r < 0)] = NEGATIVE
+        results.append(BivariateResult(ids=list(weights.ids), local_r=local_r, pseudo_p=pseudo_p,
+                                       category=category.tolist(), permutations=permutations,
+                                       seed=seed))
+    return results

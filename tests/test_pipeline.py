@@ -2,6 +2,7 @@ import dataclasses
 import filecmp
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,21 +28,37 @@ def test_run_pipeline_builds_weights_once_and_shares_them(tmp_path, monkeypatch,
     assert calls == [scheme]
 
     # The same run with every spatial stage building its own weights.
-    hotspot, bivariate = pl.hotspot_rows, pl.bivariate_rows
+    hotspot, bivariate = pl.hotspot_rows, pl.bivariate_tables
     monkeypatch.setattr(pl, "hotspot_rows",
                         lambda zones, values, cfg, weights=None: hotspot(zones, values, cfg))
-    monkeypatch.setattr(pl, "bivariate_rows",
-                        lambda zones, x, y, cfg, computed=None, weights=None:
-                        bivariate(zones, x, y, cfg, computed))
+    monkeypatch.setattr(pl, "bivariate_tables",
+                        lambda zones, x, ys, cfg, computed=None, weights=None:
+                        bivariate(zones, x, ys, cfg, computed))
     calls.clear()
     run_pipeline(zones, facilities, counties, tmp_path / "own", cfg)
-    assert calls == [scheme] * 4
+    assert calls == [scheme] * 3
 
     names = sorted(p.name for p in (tmp_path / "shared").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "own").iterdir())
     match, mismatch, errors = filecmp.cmpfiles(tmp_path / "shared", tmp_path / "own", names,
                                                shallow=False)
     assert (mismatch, errors) == ([], [])
+
+
+def test_run_pipeline_draws_each_permutation_once(tmp_path, monkeypatch):
+    # Both bivariate stages share one pass over the permutations.
+    zones, facilities, counties = generate_synthetic_region(3)
+    cfg = RunConfig(permutations=99, seed=11)
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    run_pipeline(zones, facilities, counties, tmp_path, cfg)
+    assert seeds == [[11, m] for m in range(99)]
 
 
 def with_squares(zones, half):

@@ -15,6 +15,7 @@ from geoaccess import (
     getis_ord_gi_star,
     haversine_miles,
     local_bivariate,
+    local_bivariates,
 )
 from geoaccess.spatial import benjamini_hochberg
 
@@ -52,6 +53,29 @@ def random_points(seed, n):
         (f"p{i:03d}", GeoPoint(float(rng.uniform(38.0, 40.0)), float(rng.uniform(-78.0, -75.0))))
         for i in range(n)
     ]
+
+
+def shared_pass_case(scheme, include_self):
+    """Weights over 40 points and three variables on them.
+
+    x is constant west of -77 degrees, so the rows there have no
+    x-variance. y2 is zero east of -76.5 degrees, so some observed and
+    permuted neighbourhoods are constant in y. Elsewhere values are
+    continuous. No neighbourhood holds exactly one nonzero y2: there
+    every permutation that puts some nonzero value in the same spot
+    would tie |r| exactly, and the kernel and the oracle round such
+    ties differently.
+    """
+    pts = random_points(44, 40)
+    if scheme == "knn":
+        w = build_weights(pts, "knn", include_self=include_self, k=5)
+    else:
+        w = build_weights(pts, "fixed_band", include_self=include_self, band=25.0)
+    rng = np.random.default_rng(45)
+    lon = np.array([p.lon for _, p in pts])
+    x = np.where(lon < -77.0, 1.5, rng.normal(0.0, 1.0, 40))
+    y1, y2 = rng.normal(0.0, 1.0, (2, 40))
+    return w, x, y1, np.where(lon > -76.5, 0.0, y2)
 
 
 class TestBuildWeights:
@@ -386,6 +410,61 @@ class TestLocalBivariate:
         x = np.arange(10, dtype=float)
         with pytest.raises(ValidationError, match="workers"):
             local_bivariate(x, x[::-1], w, permutations=19, workers=0)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"seed": -1}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"permutations": 199.0}, "permutations"),
+        ({"min_neighbors": 4.0}, "min_neighbors"),
+        ({"workers": True}, "workers"),
+        ({"alpha": 2.0}, "alpha"),
+        ({"alpha": 0.0}, "alpha"),
+        ({"alpha": float("nan")}, "alpha"),
+        ({"alpha": True}, "alpha"),
+    ])
+    def test_bad_argument_rejected_by_name(self, kwargs, name):
+        pts = random_points(42, 10)
+        w = build_weights(pts, "knn", include_self=True, k=3)
+        x = np.arange(10, dtype=float)
+        with pytest.raises(ValidationError, match=name):
+            local_bivariate(x, x[::-1], w, **{"permutations": 19, **kwargs})
+
+    def test_every_y_is_checked(self):
+        pts = random_points(42, 10)
+        w = build_weights(pts, "knn", include_self=True, k=3)
+        x = np.arange(10, dtype=float)
+        with pytest.raises(ValidationError, match=r"\(10, 10, 9\)"):
+            local_bivariates(x, [x, x[:9]], w, permutations=19)
+        with pytest.raises(ValidationError, match="finite"):
+            local_bivariates(x, [x, np.where(x > 5, np.inf, x)], w, permutations=19)
+
+    @pytest.mark.parametrize("permutations", [19, 64, 65, 199])
+    @pytest.mark.parametrize("scheme", ["knn", "fixed_band"])
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_shared_pass_equals_separate_calls_and_oracle(self, permutations, scheme,
+                                                          include_self):
+        w, x, y1, y2 = shared_pass_case(scheme, include_self)
+        shared = local_bivariates(x, [y1, y2], w, permutations=permutations, seed=5,
+                                  min_neighbors=4)
+        hoods = [np.union1d(nb, i) for i, nb in enumerate(w.neighbors)]
+        assert all(np.count_nonzero(y2[hood]) != 1
+                   for hood, r in zip(hoods, shared[1].local_r) if not np.isnan(r))
+        assert len(shared) == 2
+        for y, res in zip((y1, y2), shared):
+            alone = local_bivariate(x, y, w, permutations=permutations, seed=5, min_neighbors=4)
+            assert res.local_r.tobytes() == alone.local_r.tobytes()  # NaN in the same places
+            assert res.pseudo_p.tobytes() == alone.pseudo_p.tobytes()
+            assert res.category == alone.category
+            local_r, pseudo_p, category = ref_local_bivariate(
+                x, y, w.neighbors, permutations=permutations, seed=5, min_neighbors=4)
+            np.testing.assert_allclose(res.local_r, local_r, rtol=0.0, atol=1e-10)
+            np.testing.assert_array_equal(res.pseudo_p, pseudo_p)
+            assert res.category == category
+        # The case reaches every branch: rows without x-variance, rows
+        # Undefined through y alone, and defined rows.
+        undefined = [np.isnan(res.local_r) for res in shared]
+        assert np.any(undefined[0]) and np.any(undefined[1] & ~undefined[0])
+        assert not np.all(undefined[1])
 
     def test_memory_grows_with_neighbours_not_largest_neighbourhood(self):
         # 500 zones in one tight cluster among 5,500 grid zones ~10 miles
