@@ -24,8 +24,7 @@ FACILITY_COLUMNS = ["facility_id", "lat", "lon", "beds"]
 COUNTY_COLUMNS = ["county_id", "year", "adrd_deaths", "adrd_patients", "population_50plus"]
 PATIENT_COLUMNS = ["record_id", "zone_id", "age", "sex", "race", "diagnosis_code", "total_charge"]
 
-_TRUE = {"1", "true"}
-_FALSE = {"0", "false"}
+_FLAGS = {"1": True, "true": True, "0": False, "false": False}
 
 __all__ = [
     "ADRD_CATEGORIES",
@@ -91,71 +90,124 @@ def is_adrd_code(code: str) -> bool:
     return c.startswith(ADRD_CATEGORIES)
 
 
-def _read_rows(path, required, extras_allowed: bool):
-    """Yield (line_number, row-dict-with-attrs) after header validation."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file, expected header {','.join(required)}")
-        if header[: len(required)] != required:
-            raise ValidationError(
-                f"{path}: header must start with {','.join(required)}, got {','.join(header)}"
-            )
-        extra = header[len(required):]
-        if extra and not extras_allowed:
-            raise ValidationError(f"{path}: unexpected extra columns {extra}")
-        if len(set(header)) != len(header):
-            raise ValidationError(f"{path}: duplicate column names in header")
-        rows = []
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != len(header):
+class _Columns:
+    """The data rows of one CSV file, one tuple of cells per column.
+
+    Each check looks at a whole column and records the first row it
+    rejects. :meth:`fail` keeps the earliest row, and on one row the check
+    made first, so running the checks in the order a row is checked in
+    makes :meth:`check` raise what a row-by-row reading raises first.
+    """
+
+    def __init__(self, path, required, extras_allowed: bool):
+        self.path = path
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{path}: empty file, expected header {','.join(required)}")
+            if header[: len(required)] != required:
                 raise ValidationError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(raw)}"
+                    f"{path}: header must start with {','.join(required)}, got {','.join(header)}"
                 )
-            rows.append((lineno, dict(zip(header, raw))))
-    return extra, rows
+            self.extra = header[len(required):]
+            if self.extra and not extras_allowed:
+                raise ValidationError(f"{path}: unexpected extra columns {self.extra}")
+            if len(set(header)) != len(header):
+                raise ValidationError(f"{path}: duplicate column names in header")
+            self.lines, rows = [], []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValidationError(
+                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                    )
+                self.lines.append(lineno)
+                rows.append(row)
+        self._cells = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+        self._stop = len(rows)
+        self._failure = None
 
+    def __getitem__(self, name) -> tuple:
+        return self._cells[name]
 
-def _parse_float(path, lineno, name, text) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValidationError(f"{path}:{lineno}: column {name!r} is not a number: {text!r}")
-    if not math.isfinite(value):
-        raise ValidationError(f"{path}:{lineno}: column {name!r} is not finite")
-    return value
+    def fail(self, index, message) -> None:
+        """Reject data row ``index`` unless an earlier row, or this row by
+        an earlier check, is rejected already."""
+        if index < self._stop:
+            self._stop = index
+            self._failure = f"{self.path}:{self.lines[index]}: {message}"
 
+    def check(self) -> None:
+        if self._failure is not None:
+            raise ValidationError(self._failure)
 
-def _parse_count(path, lineno, name, text) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValidationError(f"{path}:{lineno}: column {name!r} is not an integer: {text!r}")
-    if value < 0:
-        raise ValidationError(f"{path}:{lineno}: column {name!r} must be >= 0, got {value}")
-    return value
+    def unique(self, label, keys) -> None:
+        if len(set(keys)) < len(keys):
+            seen: dict = {}
+            for i, key in enumerate(keys):
+                if key in seen:
+                    self.fail(i, f"duplicate {label} {key!r} (first seen at line {seen[key]})")
+                    return
+                seen[key] = self.lines[i]
 
+    def _parse(self, name, kind, noun) -> list:
+        """The cells of ``name`` as ``kind``, up to the first that does not parse."""
+        cells = self._cells[name]
+        try:
+            return list(map(kind, cells))
+        except ValueError:
+            pass
+        values = []
+        for text in cells:
+            try:
+                values.append(kind(text))
+            except ValueError:
+                self.fail(len(values), f"column {name!r} is not {noun}: {text!r}")
+                break
+        return values
 
-def _parse_bool(path, lineno, name, text) -> bool:
-    t = text.strip().lower()
-    if t in _TRUE:
-        return True
-    if t in _FALSE:
-        return False
-    raise ValidationError(f"{path}:{lineno}: column {name!r} is not a boolean: {text!r}")
+    def floats(self, name) -> list:
+        values = self._parse(name, float, "a number")
+        # A sum of floats is finite only if every term is.
+        if not math.isfinite(sum(values)):
+            for i, value in enumerate(values):
+                if not math.isfinite(value):
+                    self.fail(i, f"column {name!r} is not finite")
+                    break
+        return values
 
+    def counts(self, name) -> list:
+        values = self._parse(name, int, "an integer")
+        if min(values, default=0) < 0:
+            i = next(i for i, value in enumerate(values) if value < 0)
+            self.fail(i, f"column {name!r} must be >= 0, got {values[i]}")
+        return values
 
-def _parse_point(path, lineno, row) -> GeoPoint:
-    lat = _parse_float(path, lineno, "lat", row["lat"])
-    lon = _parse_float(path, lineno, "lon", row["lon"])
-    try:
-        return GeoPoint(lat, lon)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}:{lineno}: {exc}")
+    def flags(self, name) -> list:
+        cells = self._cells[name]
+        values = list(map(_FLAGS.get, map(str.lower, map(str.strip, cells))))
+        if None in values:
+            i = values.index(None)
+            self.fail(i, f"column {name!r} is not a boolean: {cells[i]!r}")
+        return values
+
+    def points(self) -> list:
+        """The lat and lon columns as points, up to the first out of range."""
+        lats, lons = self.floats("lat"), self.floats("lon")
+        try:
+            return list(map(GeoPoint, lats, lons))
+        except ValidationError:
+            pass
+        points = []
+        for lat, lon in zip(lats, lons):
+            try:
+                points.append(GeoPoint(lat, lon))
+            except ValidationError as exc:
+                self.fail(len(points), str(exc))
+                break
+        return points
 
 
 def load_zones(path, geometry_path=None) -> list[DemandZone]:
@@ -165,27 +217,25 @@ def load_zones(path, geometry_path=None) -> list[DemandZone]:
     attributes map. Geometry features must each carry a ``zone_id``
     property matching a CSV row.
     """
-    attr_cols, rows = _read_rows(path, ZONE_COLUMNS, extras_allowed=True)
-    fields = []
-    seen: dict[str, int] = {}
-    for lineno, row in rows:
-        zid = row["zone_id"]
-        if zid in seen:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate zone_id {zid!r} (first seen at line {seen[zid]})"
-            )
-        seen[zid] = lineno
-        attributes = {name: _parse_float(path, lineno, name, row[name]) for name in attr_cols}
-        fields.append(dict(
-            zone_id=zid,
-            centroid=_parse_point(path, lineno, row),
-            population=_parse_count(path, lineno, "population", row["population"]),
-            adrd_patients=_parse_count(path, lineno, "adrd_patients", row["adrd_patients"]),
-            urban=_parse_bool(path, lineno, "urban", row["urban"]),
-            attributes=attributes,
-        ))
-    geometries = {} if geometry_path is None else _load_geometries(geometry_path, seen)
-    return [DemandZone(**f, geometry=geometries.get(f["zone_id"])) for f in fields]
+    rows = _Columns(path, ZONE_COLUMNS, extras_allowed=True)
+    ids = rows["zone_id"]
+    rows.unique("zone_id", ids)
+    columns = [rows.floats(name) for name in rows.extra]
+    centroids = rows.points()
+    population = rows.counts("population")
+    patients = rows.counts("adrd_patients")
+    urban = rows.flags("urban")
+    rows.check()
+    names = rows.extra
+    attributes = [dict(zip(names, values)) for values in zip(*columns)] if names \
+        else [{} for _ in ids]
+    geometries = {} if geometry_path is None else _load_geometries(geometry_path, set(ids))
+    return [
+        DemandZone(zone_id=zid, centroid=centroid, population=pop, adrd_patients=pat,
+                   urban=flag, attributes=attrs, geometry=geometries.get(zid))
+        for zid, centroid, pop, pat, flag, attrs
+        in zip(ids, centroids, population, patients, urban, attributes)
+    ]
 
 
 def _load_geometries(path, known_ids) -> dict:
@@ -212,80 +262,57 @@ def _load_geometries(path, known_ids) -> dict:
 
 def load_facilities(path) -> list[Facility]:
     """Read facilities; zero or negative bed counts are rejected."""
-    _, rows = _read_rows(path, FACILITY_COLUMNS, extras_allowed=False)
-    facilities = []
-    seen: dict[str, int] = {}
-    for lineno, row in rows:
-        fid = row["facility_id"]
-        if fid in seen:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate facility_id {fid!r} (first seen at line {seen[fid]})"
-            )
-        seen[fid] = lineno
-        beds = _parse_count(path, lineno, "beds", row["beds"])
-        if beds == 0:
-            raise ValidationError(f"{path}:{lineno}: facility {fid!r} has zero beds")
-        facilities.append(Facility(facility_id=fid, location=_parse_point(path, lineno, row), beds=beds))
-    return facilities
+    rows = _Columns(path, FACILITY_COLUMNS, extras_allowed=False)
+    ids = rows["facility_id"]
+    rows.unique("facility_id", ids)
+    beds = rows.counts("beds")
+    if 0 in beds:
+        i = beds.index(0)
+        rows.fail(i, f"facility {ids[i]!r} has zero beds")
+    locations = rows.points()
+    rows.check()
+    return [Facility(facility_id=fid, location=location, beds=n)
+            for fid, location, n in zip(ids, locations, beds)]
 
 
 def load_counties(path) -> list[CountyOutcome]:
     """Read county-year outcome records; (county_id, year) must be unique."""
-    _, rows = _read_rows(path, COUNTY_COLUMNS, extras_allowed=False)
-    records = []
-    seen: dict[tuple, int] = {}
-    for lineno, row in rows:
-        year = _parse_count(path, lineno, "year", row["year"])
-        if year == AGGREGATE_YEAR:
-            raise ValidationError(
-                f"{path}:{lineno}: year {year} is reserved for multi-year averaged records"
-            )
-        key = (row["county_id"], year)
-        if key in seen:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate county-year {key!r} (first seen at line {seen[key]})"
-            )
-        seen[key] = lineno
-        records.append(
-            CountyOutcome(
-                county_id=row["county_id"],
-                year=year,
-                adrd_deaths=_parse_count(path, lineno, "adrd_deaths", row["adrd_deaths"]),
-                adrd_patients=_parse_count(path, lineno, "adrd_patients", row["adrd_patients"]),
-                population_50plus=_parse_count(
-                    path, lineno, "population_50plus", row["population_50plus"]
-                ),
-            )
-        )
-    return records
+    rows = _Columns(path, COUNTY_COLUMNS, extras_allowed=False)
+    years = rows.counts("year")
+    if AGGREGATE_YEAR in years:
+        rows.fail(years.index(AGGREGATE_YEAR),
+                  f"year {AGGREGATE_YEAR} is reserved for multi-year averaged records")
+    ids = rows["county_id"]
+    rows.unique("county-year", list(zip(ids, years)))
+    deaths = rows.counts("adrd_deaths")
+    patients = rows.counts("adrd_patients")
+    population = rows.counts("population_50plus")
+    rows.check()
+    return [
+        CountyOutcome(county_id=cid, year=year, adrd_deaths=d, adrd_patients=p,
+                      population_50plus=n)
+        for cid, year, d, p, n in zip(ids, years, deaths, patients, population)
+    ]
 
 
 def load_patients(path) -> list[PatientRecord]:
     """Read inpatient records; diagnosis codes are uppercase-normalized."""
-    _, rows = _read_rows(path, PATIENT_COLUMNS, extras_allowed=False)
-    records = []
-    seen: dict[str, int] = {}
-    for lineno, row in rows:
-        rid = row["record_id"]
-        if rid in seen:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate record_id {rid!r} (first seen at line {seen[rid]})"
-            )
-        seen[rid] = lineno
-        if not row["diagnosis_code"].strip():
-            raise ValidationError(f"{path}:{lineno}: empty diagnosis_code")
-        records.append(
-            PatientRecord(
-                record_id=rid,
-                zone_id=row["zone_id"],
-                age=_parse_float(path, lineno, "age", row["age"]),
-                sex=row["sex"].strip(),
-                race=row["race"].strip(),
-                diagnosis_code=row["diagnosis_code"],
-                total_charge=_parse_float(path, lineno, "total_charge", row["total_charge"]),
-            )
-        )
-    return records
+    rows = _Columns(path, PATIENT_COLUMNS, extras_allowed=False)
+    ids = rows["record_id"]
+    rows.unique("record_id", ids)
+    codes = rows["diagnosis_code"]
+    if not all(map(str.strip, codes)):
+        rows.fail(next(i for i, code in enumerate(codes) if not code.strip()),
+                  "empty diagnosis_code")
+    ages = rows.floats("age")
+    charges = rows.floats("total_charge")
+    rows.check()
+    return [
+        PatientRecord(record_id=rid, zone_id=zid, age=age, sex=sex.strip(), race=race.strip(),
+                      diagnosis_code=code, total_charge=charge)
+        for rid, zid, age, sex, race, code, charge
+        in zip(ids, rows["zone_id"], ages, rows["sex"], rows["race"], codes, charges)
+    ]
 
 
 def _group_stats(records) -> GroupStats:

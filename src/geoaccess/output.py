@@ -7,22 +7,25 @@ newlines, so identical analyses produce byte-identical files.
 A :class:`Table` formats each column once, by one comprehension for a
 column of floats, optional floats or strings, else cell by cell with
 :func:`format_value`; its CSV and its GeoJSON twin share those cells.
+Each file is built as one string and written with one call.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
 __all__ = ["format_value", "Table", "write_csv", "GeoJSONWriter", "write_geojson", "quantize"]
 
-# The C encoder behind json.dumps(doc, sort_keys=True, separators=(",", ":")).
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 # float.__repr__ of the values JSON spells NaN, Infinity and -Infinity.
 _NONFINITE = frozenset(["nan", "inf", "-inf"])
+# What can make the csv module quote a field (with "\n" line ends).
+_CSV_SPECIAL = (",", '"', "\r", "\n")
 
 
 def quantize(x: float) -> float:
@@ -52,17 +55,46 @@ def _cells(column) -> list:
     return [format_value(v) for v in column]
 
 
-def _tokens(column, cells) -> list:
+def _tokens(column, cells, encode) -> list:
     """The JSON text of every value of one column, from its CSV cells where it can."""
     kinds = set(map(type, column))
     if kinds == {str}:
         return list(map(_quote, column))
     if kinds <= {float, type(None)}:
-        # float.__repr__ of the cell is the encoder's spelling of quantize(v).
-        tokens = [float.__repr__(float(c)) if c else "null" for c in cells]
+        # The encoder spells quantize(v) as float.__repr__ of its cell c. That
+        # is c itself when c has a fraction or a negative exponent and no
+        # positive one: c has at most 9 significant digits, and no other
+        # string of at most 15 reads back as the same double. That fails for
+        # subnormals (exponents -308 to -324), so cells holding "e-3" are
+        # read back: those and the exponents -30 to -39 and -300 to -307.
+        tokens = [c if ("." in c or "e-" in c) and "e+" not in c and "e-3" not in c
+                  else float.__repr__(float(c)) if c else "null" for c in cells]
         if _NONFINITE.isdisjoint(tokens):
             return tokens
-    return [_ENCODER.encode(quantize(v) if isinstance(v, float) else v) for v in column]
+    return [encode(quantize(v) if isinstance(v, float) else v) for v in column]
+
+
+def _csv_fields(cells, sole: bool) -> list:
+    """``cells`` as CSV fields; ``sole`` when each is the only field of its
+    row. A cell holding a separator, quote or line break, or an empty sole
+    field, is spelled by the csv module; every other cell is its own field."""
+    text = "".join(cells)
+    if not any(s in text for s in _CSV_SPECIAL) and not (sole and "" in cells):
+        return cells
+    return [_csv_field(c) if (sole and not c) or any(s in c for s in _CSV_SPECIAL) else c
+            for c in cells]
+
+
+def _csv_field(cell) -> str:
+    """``cell`` as the csv module writes it alone on a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([cell])
+    return buf.getvalue()[:-1]
+
+
+def _write_text(path, text) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 class Table:
@@ -80,21 +112,21 @@ class Table:
 
     def write_csv(self, path) -> None:
         """The header, then the cells row by row."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.header)
-            writer.writerows(zip(*self._cells))
+        sole = len(self.header) == 1
+        lines = map(",".join, zip(*[_csv_fields(cells, sole) for cells in self._cells]))
+        _write_text(path, "\n".join([",".join(_csv_fields(self.header, sole)), *lines]) + "\n")
 
-    def properties(self) -> dict:
+    def properties(self, encode) -> dict:
         """First-column value -> its row as sorted-key JSON object members,
         the first column named ``zone_id`` and the others by the header; as
-        in a dict, a later column of a name, or a later row of an id, wins."""
-        names = dict(zip(["zone_id", *self.header[1:]], range(len(self._columns))))
-        members = []
-        for name, j in sorted(names.items()):
-            key = _quote(name) + ":"
-            members.append([key + token for token in _tokens(self._columns[j], self._cells[j])])
-        return dict(zip(self._columns[0], map(",".join, zip(*members)))) if members else {}
+        in a dict, a later column of a name, or a later row of an id, wins.
+        ``encode`` spells a value no column rule covers."""
+        names = sorted(dict(zip(["zone_id", *self.header[1:]], range(len(self._columns)))).items())
+        if not names:
+            return {}
+        template = ",".join(_quote(name).replace("%", "%%") + ":%s" for name, _ in names)
+        tokens = [_tokens(self._columns[j], self._cells[j], encode) for _, j in names]
+        return dict(zip(self._columns[0], map(template.__mod__, zip(*tokens))))
 
 
 def write_csv(path, header, rows) -> None:
@@ -113,16 +145,31 @@ class GeoJSONWriter:
     """
 
     def __init__(self, zones):
+        # The C encoder that json.dumps(doc, sort_keys=True,
+        # separators=(",", ":")) builds on every call, built once.
+        # ``_markers`` is its circular-reference check.
+        options = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+        self._markers: dict = {}
+        self._iterencode = c_make_encoder(
+            self._markers, options.default, _quote, options.indent, options.key_separator,
+            options.item_separator, options.sort_keys, options.skipkeys, options.allow_nan)
         self._heads = [
-            (zone.zone_id, '{"geometry":' + _ENCODER.encode(zone.geometry) + ',"properties":{')
+            (zone.zone_id, '{"geometry":' + self.encode(zone.geometry) + ',"properties":{')
             for zone in sorted(zones, key=lambda z: z.zone_id)
             if zone.geometry is not None
         ]
 
+    def encode(self, value) -> str:
+        """``json.dumps(value, sort_keys=True, separators=(",", ":"))``."""
+        try:
+            return "".join(self._iterencode(value, 0))
+        finally:
+            self._markers.clear()  # a failed call leaves its containers marked
+
     def write_table(self, path, table: Table) -> None:
         """The twin of a zone-level table: each zone's properties are the
         row whose first cell is its id, that cell named ``zone_id``."""
-        self._write(path, table.properties())
+        self._write(path, table.properties(self.encode))
 
     def write(self, path, attributes_by_zone) -> None:
         """Properties from ``zone_id -> {name: value}``, names being strings.
@@ -133,16 +180,15 @@ class GeoJSONWriter:
             groups.setdefault(tuple(attributes), []).append([zone_id, *attributes.values()])
         members: dict = {}
         for names, rows in groups.items():
-            members.update(Table(["zone_id", *names], rows).properties())
+            members.update(Table(["zone_id", *names], rows).properties(self.encode))
         self._write(path, members)
 
     def _write(self, path, members) -> None:
         """One feature per zone; a zone without members gets its id alone."""
         features = ",".join([
-            head + (members.get(zone_id) or '"zone_id":' + _ENCODER.encode(zone_id))
+            head + (members.get(zone_id) or '"zone_id":' + _quote(zone_id))
             + '},"type":"Feature"}' for zone_id, head in self._heads])
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write('{"features":[' + features + '],"type":"FeatureCollection"}\n')
+        _write_text(path, '{"features":[' + features + '],"type":"FeatureCollection"}\n')
 
 
 def write_geojson(path, zones, attributes_by_zone) -> None:

@@ -300,6 +300,7 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
     rows = np.flatnonzero((sizes >= min_neighbors) & (sxx > 0.0))
     # Kept rows as columns, broadcast against blocks of y columns.
     hood, sizes, sum_x, sxx = hood[rows], sizes[rows, None], sum_x[rows, None], sxx[rows, None]
+    sxx_lo, sxx_hi = sxx.min(initial=np.inf), sxx.max(initial=0.0)
 
     def correlations(yv, y2, idx):
         """Per kept row, r for each column yv[idx], and where that y-variance is > 0."""
@@ -313,10 +314,20 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
         sum_y *= sum_x
         r -= sum_y
         valid = syy > 0.0
-        syy *= sxx
-        positive = syy > 0.0  # else (an underflow, or y constant) divide by sqrt(1)
-        np.sqrt(syy, out=syy, where=positive)
-        np.divide(r, syy, out=r, where=positive)
+        with np.errstate(over="ignore"):
+            # A rounded product is monotonic in each factor, so the extreme
+            # variances tell whether any product of two positive ones can
+            # underflow to 0 or overflow; only then is a copy of syy kept.
+            leaves_range = not (np.min(syy, where=valid, initial=np.inf) * sxx_lo > 0.0
+                                and syy.max(initial=0.0) * sxx_hi < np.inf)
+            own = syy.copy() if leaves_range else None
+            syy *= sxx
+        np.sqrt(syy, out=syy, where=valid)
+        if leaves_range:
+            # There, the product of the roots.
+            extreme = valid & ((syy == 0.0) | (syy == np.inf))
+            syy[extreme] = np.sqrt(own[extreme]) * np.sqrt(np.broadcast_to(sxx, syy.shape)[extreme])
+        np.divide(r, syy, out=r, where=valid)
         np.copyto(r, 0.0, where=~valid)
         return np.clip(r, -1.0, 1.0, out=r), valid
 

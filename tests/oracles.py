@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 
+from geoaccess import CountyOutcome, DemandZone, Facility, GeoPoint
 from geoaccess.errors import ValidationError
+from geoaccess.ingest import COUNTY_COLUMNS, FACILITY_COLUMNS, ZONE_COLUMNS
 
 R_MILES = 3958.7613
 
@@ -293,6 +295,145 @@ def ref_write_geojson(path, zones, attributes_by_zone):
     doc = {"type": "FeatureCollection", "features": features}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _ref_read_rows(path, required, extras_allowed):
+    """Header checks, then (extra column names, [(line number, row dict)])."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError(f"{path}: empty file, expected header {','.join(required)}")
+        if header[: len(required)] != required:
+            raise ValidationError(
+                f"{path}: header must start with {','.join(required)}, got {','.join(header)}"
+            )
+        extra = header[len(required):]
+        if extra and not extras_allowed:
+            raise ValidationError(f"{path}: unexpected extra columns {extra}")
+        if len(set(header)) != len(header):
+            raise ValidationError(f"{path}: duplicate column names in header")
+        rows = []
+        for lineno, raw in enumerate(reader, start=2):
+            if not raw:
+                continue
+            if len(raw) != len(header):
+                raise ValidationError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(raw)}"
+                )
+            rows.append((lineno, dict(zip(header, raw))))
+    return extra, rows
+
+
+def _ref_float(path, lineno, name, text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValidationError(f"{path}:{lineno}: column {name!r} is not a number: {text!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{path}:{lineno}: column {name!r} is not finite")
+    return value
+
+
+def _ref_count(path, lineno, name, text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValidationError(f"{path}:{lineno}: column {name!r} is not an integer: {text!r}")
+    if value < 0:
+        raise ValidationError(f"{path}:{lineno}: column {name!r} must be >= 0, got {value}")
+    return value
+
+
+def _ref_flag(path, lineno, name, text):
+    t = text.strip().lower()
+    if t in ("1", "true"):
+        return True
+    if t in ("0", "false"):
+        return False
+    raise ValidationError(f"{path}:{lineno}: column {name!r} is not a boolean: {text!r}")
+
+
+def _ref_point(path, lineno, row):
+    lat = _ref_float(path, lineno, "lat", row["lat"])
+    lon = _ref_float(path, lineno, "lon", row["lon"])
+    try:
+        return GeoPoint(lat, lon)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}:{lineno}: {exc}")
+
+
+def ref_load_zones(path):
+    """Zones read and checked one row at a time (no geometry join)."""
+    attr_cols, rows = _ref_read_rows(path, ZONE_COLUMNS, extras_allowed=True)
+    zones = []
+    seen = {}
+    for lineno, row in rows:
+        zid = row["zone_id"]
+        if zid in seen:
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate zone_id {zid!r} (first seen at line {seen[zid]})"
+            )
+        seen[zid] = lineno
+        attributes = {name: _ref_float(path, lineno, name, row[name]) for name in attr_cols}
+        zones.append(DemandZone(
+            zone_id=zid,
+            centroid=_ref_point(path, lineno, row),
+            population=_ref_count(path, lineno, "population", row["population"]),
+            adrd_patients=_ref_count(path, lineno, "adrd_patients", row["adrd_patients"]),
+            urban=_ref_flag(path, lineno, "urban", row["urban"]),
+            attributes=attributes,
+        ))
+    return zones
+
+
+def ref_load_facilities(path):
+    """Facilities read and checked one row at a time."""
+    _, rows = _ref_read_rows(path, FACILITY_COLUMNS, extras_allowed=False)
+    facilities = []
+    seen = {}
+    for lineno, row in rows:
+        fid = row["facility_id"]
+        if fid in seen:
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate facility_id {fid!r} (first seen at line {seen[fid]})"
+            )
+        seen[fid] = lineno
+        beds = _ref_count(path, lineno, "beds", row["beds"])
+        if beds == 0:
+            raise ValidationError(f"{path}:{lineno}: facility {fid!r} has zero beds")
+        facilities.append(Facility(facility_id=fid, location=_ref_point(path, lineno, row),
+                                   beds=beds))
+    return facilities
+
+
+def ref_load_counties(path):
+    """County-year records read and checked one row at a time."""
+    _, rows = _ref_read_rows(path, COUNTY_COLUMNS, extras_allowed=False)
+    records = []
+    seen = {}
+    for lineno, row in rows:
+        year = _ref_count(path, lineno, "year", row["year"])
+        if year == 0:
+            raise ValidationError(
+                f"{path}:{lineno}: year {year} is reserved for multi-year averaged records"
+            )
+        key = (row["county_id"], year)
+        if key in seen:
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate county-year {key!r} (first seen at line {seen[key]})"
+            )
+        seen[key] = lineno
+        records.append(CountyOutcome(
+            county_id=row["county_id"],
+            year=year,
+            adrd_deaths=_ref_count(path, lineno, "adrd_deaths", row["adrd_deaths"]),
+            adrd_patients=_ref_count(path, lineno, "adrd_patients", row["adrd_patients"]),
+            population_50plus=_ref_count(path, lineno, "population_50plus",
+                                         row["population_50plus"]),
+        ))
+    return records
 
 
 _FPMIN = 1e-300

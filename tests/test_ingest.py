@@ -15,6 +15,7 @@ from geoaccess import (
     load_patients,
     load_zones,
 )
+from oracles import ref_load_counties, ref_load_facilities, ref_load_zones
 
 ZONES_HEADER = "zone_id,lat,lon,population,adrd_patients,urban"
 
@@ -284,6 +285,107 @@ class TestIngestProperties:
         path.write_bytes(zone_file_bytes(cells, layout))
         with pytest.raises(ValidationError, match=rf"zones.csv:{row + 2}: column '{column}'"):
             load_zones(path)
+
+
+# The three tables as cell grids: a loader, its row-by-row reference, the
+# header, valid rows, and the bad spellings of each column. An id column's
+# bad spelling copies the next row's id, which for counties (all of one
+# year) duplicates a county-year too.
+LOADERS = {
+    "zones": (load_zones, ref_load_zones,
+              ZONES_HEADER.split(",") + ["poverty_rate", "pct_obesity"]),
+    "facilities": (load_facilities, ref_load_facilities, ["facility_id", "lat", "lon", "beds"]),
+    "counties": (load_counties, ref_load_counties,
+                 ["county_id", "year", "adrd_deaths", "adrd_patients", "population_50plus"]),
+}
+finite_cells = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+count_cells = st.integers(0, 10**6).map(str)
+VALID_CELLS = {
+    "lat": st.floats(-90.0, 90.0).map(repr),
+    "lon": st.floats(-180.0, 180.0).map(repr),
+    "population": count_cells,
+    "adrd_patients": count_cells,
+    "urban": st.sampled_from(["1", "0", "true", "False", " TRUE "]),
+    "poverty_rate": finite_cells,
+    "pct_obesity": finite_cells,
+    "beds": st.integers(1, 10**4).map(str),
+    "year": st.just("2020"),
+    "adrd_deaths": count_cells,
+    "population_50plus": count_cells,
+}
+junk = ["x", "", "1;5"]
+BAD_CELLS = {
+    "lat": junk + ["nan", "inf", "-inf", "1e400", "90.5", "-91"],
+    "lon": junk + ["nan", "-inf", "180.000001", "-181"],
+    "population": junk + ["-1", "1.5", "nan"],
+    "adrd_patients": junk + ["-7", "inf"],
+    "urban": junk + ["2", "yes"],
+    "poverty_rate": junk + ["nan", "inf", "-inf"],
+    "pct_obesity": junk + ["nan", "-inf"],
+    "beds": junk + ["-2", "0"],
+    "year": junk + ["-2020", "0"],
+    "adrd_deaths": junk + ["-1"],
+    "population_50plus": junk + ["-3", "2.0"],
+}
+
+
+@st.composite
+def table_cells(draw, kind):
+    header = LOADERS[kind][2]
+    n = draw(st.integers(1, 6))
+    return [[f"{kind[0]}{i}"] + [draw(VALID_CELLS[name]) for name in header[1:]]
+            for i in range(n)]
+
+
+def table_bytes(kind, cells, layout) -> bytes:
+    newline, blank_lines, bom = layout
+    lines = [",".join(LOADERS[kind][2])] + [",".join(row) for row in cells]
+    text = newline.join(lines) + newline * (1 + blank_lines)
+    return ("\ufeff" if bom else "").encode("utf-8") + text.encode("utf-8")
+
+
+def outcome(load, path):
+    """What ``load`` returns, or the message it raises."""
+    try:
+        return load(path)
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestReferenceLoaders:
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    @given(data=st.data(), layout=layouts)
+    @settings(max_examples=60, deadline=None)
+    def test_valid_files_load_as_row_by_row(self, tmp_path_factory, kind, data, layout):
+        load, ref, _ = LOADERS[kind]
+        path = tmp_path_factory.mktemp(kind) / f"{kind}.csv"
+        path.write_bytes(table_bytes(kind, data.draw(table_cells(kind)), layout))
+        assert load(path) == ref(path)
+
+    @pytest.mark.parametrize("same_line", [False, True])
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    @given(data=st.data(), layout=layouts)
+    @settings(max_examples=150, deadline=None)
+    def test_first_of_several_bad_cells_is_reported(self, tmp_path_factory, kind, same_line,
+                                                    data, layout):
+        """Bad cells on different lines and in different columns (or, with
+        ``same_line``, in different columns of one line): the message and
+        line are those of the row-by-row reading."""
+        load, ref, header = LOADERS[kind]
+        cells = data.draw(table_cells(kind).filter(lambda rows: len(rows) >= 2))
+        k = data.draw(st.integers(2, min(4, len(cells))))
+        lines = data.draw(st.permutations(range(len(cells))))[:k]
+        if same_line:
+            lines = lines[:1] * k
+        columns = data.draw(st.permutations(range(len(header))))[:k]
+        for r, c in zip(lines, columns):
+            cells[r][c] = (cells[(r + 1) % len(cells)][0] if c == 0
+                           else data.draw(st.sampled_from(BAD_CELLS[header[c]])))
+        path = tmp_path_factory.mktemp(kind) / f"{kind}.csv"
+        path.write_bytes(table_bytes(kind, cells, layout))
+        expected = outcome(ref, path)
+        assert isinstance(expected, str)
+        assert outcome(load, path) == expected
 
 
 class TestCohortSummary:

@@ -1,17 +1,25 @@
 import math
+import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoaccess import DemandZone, GeoPoint
-from geoaccess.output import GeoJSONWriter, Table, write_csv, write_geojson
+from geoaccess.output import GeoJSONWriter, Table, quantize, write_csv, write_geojson
 from oracles import ref_write_csv, ref_write_geojson
 
+# The csv module quotes a field holding LF but, under CPython 3.11 with
+# "\n" line ends, not one holding a lone CR.
+LINE_BREAKS = ["a\rb", "a\nb", "a\r\nb", "\r", "\n", "\r\n", "x\r"]
+# Names the csv module quotes, and ones a %-template must not read as a field.
+QUOTED_NAMES = ["a,b", 'a"b', '"', ",", '"a"', 'say "hi", then', "100%", "%s"]
 # Ids that break naive string splicing: quotes, backslashes, commas,
-# non-ASCII, and the text between two encoded features.
+# line breaks, non-ASCII, and the text between two encoded features.
 awkward_ids = st.one_of(
-    st.sampled_from(['a"b', "a\\b", "a,b", "zoné", "東京", "},{", '"},{"type":"Feature"}']),
+    st.sampled_from(['a"b', "a\\b", "a,b", "zoné", "東京", "},{", '"},{"type":"Feature"}',
+                     *LINE_BREAKS]),
     st.text(min_size=1, max_size=6),
 )
 edge_floats = st.sampled_from([-0.0, 0.0, 1e-300, 1e16, 123456789.0, 0.1, -2.5e-7])
@@ -169,3 +177,90 @@ def test_twin_of_a_zone_without_a_row_and_of_an_empty_table(tmp_path):
         assert (tmp_path / "new.geojson").read_bytes() == (tmp_path / "ref.geojson").read_bytes()
     assert (tmp_path / "new.csv").read_text() == "zone_id,score,label\n"
     assert (tmp_path / "new.geojson").read_text().count('"properties":{"zone_id":') == 2
+
+
+def assert_matches_references(path, zones, header, rows):
+    table = Table(header, rows)
+    table.write_csv(path / "new.csv")
+    ref_write_csv(path / "ref.csv", header, rows)
+    assert (path / "new.csv").read_bytes() == (path / "ref.csv").read_bytes()
+    GeoJSONWriter(zones).write_table(path / "new.geojson", table)
+    ref_write_geojson(path / "ref.geojson", zones,
+                      {row[0]: dict(zip(header[1:], row[1:])) for row in rows})
+    assert (path / "new.geojson").read_bytes() == (path / "ref.geojson").read_bytes()
+
+
+@pytest.mark.parametrize("text", LINE_BREAKS)
+def test_line_breaks_in_ids_and_header_names(tmp_path, text):
+    point = {"type": "Point", "coordinates": [1.0, 2.0]}
+    zones = [zone(text, point), zone("b", point)]
+    header = ["zone_id", text, "label"]
+    rows = [[text, 0.5, text], ["b", None, "plain"]]
+    assert_matches_references(tmp_path, zones, header, rows)
+
+
+@pytest.mark.parametrize("name", QUOTED_NAMES)
+def test_header_names_with_a_separator_or_a_quote(tmp_path, name):
+    point = {"type": "Point", "coordinates": [1.0, 2.0]}
+    header = ["zone_id", name, "z"]
+    assert_matches_references(tmp_path, [zone("a", point)], header, [["a", 1.25, name]])
+
+
+@pytest.mark.parametrize("header", [["zone_id"], [""], ["a,b"]])
+def test_one_column_tables_with_empty_cells(tmp_path, header):
+    point = {"type": "Point", "coordinates": [1.0, 2.0]}
+    zones = [zone("", point), zone("a", point)]
+    rows = [[""], ["a"], [""], ["x,y"]]
+    assert_matches_references(tmp_path, zones, header, rows)
+    lines = (tmp_path / "new.csv").read_text().split("\n")
+    assert lines[1] == lines[3] == '""'
+
+
+def _double(bits) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+subnormals = st.integers(1, 2**52 - 1).map(_double)
+# Every finite double, drawn by its bit pattern so each exponent is as likely.
+any_doubles = st.integers(0, 2**64 - 1).map(_double).filter(math.isfinite)
+token_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -7.0, 1e-4, 1e-5, 9.99999999e-5, 0.000100000001,
+                     1.00000001e-5, 999999999.0, 1e9, 1e15, 1e16, 5e-324, 4.94065646e-324,
+                     2.2250738585072014e-308, 2.225073855e-308, 1.7976931348623157e308]),
+    st.integers(-10**17, 10**17).map(float),
+    st.floats(1e-5, 1e-4), st.floats(-1e-4, -1e-5),
+    st.floats(1e9, 1e16), st.floats(-1e16, -1e9),
+    subnormals, subnormals.map(lambda v: -v),
+    any_doubles, st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.lists(st.one_of(st.none(), token_floats), min_size=1, max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_float_tokens_are_the_repr_of_the_cell(values):
+    """A float column's JSON text is float.__repr__ of its 9g cell: the
+    cell itself or, where the digit argument does not hold, read back."""
+    rows = [[f"z{i:02d}", v] for i, v in enumerate(values)]
+    members = Table(["zone_id", "v"], rows).properties(GeoJSONWriter([]).encode)
+    for zid, v in rows:
+        token = "null" if v is None else float.__repr__(float(f"{v:.9g}"))
+        assert members[zid] == f'"v":{token},"zone_id":"{zid}"'
+        if v is not None:
+            assert token == GeoJSONWriter([]).encode(quantize(v))
+
+
+def test_writer_encoder_keeps_the_circular_reference_check():
+    writer = GeoJSONWriter([])
+    loop = []
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular reference"):
+        writer.encode(loop)
+    # A failed call leaves no container marked: the list that held the
+    # unencodable value encodes once that value is gone.
+    outer = [[1.0], object()]
+    with pytest.raises(TypeError):
+        writer.encode(outer)
+    outer.pop()
+    assert writer.encode(outer) == "[[1.0]]"
+    shared = {"b": [outer, outer], "a": "é"}
+    assert writer.encode(shared) == '{"a":"\\u00e9","b":[[[1.0]],[[1.0]]]}'

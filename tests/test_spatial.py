@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -376,6 +377,24 @@ class TestLocalBivariate:
             want = ref_pearson(x[hood], y[hood])
             if res.category[i] != "Undefined":
                 assert res.local_r[i] == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_local_r_is_scale_invariant_where_the_variance_product_leaves_range(self, scale):
+        """sxx * syy underflows (1e-100) or overflows (1e100) while both
+        variances are positive: r and the categories keep their unscaled values."""
+        pts = random_points(36, 30)
+        w = build_weights(pts, "knn", include_self=True, k=7)
+        rng = np.random.default_rng(37)
+        x = rng.normal(0, 1, 30)
+        y = rng.normal(0, 1, 30)
+        base = local_bivariate(x, y, w, permutations=99, seed=1, min_neighbors=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scaled = local_bivariate(x * scale, y * scale, w, permutations=99, seed=1,
+                                     min_neighbors=4)
+        np.testing.assert_allclose(scaled.local_r, base.local_r, rtol=1e-12, atol=0.0)
+        assert scaled.category == base.category
+        assert any(c.endswith("Significant") for c in base.category)
 
     def test_seeded_determinism_across_worker_counts(self):
         pts = random_points(38, 36)
