@@ -46,7 +46,9 @@ class DemandZone:
 
     ``attributes`` holds named real-valued columns (poverty rate, disease
     prevalences, and so on) carried through from ingestion. ``geometry``
-    is an optional GeoJSON geometry used only when emitting GeoJSON.
+    is an optional GeoJSON geometry used only when emitting GeoJSON: the
+    JSON text it was read as for a zone read from a file, or a mapping
+    for one built in code.
     """
 
     zone_id: str
@@ -55,7 +57,7 @@ class DemandZone:
     adrd_patients: float
     urban: bool
     attributes: dict = field(default_factory=dict)
-    geometry: dict | None = None
+    geometry: str | dict | None = None
 
     def __post_init__(self):
         if self.population < 0:

@@ -10,7 +10,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
+from json.decoder import scanstring
 
 from .accessibility import DemandZone, Facility
 from .errors import ValidationError
@@ -115,16 +117,19 @@ class _Columns:
                 raise ValidationError(f"{path}: unexpected extra columns {self.extra}")
             if len(set(header)) != len(header):
                 raise ValidationError(f"{path}: duplicate column names in header")
+            # A row's number is the physical line it starts on: a quoted
+            # field may hold line breaks, which reader.line_num counts.
             self.lines, rows = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ValidationError(
-                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                    )
-                self.lines.append(lineno)
-                rows.append(row)
+            lineno = reader.line_num + 1
+            for row in reader:
+                if row:
+                    if len(row) != len(header):
+                        raise ValidationError(
+                            f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                        )
+                    self.lines.append(lineno)
+                    rows.append(row)
+                lineno = reader.line_num + 1
         self._cells = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
         self._stop = len(rows)
         self._failure = None
@@ -215,7 +220,9 @@ def load_zones(path, geometry_path=None) -> list[DemandZone]:
 
     Attribute columns after the required six become the zone's named
     attributes map. Geometry features must each carry a ``zone_id``
-    property matching a CSV row.
+    property matching a CSV row, and a geometry that is null or an object
+    with a string ``type``; each zone keeps its geometry as the JSON text
+    it was read as.
     """
     rows = _Columns(path, ZONE_COLUMNS, extras_allowed=True)
     ids = rows["zone_id"]
@@ -239,25 +246,147 @@ def load_zones(path, geometry_path=None) -> list[DemandZone]:
 
 
 def _load_geometries(path, known_ids) -> dict:
+    """zone_id -> the text of its feature's geometry (None for null)."""
     with open(path, encoding="utf-8-sig") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}")
-    if doc.get("type") != "FeatureCollection" or not isinstance(doc.get("features"), list):
+        text = fh.read()
+    try:
+        doc = _feature_collection(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid JSON: {exc}")
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection" \
+            or not isinstance(doc.get("features"), list):
         raise ValidationError(f"{path}: expected a GeoJSON FeatureCollection")
     geometries = {}
     for pos, feature in enumerate(doc["features"]):
-        props = feature.get("properties") or {}
+        if feature is None:
+            raise ValidationError(f"{path}: feature {pos} is not a JSON object")
+        props, geometry = feature
+        props = props or {}
+        if not isinstance(props, dict):
+            raise ValidationError(f"{path}: feature {pos} properties is not a JSON object")
         zid = props.get("zone_id")
         if zid is None:
             raise ValidationError(f"{path}: feature {pos} has no zone_id property")
-        if zid not in known_ids:
+        if not isinstance(zid, str) or zid not in known_ids:
             raise ValidationError(f"{path}: feature {pos} zone_id {zid!r} has no CSV row")
         if zid in geometries:
             raise ValidationError(f"{path}: duplicate geometry for zone_id {zid!r}")
-        geometries[zid] = feature.get("geometry")
+        if geometry is _NOT_A_GEOMETRY:
+            raise ValidationError(
+                f"{path}: feature {pos} geometry is neither null nor an object with a string type")
+        geometries[zid] = geometry
     return geometries
+
+
+# The walk below reads a FeatureCollection as json.loads does, with the same
+# errors at the same index (CPython 3.13 names a trailing comma where this
+# walk keeps the older message), but keeps each geometry as the text it was
+# read as: every value is decoded once by the json module's scanner and, for
+# a geometry, dropped at once. A repeated key keeps its last value.
+_SPACE = re.compile(r"[ \t\n\r]*").match
+# One object member up to its value: the "{" or "," before it, and a key
+# without escapes, with the whitespace around them. Other keys, the end of
+# an object and every error go through _member.
+_MEMBER = re.compile(r'[ \t\n\r]*([{,])[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*').match
+_NOT_A_GEOMETRY = object()
+
+
+def _feature_collection(text):
+    """The top-level value of ``text``; in an object, ``features`` is read by
+    :func:`_features`."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    scan = json.JSONDecoder().scan_once
+    idx = _SPACE(text).end()
+    try:
+        if text.startswith("{", idx):
+            doc, idx = _object(text, idx, scan, _COLLECTION_READERS)
+        else:
+            doc, idx = scan(text, idx)
+    except StopIteration as err:
+        raise json.JSONDecodeError("Expecting value", text, err.value) from None
+    idx = _SPACE(text, idx).end()
+    if idx != len(text):
+        raise json.JSONDecodeError("Extra data", text, idx)
+    return doc
+
+
+def _object(text, idx, scan, readers):
+    """The members of the JSON object at ``text[idx]``, and its end. A
+    member's value is read by ``readers[key]`` where there is one, else
+    decoded."""
+    members = {}
+    opener = "{"
+    while True:
+        match = _MEMBER(text, idx)
+        if match and match[1] == opener:
+            key, idx = match[2], match.end()
+        else:
+            key, idx = _member(text, idx, opener)
+            if key is None:
+                return members, idx
+        reader = readers.get(key)
+        members[key], idx = scan(text, idx) if reader is None else reader(text, idx, scan)
+        opener = ","
+
+
+def _member(text, idx, opener):
+    """The key of the member after ``opener`` ("{" or ",") at or after
+    ``text[idx]``, and the index of its value; at the end of the object, a
+    None key and the index past it."""
+    idx = _SPACE(text, idx).end()
+    if opener == "," and text.startswith("}", idx):
+        return None, idx + 1
+    if not text.startswith(opener, idx):
+        raise json.JSONDecodeError("Expecting ',' delimiter", text, idx)
+    idx = _SPACE(text, idx + 1).end()
+    if opener == "{" and text.startswith("}", idx):
+        return None, idx + 1
+    if not text.startswith('"', idx):
+        raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, idx)
+    key, idx = scanstring(text, idx + 1)
+    idx = _SPACE(text, idx).end()
+    if not text.startswith(":", idx):
+        raise json.JSONDecodeError("Expecting ':' delimiter", text, idx)
+    return key, _SPACE(text, idx + 1).end()
+
+
+def _features(text, idx, scan):
+    """An array at ``text[idx]`` as one ``(properties, geometry)`` per
+    object element and None per other element; any other value decoded."""
+    if not text.startswith("[", idx):
+        return scan(text, idx)
+    features = []
+    idx = _SPACE(text, idx + 1).end()
+    if text.startswith("]", idx):
+        return features, idx + 1
+    while True:
+        if text.startswith("{", idx):
+            members, idx = _object(text, idx, scan, _FEATURE_READERS)
+            features.append((members.get("properties"), members.get("geometry")))
+        else:
+            idx = scan(text, idx)[1]
+            features.append(None)
+        idx = _SPACE(text, idx).end()
+        if text.startswith("]", idx):
+            return features, idx + 1
+        if not text.startswith(",", idx):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, idx)
+        idx = _SPACE(text, idx + 1).end()
+
+
+def _geometry(text, idx, scan):
+    """The geometry at ``text[idx]`` as its text, None for null, and its end."""
+    value, end = scan(text, idx)
+    if value is None:
+        return None, end
+    if isinstance(value, dict) and isinstance(value.get("type"), str):
+        return text[idx:end], end
+    return _NOT_A_GEOMETRY, end
+
+
+_COLLECTION_READERS = {"features": _features}
+_FEATURE_READERS = {"geometry": _geometry}
 
 
 def load_facilities(path) -> list[Facility]:

@@ -12,8 +12,6 @@ Each file is built as one string and written with one call.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _quote
@@ -24,7 +22,7 @@ __all__ = ["format_value", "Table", "write_csv", "GeoJSONWriter", "write_geojson
 
 # float.__repr__ of the values JSON spells NaN, Infinity and -Infinity.
 _NONFINITE = frozenset(["nan", "inf", "-inf"])
-# What can make the csv module quote a field (with "\n" line ends).
+# What makes a CSV field need quotes.
 _CSV_SPECIAL = (",", '"', "\r", "\n")
 
 
@@ -77,7 +75,7 @@ def _tokens(column, cells, encode) -> list:
 def _csv_fields(cells, sole: bool) -> list:
     """``cells`` as CSV fields; ``sole`` when each is the only field of its
     row. A cell holding a separator, quote or line break, or an empty sole
-    field, is spelled by the csv module; every other cell is its own field."""
+    field, is quoted; every other cell is its own field."""
     text = "".join(cells)
     if not any(s in text for s in _CSV_SPECIAL) and not (sole and "" in cells):
         return cells
@@ -86,10 +84,8 @@ def _csv_fields(cells, sole: bool) -> list:
 
 
 def _csv_field(cell) -> str:
-    """``cell`` as the csv module writes it alone on a row."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([cell])
-    return buf.getvalue()[:-1]
+    """``cell`` quoted, its quotes doubled (RFC 4180)."""
+    return '"' + cell.replace('"', '""') + '"'
 
 
 def _write_text(path, text) -> None:
@@ -135,13 +131,15 @@ def write_csv(path, header, rows) -> None:
 
 
 class GeoJSONWriter:
-    """FeatureCollections over one set of zones, each geometry encoded once.
+    """FeatureCollections over one set of zones.
 
     A file holds a feature for every zone that carries geometry, ordered
     by zone id; its properties are the zone id plus the attributes given
-    for that zone. The bytes equal ``json.dumps`` of the whole document
-    with sorted keys, because sorted keys put a feature's geometry before
-    its properties and type, and the features before the collection's type.
+    for that zone. A geometry given as JSON text is written as it is; a
+    mapping is encoded once. The bytes equal ``json.dumps`` of the whole
+    document with sorted keys when every geometry text is so spelled,
+    because sorted keys put a feature's geometry before its properties
+    and type, and the features before the collection's type.
     """
 
     def __init__(self, zones):
@@ -154,7 +152,8 @@ class GeoJSONWriter:
             self._markers, options.default, _quote, options.indent, options.key_separator,
             options.item_separator, options.sort_keys, options.skipkeys, options.allow_nan)
         self._heads = [
-            (zone.zone_id, '{"geometry":' + self.encode(zone.geometry) + ',"properties":{')
+            (zone.zone_id, '{"geometry":' + (zone.geometry if isinstance(zone.geometry, str)
+                                             else self.encode(zone.geometry)) + ',"properties":{')
             for zone in sorted(zones, key=lambda z: z.zone_id)
             if zone.geometry is not None
         ]

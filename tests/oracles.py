@@ -6,6 +6,7 @@ produced by these same routines (or scipy) before the build.
 """
 
 import csv
+import io
 import json
 import math
 
@@ -272,16 +273,19 @@ def _ref_format(value):
 
 
 def ref_write_csv(path, header, rows):
-    """CSV with every cell formatted on its own, one writerow per row."""
+    """CSV with every cell formatted on its own, one writerow per row. Each
+    row is spelled with "\r\n" line ends, with which the csv module quotes a
+    field holding a lone CR on every CPython, and written ending in "\n"."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_ref_format(v) for v in row])
+        for row in [header, *([_ref_format(v) for v in row] for row in rows)]:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\r\n").writerow(row)
+            fh.write(buf.getvalue()[:-2] + "\n")
 
 
 def ref_write_geojson(path, zones, attributes_by_zone):
-    """The whole FeatureCollection built as one document and dumped once."""
+    """The whole FeatureCollection built as one document and dumped once;
+    a geometry given as JSON text is decoded first."""
     features = []
     for zone in sorted(zones, key=lambda z: z.zone_id):
         if zone.geometry is None:
@@ -289,9 +293,8 @@ def ref_write_geojson(path, zones, attributes_by_zone):
         properties = {"zone_id": zone.zone_id}
         for name, value in attributes_by_zone.get(zone.zone_id, {}).items():
             properties[name] = float(f"{float(value):.9g}") if isinstance(value, float) else value
-        features.append(
-            {"type": "Feature", "geometry": zone.geometry, "properties": properties}
-        )
+        geometry = json.loads(zone.geometry) if isinstance(zone.geometry, str) else zone.geometry
+        features.append({"type": "Feature", "geometry": geometry, "properties": properties})
     doc = {"type": "FeatureCollection", "features": features}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
@@ -315,7 +318,11 @@ def _ref_read_rows(path, required, extras_allowed):
         if len(set(header)) != len(header):
             raise ValidationError(f"{path}: duplicate column names in header")
         rows = []
-        for lineno, raw in enumerate(reader, start=2):
+        while True:
+            lineno = reader.line_num + 1  # the physical line the next row starts on
+            raw = next(reader, None)
+            if raw is None:
+                break
             if not raw:
                 continue
             if len(raw) != len(header):

@@ -1,11 +1,19 @@
 import dataclasses
+import gc
 import json
+import math
+import os
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoaccess import (
+    DemandZone,
+    Facility,
+    GeoPoint,
     PatientRecord,
     ValidationError,
     cohort_summary,
@@ -15,6 +23,9 @@ from geoaccess import (
     load_patients,
     load_zones,
 )
+from geoaccess.cli import main
+from geoaccess.ingest import FACILITY_COLUMNS, ZONE_COLUMNS
+from geoaccess.output import write_csv, write_geojson
 from oracles import ref_load_counties, ref_load_facilities, ref_load_zones
 
 ZONES_HEADER = "zone_id,lat,lon,population,adrd_patients,urban"
@@ -90,7 +101,7 @@ class TestLoadZones:
             }],
         }))
         zones = load_zones(csv_path, geometry_path=geo_path)
-        assert zones[0].geometry == {"type": "Point", "coordinates": [-76.0, 39.0]}
+        assert json.loads(zones[0].geometry) == {"type": "Point", "coordinates": [-76.0, 39.0]}
 
     def test_geometry_without_csv_row_rejected(self, tmp_path):
         csv_path = tmp_path / "zones.csv"
@@ -123,7 +134,7 @@ class TestLoadZones:
         }))
         with_geometry = load_zones(csv_path, geometry_path=geo_path)
         bare = load_zones(csv_path)
-        assert [z.geometry for z in with_geometry] == [None, point]
+        assert [z.geometry and json.loads(z.geometry) for z in with_geometry] == [None, point]
         assert [dataclasses.replace(z, geometry=None) for z in with_geometry] == bare
 
 
@@ -228,7 +239,8 @@ class TestByteOrderMark:
             "type": "Feature", "properties": {"zone_id": "z1"},
             "geometry": {"type": "Point", "coordinates": [-76.0, 39.0]}}]}
         geo_path.write_bytes(b"\xef\xbb\xbf" + json.dumps(doc).encode("utf-8"))
-        assert load_zones(csv_path, geometry_path=geo_path)[0].geometry == doc["features"][0]["geometry"]
+        geometry = load_zones(csv_path, geometry_path=geo_path)[0].geometry
+        assert json.loads(geometry) == doc["features"][0]["geometry"]
 
 
 zone_rows = st.lists(
@@ -428,3 +440,244 @@ class TestCohortSummary:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             cohort_summary([])
+
+
+def one_zone_csv(tmp_path):
+    path = tmp_path / "zones.csv"
+    write_csv(path, ZONE_COLUMNS, [["z1", 39.0, -76.0, 1000, 12, True]])
+    return path
+
+
+POINT = {"type": "Point", "coordinates": [-76.0, 39.0]}
+GOOD_FEATURE = {"type": "Feature", "properties": {"zone_id": "z0"}, "geometry": POINT}
+# Each document is valid JSON but not a FeatureCollection the join can read,
+# and the fault named is feature 1's.
+MALFORMED = {
+    "top-level array": ([GOOD_FEATURE], "expected a GeoJSON FeatureCollection"),
+    "feature not an object": (
+        {"type": "FeatureCollection", "features": [GOOD_FEATURE, 1]},
+        "feature 1 is not a JSON object"),
+    "properties not an object": (
+        {"type": "FeatureCollection",
+         "features": [GOOD_FEATURE, {"type": "Feature", "properties": [1], "geometry": POINT}]},
+        "feature 1 properties is not a JSON object"),
+    "zone_id not a string": (
+        {"type": "FeatureCollection", "features": [
+            GOOD_FEATURE, {"type": "Feature", "properties": {"zone_id": [1]}, "geometry": POINT}]},
+        r"feature 1 zone_id \[1\] has no CSV row"),
+    "geometry a number": (
+        {"type": "FeatureCollection", "features": [
+            GOOD_FEATURE, {"type": "Feature", "properties": {"zone_id": "z1"}, "geometry": 5}]},
+        "feature 1 geometry is neither null nor an object with a string type"),
+}
+
+
+def two_zone_files(tmp_path, doc):
+    csv_path = tmp_path / "zones.csv"
+    write_csv(csv_path, ZONE_COLUMNS, [["z0", 39.0, -76.0, 10, 1, True],
+                                       ["z1", 39.1, -76.1, 10, 1, False]])
+    geo_path = tmp_path / "zones.geojson"
+    geo_path.write_text(json.dumps(doc))
+    return csv_path, geo_path
+
+
+# Documents json.loads rejects, each with the fault at a different step of
+# reading an object or an array.
+INVALID_JSON = [
+    "", "not json", "[", "{", "{}}", '{"type"}', '{"type" "x"}', '{"type":}', '{"a":1 "b":2}',
+    '{"features":[{"geometry":null}{}]}', '{"features":[1 2]}', '{1:2}', '{"a":1,2}',
+    '{"features":[{"geometry":{"type":"Point","coordinates":[1,]}}]}', '{"a":"\x01"}',
+    '{"a\\q":1}', '{"features":[{"properties":{"zone_id":"z1"},"geometry":tru}]}', "﻿{}",
+]
+
+spaces = st.sampled_from(["", " ", "\n", "\t", "\r\n  "])
+# Values a repeated key may hold before the member that counts: bad
+# geometries and properties among them.
+decoys = st.sampled_from([5, None, "x", [1], {"type": 3}, {"zone_id": "nope"}])
+coordinates = st.one_of(st.sampled_from([-0.0, 0.0, 1e300, -2.5e-7, 5e-324, 1e16, 100]),
+                        st.floats(-180.0, 180.0))
+names = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+geometries = st.one_of(
+    st.none(),
+    st.builds(lambda x, y: {"type": "Point", "coordinates": [x, y]}, coordinates, coordinates),
+    st.builds(lambda ring, name: {"type": "Polygon", "coordinates": [ring + ring[:1]],
+                                  "name": name},
+              st.lists(st.lists(coordinates, min_size=2, max_size=2), min_size=3, max_size=5),
+              names),
+)
+zone_ids = st.text(st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=5)
+
+
+def spell(draw, value) -> str:
+    """``value`` as JSON text with drawn whitespace, member order, repeated
+    keys, string escapes and number spellings."""
+    if isinstance(value, dict):
+        members = []
+        for key, item in draw(st.permutations(list(value.items()))):
+            if draw(st.integers(0, 4)) == 0:
+                members.append((key, draw(decoys)))
+            members.append((key, item))
+        return "{" + ",".join(
+            draw(spaces) + spell(draw, key) + draw(spaces) + ":" + draw(spaces)
+            + spell(draw, item) + draw(spaces) for key, item in members) + draw(spaces) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(draw(spaces) + spell(draw, item) + draw(spaces)
+                              for item in value) + draw(spaces) + "]"
+    if isinstance(value, str):
+        escape = draw(st.sampled_from(["none", "non-ASCII", "all"]))
+        if escape == "all":
+            return '"' + "".join(json.dumps(c)[1:-1] if ord(c) > 0xFFFF else f"\\u{ord(c):04x}"
+                                 for c in value) + '"'
+        return json.dumps(value, ensure_ascii=escape == "non-ASCII").replace(
+            "/", "\\/" if draw(st.booleans()) else "/")
+    if isinstance(value, float):
+        return draw(st.sampled_from([repr(value), f"{value:.16e}", f"{value:.16E}"]))
+    return json.dumps(value)
+
+
+@st.composite
+def feature_collections(draw):
+    """A FeatureCollection over distinct zone ids, and whether it is spelled
+    as the package writes it (compact, sorted keys, ASCII)."""
+    ids = draw(st.lists(zone_ids, min_size=1, max_size=5, unique=True))
+    features = [{"type": "Feature", "properties": {"zone_id": zid, "name": draw(names)},
+                 "geometry": draw(geometries)} for zid in draw(st.permutations(ids))]
+    doc = {"type": "FeatureCollection", "features": features}
+    canonical = draw(st.booleans())
+    text = (json.dumps(doc, sort_keys=True, separators=(",", ":")) if canonical
+            else draw(spaces) + spell(draw, doc) + draw(spaces))
+    return ids, text, canonical
+
+
+def polygon_zone_files(directory, n, vertices):
+    """A zones CSV and a GeoJSON file of ``n`` zones, each with one ring."""
+    zones = []
+    for i in range(n):
+        lat, lon = 39.0 + i * 1e-3, -76.0
+        ring = [[lon + 0.004 * math.cos(k), lat + 0.004 * math.sin(k)] for k in range(vertices - 1)]
+        zones.append(DemandZone(f"z{i:04d}", GeoPoint(lat, lon), 10, 1, False,
+                                geometry={"type": "Polygon", "coordinates": [ring + ring[:1]]}))
+    csv_path, geo_path = directory / "zones.csv", directory / "zones.geojson"
+    write_csv(csv_path, ZONE_COLUMNS,
+              [[z.zone_id, z.centroid.lat, z.centroid.lon, 10, 1, False] for z in zones])
+    write_geojson(geo_path, zones, {})
+    return csv_path, geo_path
+
+
+class TestGeometryFile:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_feature_collection_fails_by_name(self, tmp_path, capsys, case):
+        doc, message = MALFORMED[case]
+        csv_path, geo_path = two_zone_files(tmp_path, doc)
+        with pytest.raises(ValidationError, match=rf"^{re.escape(str(geo_path))}: {message}$"):
+            load_zones(csv_path, geometry_path=geo_path)
+        facilities = tmp_path / "facilities.csv"
+        facilities.write_text("facility_id,lat,lon,beds\nh1,39.0,-76.0,10\n")
+        assert main(["access", "--zones", str(csv_path), "--geometry", str(geo_path),
+                     "--facilities", str(facilities), "--out", str(tmp_path / "a.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {geo_path}: ")
+
+    @pytest.mark.parametrize("text", INVALID_JSON)
+    def test_invalid_json_fails_with_the_decoders_message(self, tmp_path, text):
+        csv_path = one_zone_csv(tmp_path)
+        geo_path = tmp_path / "zones.geojson"
+        geo_path.write_text(text, encoding="utf-8-sig")
+        with pytest.raises(json.JSONDecodeError) as decoder:
+            json.loads(text)
+        with pytest.raises(ValidationError) as walk:
+            load_zones(csv_path, geometry_path=geo_path)
+        assert str(walk.value) == f"{geo_path}: invalid JSON: {decoder.value}"
+
+    def test_every_cut_of_a_document_fails_as_the_decoder_does(self, tmp_path):
+        csv_path = one_zone_csv(tmp_path)
+        text = json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "properties": {"zone_id": "z1"}, "geometry": POINT}]}, indent=1)
+        geo_path = tmp_path / "zones.geojson"
+        for cut in range(len(text) - 1):
+            geo_path.write_text(text[:cut], encoding="utf-8")
+            with pytest.raises(json.JSONDecodeError) as decoder:
+                json.loads(text[:cut])
+            with pytest.raises(ValidationError) as walk:
+                load_zones(csv_path, geometry_path=geo_path)
+            assert str(walk.value) == f"{geo_path}: invalid JSON: {decoder.value}"
+
+    @given(feature_collections(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_each_geometry_is_the_text_that_decodes_as_json_load_reads_it(
+            self, tmp_path_factory, case, bom):
+        ids, text, canonical = case
+        directory = tmp_path_factory.mktemp("geo")
+        csv_path, geo_path = directory / "zones.csv", directory / "zones.geojson"
+        write_csv(csv_path, ZONE_COLUMNS, [[zid, 39.0, -76.0, 10, 1, True] for zid in ids])
+        geo_path.write_bytes(("﻿" if bom else "").encode("utf-8") + text.encode("utf-8"))
+        with open(geo_path, encoding="utf-8-sig") as fh:
+            doc = json.load(fh)
+        expected = {f["properties"]["zone_id"]: f.get("geometry") for f in doc["features"]}
+        for zone in load_zones(csv_path, geometry_path=geo_path):
+            geometry = expected[zone.zone_id]
+            if geometry is None:
+                assert zone.geometry is None
+                continue
+            # json.dumps tells -0.0 from 0.0 and keeps member order.
+            assert json.dumps(json.loads(zone.geometry)) == json.dumps(geometry)
+            if canonical:
+                assert zone.geometry == json.dumps(geometry, sort_keys=True,
+                                                   separators=(",", ":"))
+
+    def test_polygon_zones_keep_no_object_graph(self, tmp_path):
+        csv_path, geo_path = polygon_zone_files(tmp_path, 300, 5)
+        load_zones(csv_path, geometry_path=geo_path)
+        gc.collect()
+        before = len(gc.get_objects())
+        zones = load_zones(csv_path, geometry_path=geo_path)
+        gc.collect()
+        assert (len(gc.get_objects()) - before) / len(zones) <= 3
+
+    def test_peak_memory_is_a_small_multiple_of_the_file(self, tmp_path):
+        csv_path, geo_path = polygon_zone_files(tmp_path, 200, 400)
+        load_zones(csv_path)
+        tracemalloc.start()
+        try:
+            zones = load_zones(csv_path, geometry_path=geo_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(z.geometry for z in zones)
+        assert peak < 3 * os.path.getsize(geo_path)
+
+
+# Ids holding what a CSV field must quote.
+quoted_ids = st.text(st.sampled_from("ab \r\n\","), min_size=1, max_size=6)
+
+
+class TestCsvRecords:
+    @given(st.lists(quoted_ids, min_size=1, max_size=5, unique=True))
+    @settings(max_examples=100, deadline=None)
+    def test_ids_with_line_breaks_quotes_and_commas_round_trip(self, tmp_path_factory, ids):
+        directory = tmp_path_factory.mktemp("csv")
+        facilities = [Facility(fid, GeoPoint(39.0, -76.0 + i), i + 1) for i, fid in enumerate(ids)]
+        write_csv(directory / "facilities.csv", FACILITY_COLUMNS,
+                  [[f.facility_id, f.location.lat, f.location.lon, f.beds] for f in facilities])
+        assert load_facilities(directory / "facilities.csv") == facilities
+        zones = [DemandZone(zid, GeoPoint(39.0, -76.0), i, 0, True) for i, zid in enumerate(ids)]
+        write_csv(directory / "zones.csv", ZONE_COLUMNS,
+                  [[z.zone_id, 39.0, -76.0, z.population, 0, True] for z in zones])
+        assert load_zones(directory / "zones.csv") == zones
+
+    @pytest.mark.parametrize("first_id", ["z\n1", "z\r\n1", "z\r1"])
+    def test_errors_name_the_physical_line(self, tmp_path, first_id):
+        rows = "z0,39.0,-76.0,1,1,0\nz2,39.0,-76.0,x,1,0\n"
+        plain, broken = tmp_path / "plain.csv", tmp_path / "broken.csv"
+        plain.write_text(f"{ZONES_HEADER}\nz1,39.0,-76.0,1,1,0\n{rows}", newline="")
+        broken.write_text(f'{ZONES_HEADER}\n"{first_id}",39.0,-76.0,1,1,0\n{rows}', newline="")
+        with pytest.raises(ValidationError, match=r"plain.csv:4: column 'population'"):
+            load_zones(plain)
+        with pytest.raises(ValidationError, match=r"broken.csv:5: column 'population'"):
+            load_zones(broken)
+
+    def test_duplicate_after_a_quoted_line_break_names_both_lines(self, tmp_path):
+        path = tmp_path / "zones.csv"
+        path.write_text(f'{ZONES_HEADER}\n"a\nb",39.0,-76.0,1,1,0\nz1,39.0,-76.0,1,1,0\n'
+                        "z1,39.0,-76.0,1,1,0\n", newline="")
+        with pytest.raises(ValidationError, match=r"zones.csv:5: .*'z1' \(first seen at line 4\)"):
+            load_zones(path)

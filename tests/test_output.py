@@ -10,8 +10,7 @@ from geoaccess import DemandZone, GeoPoint
 from geoaccess.output import GeoJSONWriter, Table, quantize, write_csv, write_geojson
 from oracles import ref_write_csv, ref_write_geojson
 
-# The csv module quotes a field holding LF but, under CPython 3.11 with
-# "\n" line ends, not one holding a lone CR.
+# Fields holding a line break, quoted whether it is CR, LF or both.
 LINE_BREAKS = ["a\rb", "a\nb", "a\r\nb", "\r", "\n", "\r\n", "x\r"]
 # Names the csv module quotes, and ones a %-template must not read as a field.
 QUOTED_NAMES = ["a,b", 'a"b', '"', ",", '"a"', 'say "hi", then', "100%", "%s"]
