@@ -13,6 +13,7 @@ import os
 import sys
 
 from . import pipeline as pl
+from .accessibility import DECAY_FAMILIES, DEMAND_COLUMNS
 from .config import CONFIG_KEYS, RunConfig, load_config
 from .errors import ValidationError
 from .ingest import (COUNTY_COLUMNS, FACILITY_COLUMNS, ZONE_COLUMNS, load_counties,
@@ -38,8 +39,8 @@ def _add_config_flags(p: _Parser):
     g = p.add_argument_group("configuration")
     g.add_argument("--config", help="JSON config file with RunConfig keys")
     g.add_argument("--d0", type=float, dest="catchment_miles", help="catchment threshold, miles")
-    g.add_argument("--impedance", choices=("gaussian", "exponential", "power"))
-    g.add_argument("--demand", choices=("patients", "population"))
+    g.add_argument("--impedance", choices=DECAY_FAMILIES)
+    g.add_argument("--demand", choices=DEMAND_COLUMNS)
     g.add_argument("--scheme", choices=("fixed_band", "knn"), dest="weights_scheme")
     g.add_argument("--band", type=float, dest="band_miles", help="fixed band distance, miles")
     g.add_argument("--k", type=int, dest="knn_k", help="neighbor count for knn weights")
@@ -91,11 +92,12 @@ def _build_parser() -> _Parser:
         zones=True, facilities=True, out=True)
     p = add("ttest", "rural versus urban Welch t-tests",
             zones=True, facilities="optional", out=True)
-    p.add_argument("--columns", help="comma-separated variables (default: accessibility + attributes)")
+    p.add_argument("--columns", help="comma-separated variables: attributes, accessibility or "
+                   "risk_index (default: accessibility + attributes)")
     p = add("hotspot", "Getis-Ord Gi* hot/cold spots",
             zones=True, facilities="optional", out=True)
     p.add_argument("--value-col", default="accessibility",
-                   help="zone column to analyze (default accessibility)")
+                   help="attribute, accessibility, or risk_index (default accessibility)")
     p = add("bivariate", "permutation-tested local bivariate association",
             zones=True, facilities="optional", out=True)
     p.add_argument("--x", required=True, help="x column (attribute, accessibility, or risk_index)")
@@ -163,10 +165,18 @@ def _cmd_gini(args, cfg):
     write_csv(args.out, pl.GINI_HEADER, pl.gini_rows(zones, field))
 
 
-def _require_facilities(args, purpose):
-    if args.facilities is None:
-        raise ValidationError(f"--facilities is required to compute {purpose}")
-    return load_facilities(args.facilities)
+def _computed(args, zones, cfg, names) -> dict:
+    """zone_id -> value for each computed column (accessibility, risk_index)
+    among ``names``; a computed name shadows an attribute of that name."""
+    computed = {}
+    if "accessibility" in names:
+        if args.facilities is None:
+            raise ValidationError("--facilities is required to compute accessibility")
+        field = pl.compute_access(zones, load_facilities(args.facilities), cfg)
+        computed["accessibility"] = field.zone_scores
+    if "risk_index" in names:
+        computed["risk_index"] = dict(pl.risk_rows(zones, cfg)[0])
+    return computed
 
 
 def _cmd_ttest(args, cfg):
@@ -175,34 +185,20 @@ def _cmd_ttest(args, cfg):
         columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     else:
         columns = ["accessibility"] + sorted(zones[0].attributes)
-    computed = {}
-    if "accessibility" in columns:
-        field = pl.compute_access(zones, _require_facilities(args, "accessibility"), cfg)
-        computed["accessibility"] = field.zone_scores
+    computed = _computed(args, zones, cfg, columns)
     write_csv(args.out, pl.TTEST_HEADER, pl.ttest_rows(zones, columns, computed))
 
 
 def _cmd_hotspot(args, cfg):
     zones = _load_sorted_zones(args)
-    if args.value_col == "accessibility":
-        field = pl.compute_access(zones, _require_facilities(args, "accessibility"), cfg)
-        values = [field.zone_scores[z.zone_id] for z in zones]
-    else:
-        values = pl.resolve_series(zones, args.value_col)
-    rows = pl.hotspot_rows(zones, values, cfg)
+    computed = _computed(args, zones, cfg, [args.value_col])
+    rows = pl.hotspot_rows(zones, pl.resolve_series(zones, args.value_col, computed), cfg)
     _write_zone_table(args, zones, pl.HOTSPOT_HEADER, rows)
 
 
 def _cmd_bivariate(args, cfg):
     zones = _load_sorted_zones(args)
-    computed = {}
-    needed = {args.x, args.y}
-    if "accessibility" in needed:
-        field = pl.compute_access(zones, _require_facilities(args, "accessibility"), cfg)
-        computed["accessibility"] = field.zone_scores
-    if "risk_index" in needed:
-        rk_rows, _ = pl.risk_rows(zones, cfg)
-        computed["risk_index"] = {zid: v for zid, v in rk_rows}
+    computed = _computed(args, zones, cfg, [args.x, args.y])
     rows = pl.bivariate_rows(zones, args.x, args.y, cfg, computed)
     _write_zone_table(args, zones, pl.BIVARIATE_HEADER, rows)
 

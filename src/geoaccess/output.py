@@ -13,7 +13,6 @@ Each file is built as one string and written with one call.
 from __future__ import annotations
 
 import json
-from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -24,6 +23,8 @@ __all__ = ["format_value", "Table", "write_csv", "GeoJSONWriter", "write_geojson
 _NONFINITE = frozenset(["nan", "inf", "-inf"])
 # What makes a CSV field need quotes.
 _CSV_SPECIAL = (",", '"', "\r", "\n")
+# json.dumps(value, sort_keys=True, separators=(",", ":")).
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def quantize(x: float) -> float:
@@ -53,7 +54,7 @@ def _cells(column) -> list:
     return [format_value(v) for v in column]
 
 
-def _tokens(column, cells, encode) -> list:
+def _tokens(column, cells) -> list:
     """The JSON text of every value of one column, from its CSV cells where it can."""
     kinds = set(map(type, column))
     if kinds == {str}:
@@ -69,7 +70,7 @@ def _tokens(column, cells, encode) -> list:
                   else float.__repr__(float(c)) if c else "null" for c in cells]
         if _NONFINITE.isdisjoint(tokens):
             return tokens
-    return [encode(quantize(v) if isinstance(v, float) else v) for v in column]
+    return [_encode(quantize(v) if isinstance(v, float) else v) for v in column]
 
 
 def _csv_fields(cells, sole: bool) -> list:
@@ -112,16 +113,15 @@ class Table:
         lines = map(",".join, zip(*[_csv_fields(cells, sole) for cells in self._cells]))
         _write_text(path, "\n".join([",".join(_csv_fields(self.header, sole)), *lines]) + "\n")
 
-    def properties(self, encode) -> dict:
+    def properties(self) -> dict:
         """First-column value -> its row as sorted-key JSON object members,
         the first column named ``zone_id`` and the others by the header; as
-        in a dict, a later column of a name, or a later row of an id, wins.
-        ``encode`` spells a value no column rule covers."""
+        in a dict, a later column of a name, or a later row of an id, wins."""
         names = sorted(dict(zip(["zone_id", *self.header[1:]], range(len(self._columns)))).items())
         if not names:
             return {}
         template = ",".join(_quote(name).replace("%", "%%") + ":%s" for name, _ in names)
-        tokens = [_tokens(self._columns[j], self._cells[j], encode) for _, j in names]
+        tokens = [_tokens(self._columns[j], self._cells[j]) for _, j in names]
         return dict(zip(self._columns[0], map(template.__mod__, zip(*tokens))))
 
 
@@ -142,15 +142,9 @@ class GeoJSONWriter:
     and type, and the features before the collection's type.
     """
 
+    encode = staticmethod(_encode)
+
     def __init__(self, zones):
-        # The C encoder that json.dumps(doc, sort_keys=True,
-        # separators=(",", ":")) builds on every call, built once.
-        # ``_markers`` is its circular-reference check.
-        options = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-        self._markers: dict = {}
-        self._iterencode = c_make_encoder(
-            self._markers, options.default, _quote, options.indent, options.key_separator,
-            options.item_separator, options.sort_keys, options.skipkeys, options.allow_nan)
         self._heads = [
             (zone.zone_id, '{"geometry":' + (zone.geometry if isinstance(zone.geometry, str)
                                              else self.encode(zone.geometry)) + ',"properties":{')
@@ -158,17 +152,10 @@ class GeoJSONWriter:
             if zone.geometry is not None
         ]
 
-    def encode(self, value) -> str:
-        """``json.dumps(value, sort_keys=True, separators=(",", ":"))``."""
-        try:
-            return "".join(self._iterencode(value, 0))
-        finally:
-            self._markers.clear()  # a failed call leaves its containers marked
-
     def write_table(self, path, table: Table) -> None:
         """The twin of a zone-level table: each zone's properties are the
         row whose first cell is its id, that cell named ``zone_id``."""
-        self._write(path, table.properties(self.encode))
+        self._write(path, table.properties())
 
     def write(self, path, attributes_by_zone) -> None:
         """Properties from ``zone_id -> {name: value}``, names being strings.
@@ -179,7 +166,7 @@ class GeoJSONWriter:
             groups.setdefault(tuple(attributes), []).append([zone_id, *attributes.values()])
         members: dict = {}
         for names, rows in groups.items():
-            members.update(Table(["zone_id", *names], rows).properties(self.encode))
+            members.update(Table(["zone_id", *names], rows).properties())
         self._write(path, members)
 
     def _write(self, path, members) -> None:

@@ -66,16 +66,14 @@ def resolve_series(zones, name: str, computed: dict | None = None) -> list[float
     ``computed`` maps derived column names (accessibility, risk_index)
     to zone_id -> value dicts; anything else must be a zone attribute.
     """
-    computed = computed or {}
-    if name in computed:
-        table = computed[name]
-        return [table[z.zone_id] for z in zones]
-    values = []
-    for z in zones:
-        if name not in z.attributes:
-            raise ValidationError(f"zone {z.zone_id!r} has no attribute column {name!r}")
-        values.append(z.attributes[name])
-    return values
+    if computed and name in computed:
+        by_id = computed[name]
+        return [by_id[z.zone_id] for z in zones]
+    try:
+        return [z.attributes[name] for z in zones]
+    except KeyError:
+        zone = next(z for z in zones if name not in z.attributes)
+        raise ValidationError(f"zone {zone.zone_id!r} has no attribute column {name!r}") from None
 
 
 def access_rows(zones, field):
@@ -103,12 +101,7 @@ def hotspot_rows(zones, values, cfg: RunConfig, weights=None):
 
 
 def risk_rows(zones, cfg: RunConfig):
-    matrix = [[None] * len(cfg.prevalence_columns) for _ in zones]
-    for i, zone in enumerate(zones):
-        for j, col in enumerate(cfg.prevalence_columns):
-            if col not in zone.attributes:
-                raise ValidationError(f"zone {zone.zone_id!r} has no attribute column {col!r}")
-            matrix[i][j] = zone.attributes[col]
+    matrix = list(zip(*(resolve_series(zones, col) for col in cfg.prevalence_columns)))
     model, standardized = fit_risk_model(matrix, columns=list(cfg.prevalence_columns))
     index = health_risk_index(model, standardized, target=cfg.variance_target)
     rows = [(z.zone_id, float(s)) for z, s in zip(zones, index.scores)]
@@ -159,15 +152,14 @@ def ttest_rows(zones, columns, computed=None):
     Group a is rural and group b urban, so a negative t means the urban
     mean exceeds the rural mean.
     """
-    rural = [z for z in zones if not z.urban]
-    urban = [z for z in zones if z.urban]
-    if not rural or not urban:
+    urban = [z.urban for z in zones]
+    if all(urban) or not any(urban):
         raise ValidationError("t-test comparison requires both rural and urban zones")
     rows = []
     for name in columns:
-        series = dict(zip((z.zone_id for z in zones), resolve_series(zones, name, computed)))
-        a = [series[z.zone_id] for z in rural]
-        b = [series[z.zone_id] for z in urban]
+        series = resolve_series(zones, name, computed)
+        a = [v for v, u in zip(series, urban) if not u]
+        b = [v for v, u in zip(series, urban) if u]
         res = welch_t_test(a, b)
         flag = "ok"
         if res.degenerate:
@@ -226,23 +218,19 @@ def _write_outputs(zones, facilities, counties, out_dir, cfg: RunConfig) -> dict
             geojson.write_table(os.path.join(out_dir, f"{name}.geojson"), table)
 
     field = compute_access(zones, facilities, cfg)
-    acc_rows = access_rows(zones, field)
-    emit("access", ACCESS_HEADER, acc_rows, zone_level=True)
+    emit("access", ACCESS_HEADER, access_rows(zones, field), zone_level=True)
 
     emit("gini", GINI_HEADER, gini_rows(zones, field))
 
     weights = _zone_weights(zones, cfg)
-    access_by_zone = {zid: v for zid, v in acc_rows}
-    hs_rows = hotspot_rows(zones, [access_by_zone[z.zone_id] for z in zones], cfg, weights)
-    emit("hotspot_accessibility", HOTSPOT_HEADER, hs_rows, zone_level=True)
+    access = [field.zone_scores[z.zone_id] for z in zones]
+    emit("hotspot_accessibility", HOTSPOT_HEADER, hotspot_rows(zones, access, cfg, weights),
+         zone_level=True)
 
     rk_rows, _ = risk_rows(zones, cfg)
     emit("risk_index", RISK_HEADER, rk_rows, zone_level=True)
 
-    computed = {
-        "accessibility": access_by_zone,
-        "risk_index": {zid: v for zid, v in rk_rows},
-    }
+    computed = {"accessibility": field.zone_scores, "risk_index": dict(rk_rows)}
     y_names = ("accessibility", "risk_index")
     tables = bivariate_tables(zones, poverty, y_names, cfg, computed, weights)
     for y_name, rows in zip(y_names, tables):

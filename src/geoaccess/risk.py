@@ -17,6 +17,8 @@ import numpy as np
 from .errors import ValidationError
 
 DEFAULT_VARIANCE_TARGET = 0.75
+# Relative size below which two magnitudes tie and a covariance is zero.
+_TIE = 1e-12
 
 __all__ = [
     "DEFAULT_VARIANCE_TARGET",
@@ -36,8 +38,9 @@ class PcaModel:
 
     ``loadings`` holds orthonormal eigenvectors as columns, ordered by
     descending eigenvalue; within each eigenvector the entry of largest
-    magnitude is non-negative (first such entry decides on ties), which
-    pins the otherwise arbitrary sign.
+    magnitude is non-negative, which pins the otherwise arbitrary sign.
+    Entries within 1e-12 relative of the largest tie, and the first of
+    them decides, so rounding does not pick the sign.
     """
 
     eigenvalues: np.ndarray
@@ -95,7 +98,8 @@ def pca_fit(standardized) -> PcaModel:
     eigenvalues = eigenvalues[order]
     vectors = vectors[:, order]
     for c in range(vectors.shape[1]):
-        lead = int(np.argmax(np.abs(vectors[:, c])))
+        magnitude = np.abs(vectors[:, c])
+        lead = int(np.argmax(magnitude >= (1.0 - _TIE) * magnitude.max()))
         if vectors[lead, c] < 0.0:
             vectors[:, c] = -vectors[:, c]
     explained = eigenvalues / eigenvalues.sum()
@@ -121,7 +125,8 @@ def health_risk_index(model: PcaModel, standardized, target: float = DEFAULT_VAR
 
     Each retained component is flipped, when needed, so its scores
     correlate non-negatively with the zone-wise mean of the standardized
-    inputs; a zero correlation keeps the fitted orientation. Higher index
+    inputs; a covariance within 1e-12 of the product of the two centred
+    norms counts as zero and keeps the fitted orientation. Higher index
     values therefore mean higher overall prevalence.
     """
     z = np.asarray(standardized, dtype=float)
@@ -137,8 +142,10 @@ def health_risk_index(model: PcaModel, standardized, target: float = DEFAULT_VAR
     index = np.zeros(z.shape[0])
     for c in range(m):
         t = scores_by_component[:, c]
-        cov = float((t - t.mean()) @ overall_centered)
-        sign = -1.0 if cov < 0.0 else 1.0
+        t_centered = t - t.mean()
+        cov = float(t_centered @ overall_centered)
+        bound = _TIE * float(np.linalg.norm(t_centered) * np.linalg.norm(overall_centered))
+        sign = -1.0 if cov < -bound else 1.0
         index += float(model.explained_ratio[c]) * sign * t
     return RiskIndex(scores=index, retained_components=m, captured_variance=captured)
 

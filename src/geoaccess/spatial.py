@@ -39,7 +39,8 @@ UNDEFINED = "Undefined"
 
 # Two-sided confidence cutoffs for 90/95/99 percent.
 _Z_CUTS = ((2.576, HOT_99, COLD_99), (1.960, HOT_95, COLD_95), (1.645, HOT_90, COLD_90))
-_FDR_ALPHAS = ((0.01, HOT_99, COLD_99), (0.05, HOT_95, COLD_95), (0.10, HOT_90, COLD_90))
+# Benjamini-Hochberg levels of the same three classes.
+_FDR_ALPHAS = (0.01, 0.05, 0.10)
 
 # Permuted y columns pushed through the neighbor matrix in one product.
 _PERM_BLOCK = 64
@@ -227,17 +228,13 @@ def classify_hotspots(result: HotSpotResult, fdr: bool = False) -> HotSpotResult
     level = fixed_level
     if fdr:
         fdr_level = np.zeros(n, dtype=int)
-        for rank, (alpha, _, _) in enumerate(reversed(_FDR_ALPHAS), start=1):
+        for rank, alpha in enumerate(reversed(_FDR_ALPHAS), start=1):
             fdr_level[benjamini_hochberg(result.p, alpha)] = rank
         level = np.minimum(fdr_level, fixed_level)
-    names_hot = {1: HOT_90, 2: HOT_95, 3: HOT_99}
-    names_cold = {1: COLD_90, 2: COLD_95, 3: COLD_99}
-    category = []
-    for zi, li in zip(result.z, level):
-        if li == 0:
-            category.append(NOT_SIGNIFICANT)
-        else:
-            category.append(names_hot[int(li)] if zi > 0 else names_cold[int(li)])
+    # Row ``level`` of the names, column 0 for z > 0 and 1 otherwise.
+    names = np.array([(NOT_SIGNIFICANT, NOT_SIGNIFICANT)]
+                     + [(hot, cold) for _, hot, cold in reversed(_Z_CUTS)])
+    category = names[level, np.less_equal(result.z, 0.0).astype(int)].tolist()
     return HotSpotResult(ids=result.ids, z=result.z, p=result.p, category=category)
 
 

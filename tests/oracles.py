@@ -578,7 +578,8 @@ def jacobi_eigh(matrix, tol=1e-12, max_sweeps=100):
 
 def ref_pca(standardized):
     """Correlation-matrix PCA by Jacobi: descending eigenvalues clipped at 0,
-    each eigenvector's largest-magnitude entry (first on ties) made >= 0."""
+    each eigenvector's largest-magnitude entry made >= 0, the first of the
+    entries within 1e-12 relative of it deciding."""
     z = np.asarray(standardized, dtype=float)
     corr = (z.T @ z) / (z.shape[0] - 1.0)
     evals, vecs = jacobi_eigh(0.5 * (corr + corr.T))
@@ -586,6 +587,8 @@ def ref_pca(standardized):
     order = np.argsort(-evals, kind="stable")
     evals, vecs = evals[order], vecs[:, order]
     for c in range(vecs.shape[1]):
-        if vecs[np.argmax(np.abs(vecs[:, c])), c] < 0.0:
+        magnitude = np.abs(vecs[:, c])
+        lead = next(i for i, m in enumerate(magnitude) if m >= (1.0 - 1e-12) * magnitude.max())
+        if vecs[lead, c] < 0.0:
             vecs[:, c] = -vecs[:, c]
     return evals, vecs

@@ -103,6 +103,36 @@ class TestOptionalFacilities:
         assert out.exists()
 
 
+class TestComputedColumns:
+    """accessibility and risk_index are computed columns in every subcommand."""
+
+    def test_hotspot_on_risk_index_matches_the_pipeline(self, synth_dir, tmp_path):
+        z, f, c = (str(synth_dir / n) for n in ("zones.csv", "facilities.csv", "counties.csv"))
+        assert run("pipeline", "--zones", z, "--facilities", f, "--counties", c,
+                   "--out-dir", str(tmp_path / "run")) == 0
+        out = tmp_path / "hs.csv"
+        assert run("hotspot", "--zones", z, "--value-col", "risk_index", "--out", str(out)) == 0
+        risk = read_csv(tmp_path / "run" / "risk_index.csv")
+        hotspot = read_csv(out)
+        assert [r[:2] for r in hotspot[1:]] == risk[1:]
+
+    def test_ttest_on_risk_index(self, synth_dir, tmp_path):
+        out = tmp_path / "tt.csv"
+        assert run("ttest", "--zones", str(synth_dir / "zones.csv"),
+                   "--columns", "risk_index,poverty_rate", "--out", str(out)) == 0
+        rows = read_csv(out)
+        assert [r[0] for r in rows[1:]] == ["risk_index", "poverty_rate"]
+        assert all(r[-1] == "ok" for r in rows[1:])
+
+    @pytest.mark.parametrize("command", ["ttest", "hotspot"])
+    def test_help_names_the_computed_columns(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--help")
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert "accessibility" in text and "risk_index" in text
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert run("frobnicate") == 1

@@ -240,7 +240,7 @@ def test_float_tokens_are_the_repr_of_the_cell(values):
     """A float column's JSON text is float.__repr__ of its 9g cell: the
     cell itself or, where the digit argument does not hold, read back."""
     rows = [[f"z{i:02d}", v] for i, v in enumerate(values)]
-    members = Table(["zone_id", "v"], rows).properties(GeoJSONWriter([]).encode)
+    members = Table(["zone_id", "v"], rows).properties()
     for zid, v in rows:
         token = "null" if v is None else float.__repr__(float(f"{v:.9g}"))
         assert members[zid] == f'"v":{token},"zone_id":"{zid}"'

@@ -120,13 +120,16 @@ class TestPcaFit:
             pca_fit(z)
 
 
+def rank_two_plus_noise(seed, n, p, noise):
+    rng = np.random.default_rng(seed)
+    return rng.normal(0, 1, (n, 2)) @ rng.normal(0, 1, (2, p)) + noise * rng.normal(0, 1, (n, p))
+
+
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 120), p=st.integers(3, 7),
        noise=st.floats(0.05, 2.0))
 @settings(max_examples=60, deadline=None)
 def test_pca_fit_matches_jacobi_oracle(seed, n, p, noise):
-    rng = np.random.default_rng(seed)
-    raw = rng.normal(0, 1, (n, 2)) @ rng.normal(0, 1, (2, p)) + noise * rng.normal(0, 1, (n, p))
-    z, _, _ = standardize(raw)
+    z, _, _ = standardize(rank_two_plus_noise(seed, n, p, noise))
     evals, vecs = ref_pca(z)
     # Distinct eigenvalues pin every eigenvector up to sign, and a clear
     # largest-magnitude entry pins the sign. (Two columns always tie at
@@ -145,6 +148,25 @@ def test_pca_fit_matches_jacobi_oracle(seed, n, p, noise):
     overall = z.mean(axis=1)
     assume(all(abs(np.corrcoef(t, overall)[0, 1]) > 1e-6 for t in scores.T))
     got = health_risk_index(model, z)
+    assert got.retained_components == want.retained_components
+    np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed, noise", [
+    (4, 0.875), (18, 0.3), (42, 0.3), (87, 0.3), (93, 0.875), (99, 0.875), (182, 0.875),
+    (262, 0.3), (293, 0.3),
+])
+def test_two_column_index_orientation_is_not_decided_by_rounding(seed, noise):
+    # Every eigenvector of a 2 x 2 correlation matrix has two entries of
+    # equal magnitude. With negatively correlated columns the leading one is
+    # (1, -1) / sqrt(2), whose scores are uncorrelated with the zone-wise
+    # mean in exact arithmetic, so only the tie rules orient it: eigen-solvers
+    # that round differently must still give the same index.
+    z, _, _ = standardize(rank_two_plus_noise(seed, 8, 2, noise))
+    evals, vecs = ref_pca(z)
+    oracle = PcaModel(eigenvalues=evals, loadings=vecs, explained_ratio=evals / evals.sum())
+    want = health_risk_index(oracle, z)
+    got = health_risk_index(pca_fit(z), z)
     assert got.retained_components == want.retained_components
     np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=1e-10)
 
