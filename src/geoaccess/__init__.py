@@ -18,16 +18,7 @@ from .config import RunConfig, load_config
 from .equity import GiniResult, StratifiedGini, TTestResult, gini, gini_stratified, welch_t_test
 from .errors import ValidationError
 from .geo import EARTH_RADIUS_MILES, GeoPoint, SpatialIndex, haversine_miles
-from .ingest import (
-    CohortSummary,
-    PatientRecord,
-    cohort_summary,
-    is_adrd_code,
-    load_counties,
-    load_facilities,
-    load_patients,
-    load_zones,
-)
+from .ingest import load_counties, load_facilities, load_zones
 from .outcomes import (
     CountyOutcome,
     ServiceStatus,
@@ -54,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccessibilityField",
     "BivariateResult",
-    "CohortSummary",
     "CountyOutcome",
     "DemandZone",
     "EARTH_RADIUS_MILES",
@@ -62,7 +52,6 @@ __all__ = [
     "GeoPoint",
     "GiniResult",
     "HotSpotResult",
-    "PatientRecord",
     "PcaModel",
     "RiskIndex",
     "RunConfig",
@@ -77,7 +66,6 @@ __all__ = [
     "build_weights",
     "classify_hotspots",
     "classify_service_status",
-    "cohort_summary",
     "decay_weight",
     "generate_synthetic_region",
     "getis_ord_gi_star",
@@ -85,11 +73,9 @@ __all__ = [
     "gini_stratified",
     "haversine_miles",
     "health_risk_index",
-    "is_adrd_code",
     "load_config",
     "load_counties",
     "load_facilities",
-    "load_patients",
     "load_zones",
     "local_bivariate",
     "local_bivariates",

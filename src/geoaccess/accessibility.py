@@ -91,7 +91,6 @@ class AccessibilityField:
     ``zone_scores`` contains every input zone, zeros included.
     """
 
-    catchment_miles: float
     facility_ratios: dict
     zone_scores: dict
     skipped_facilities: list
@@ -194,7 +193,6 @@ def accessibility_scores(
     order = np.lexsort((fac, zone))
     scores = np.bincount(zone[order], weights=(ratio_v[fac] * weight)[order], minlength=len(zones))
     return AccessibilityField(
-        catchment_miles=d0,
         facility_ratios=ratios,
         zone_scores=dict(zip((z.zone_id for z in zones), scores.tolist())),
         skipped_facilities=skipped,

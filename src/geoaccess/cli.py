@@ -2,7 +2,7 @@
 
 Subcommands: access, gini, ttest, hotspot, bivariate, risk-index,
 mortality, pipeline, synth. Configuration resolves from defaults, then
---config JSON, then GEOACCESS_SEED (seed only), then explicit flags.
+--config JSON, then explicit flags.
 Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 """
 
@@ -19,6 +19,7 @@ from .errors import ValidationError
 from .ingest import (COUNTY_COLUMNS, FACILITY_COLUMNS, ZONE_COLUMNS, load_counties,
                      load_facilities, load_zones)
 from .output import GeoJSONWriter, Table, write_csv
+from .spatial import WEIGHT_SCHEMES
 from .synth import generate_synthetic_region
 
 __all__ = ["main"]
@@ -41,7 +42,7 @@ def _add_config_flags(p: _Parser):
     g.add_argument("--d0", type=float, dest="catchment_miles", help="catchment threshold, miles")
     g.add_argument("--impedance", choices=DECAY_FAMILIES)
     g.add_argument("--demand", choices=DEMAND_COLUMNS)
-    g.add_argument("--scheme", choices=("fixed_band", "knn"), dest="weights_scheme")
+    g.add_argument("--scheme", choices=WEIGHT_SCHEMES, dest="weights_scheme")
     g.add_argument("--band", type=float, dest="band_miles", help="fixed band distance, miles")
     g.add_argument("--k", type=int, dest="knn_k", help="neighbor count for knn weights")
     g.add_argument("--permutations", type=int)
@@ -183,8 +184,11 @@ def _cmd_ttest(args, cfg):
     zones = _load_sorted_zones(args)
     if args.columns:
         columns = [c.strip() for c in args.columns.split(",") if c.strip()]
+    elif zones:
+        # The computed accessibility shadows an attribute of that name.
+        columns = ["accessibility"] + sorted(zones[0].attributes.keys() - {"accessibility"})
     else:
-        columns = ["accessibility"] + sorted(zones[0].attributes)
+        raise ValidationError(f"{args.zones}: no zones to compare")
     computed = _computed(args, zones, cfg, columns)
     write_csv(args.out, pl.TTEST_HEADER, pl.ttest_rows(zones, columns, computed))
 

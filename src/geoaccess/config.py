@@ -1,8 +1,8 @@
 """Run configuration with a single precedence chain.
 
-Values resolve as: built-in defaults, then the JSON config file, then the
-GEOACCESS_SEED environment variable (seed only), then explicit flag
-overrides. The JSON file may contain exactly the RunConfig keys.
+Values resolve as: built-in defaults, then the JSON config file, then
+explicit flag overrides. The JSON file may contain exactly the RunConfig
+keys.
 """
 
 from __future__ import annotations
@@ -10,14 +10,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import numbers
-import os
 import sys
 from dataclasses import dataclass
 
 from .accessibility import DECAY_FAMILIES, DEMAND_COLUMNS
 from .errors import ValidationError
-
-ENV_SEED = "GEOACCESS_SEED"
+from .spatial import WEIGHT_SCHEMES
 
 DEFAULT_PREVALENCE_COLUMNS = (
     "pct_diabetes",
@@ -29,12 +27,10 @@ DEFAULT_PREVALENCE_COLUMNS = (
     "pct_heart_disease",
 )
 
-_SCHEMES = ("fixed_band", "knn")
-
 _INTEGER_FIELDS = ("knn_k", "permutations", "min_neighbors", "seed")
 _NUMBER_FIELDS = ("catchment_miles", "band_miles", "variance_target")
 
-__all__ = ["ENV_SEED", "DEFAULT_PREVALENCE_COLUMNS", "CONFIG_KEYS", "RunConfig", "load_config"]
+__all__ = ["DEFAULT_PREVALENCE_COLUMNS", "CONFIG_KEYS", "RunConfig", "load_config"]
 
 
 @dataclass(frozen=True)
@@ -76,8 +72,8 @@ class RunConfig:
             raise ValidationError(f"config impedance must be one of {DECAY_FAMILIES}")
         if self.demand not in DEMAND_COLUMNS:
             raise ValidationError(f"config demand must be one of {DEMAND_COLUMNS}")
-        if self.weights_scheme not in _SCHEMES:
-            raise ValidationError(f"config weights_scheme must be one of {_SCHEMES}")
+        if self.weights_scheme not in WEIGHT_SCHEMES:
+            raise ValidationError(f"config weights_scheme must be one of {WEIGHT_SCHEMES}")
         if not isinstance(self.fdr, bool):
             raise ValidationError(f"config fdr must be a boolean, got {self.fdr!r}")
         if not self.prevalence_columns:
@@ -87,13 +83,12 @@ class RunConfig:
 CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
-def load_config(path=None, overrides=None, env=None) -> RunConfig:
-    """Resolve a RunConfig from file, environment, and flag overrides.
+def load_config(path=None, overrides=None) -> RunConfig:
+    """Resolve a RunConfig from file and flag overrides.
 
     ``overrides`` maps field names to values; entries that are None are
     ignored so absent CLI flags never mask file values.
     """
-    env = os.environ if env is None else env
     values: dict = {}
     if path is not None:
         with open(path, encoding="utf-8") as fh:
@@ -107,11 +102,6 @@ def load_config(path=None, overrides=None, env=None) -> RunConfig:
         if unknown:
             raise ValidationError(f"{path}: unknown config keys {unknown}")
         values.update(raw)
-    if ENV_SEED in env:
-        try:
-            values["seed"] = int(env[ENV_SEED])
-        except ValueError:
-            raise ValidationError(f"{ENV_SEED} must be an integer, got {env[ENV_SEED]!r}")
     for name, value in (overrides or {}).items():
         if value is None:
             continue

@@ -1,4 +1,4 @@
-"""File ingestion: strict CSV schemas, GeoJSON geometry join, cohort filter.
+"""File ingestion: strict CSV schemas and a GeoJSON geometry join.
 
 All readers demand exact headers (required columns, in order) and reject
 bad rows by line number. Files are UTF-8 (a leading byte order mark, as
@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass
 from json.decoder import scanstring
 
 from .accessibility import DemandZone, Facility
@@ -19,77 +18,20 @@ from .errors import ValidationError
 from .geo import GeoPoint
 from .outcomes import AGGREGATE_YEAR, CountyOutcome
 
-ADRD_CATEGORIES = ("F01", "F03", "G30", "G31")
-
 ZONE_COLUMNS = ["zone_id", "lat", "lon", "population", "adrd_patients", "urban"]
 FACILITY_COLUMNS = ["facility_id", "lat", "lon", "beds"]
 COUNTY_COLUMNS = ["county_id", "year", "adrd_deaths", "adrd_patients", "population_50plus"]
-PATIENT_COLUMNS = ["record_id", "zone_id", "age", "sex", "race", "diagnosis_code", "total_charge"]
 
 _FLAGS = {"1": True, "true": True, "0": False, "false": False}
 
 __all__ = [
-    "ADRD_CATEGORIES",
     "ZONE_COLUMNS",
     "FACILITY_COLUMNS",
     "COUNTY_COLUMNS",
-    "PATIENT_COLUMNS",
-    "PatientRecord",
-    "GroupStats",
-    "CohortSummary",
-    "is_adrd_code",
     "load_zones",
     "load_facilities",
     "load_counties",
-    "load_patients",
-    "cohort_summary",
 ]
-
-
-@dataclass(frozen=True)
-class PatientRecord:
-    record_id: str
-    zone_id: str
-    age: float
-    sex: str
-    race: str
-    diagnosis_code: str
-    total_charge: float
-
-    def __post_init__(self):
-        code = self.diagnosis_code.strip().upper()
-        if not code:
-            raise ValidationError(f"record {self.record_id!r}: empty diagnosis code")
-        object.__setattr__(self, "diagnosis_code", code)
-
-
-@dataclass(frozen=True)
-class GroupStats:
-    count: int
-    mean_age: float | None
-    pct_female: float | None
-    pct_by_race: dict
-    mean_total_charge: float | None
-
-
-@dataclass(frozen=True)
-class CohortSummary:
-    adrd: GroupStats
-    all_patients: GroupStats
-    adrd_per_zone: dict
-
-
-def is_adrd_code(code: str) -> bool:
-    """Whether an ICD-10 code falls in the dementia cohort.
-
-    Matching is category-prefix aware: the code (uppercased) must equal
-    one of F01, F03, G30, G31 or extend it, directly or after a dot.
-    Substring hits elsewhere do not count, so F10 is not F01.
-    """
-    c = code.strip().upper()
-    if not c:
-        raise ValidationError("diagnosis code must be non-empty")
-    return c.startswith(ADRD_CATEGORIES)
 
 
 class _Columns:
@@ -422,61 +364,3 @@ def load_counties(path) -> list[CountyOutcome]:
                       population_50plus=n)
         for cid, year, d, p, n in zip(ids, years, deaths, patients, population)
     ]
-
-
-def load_patients(path) -> list[PatientRecord]:
-    """Read inpatient records; diagnosis codes are uppercase-normalized."""
-    rows = _Columns(path, PATIENT_COLUMNS, extras_allowed=False)
-    ids = rows["record_id"]
-    rows.unique("record_id", ids)
-    codes = rows["diagnosis_code"]
-    if not all(map(str.strip, codes)):
-        rows.fail(next(i for i, code in enumerate(codes) if not code.strip()),
-                  "empty diagnosis_code")
-    ages = rows.floats("age")
-    charges = rows.floats("total_charge")
-    rows.check()
-    return [
-        PatientRecord(record_id=rid, zone_id=zid, age=age, sex=sex.strip(), race=race.strip(),
-                      diagnosis_code=code, total_charge=charge)
-        for rid, zid, age, sex, race, code, charge
-        in zip(ids, rows["zone_id"], ages, rows["sex"], rows["race"], codes, charges)
-    ]
-
-
-def _group_stats(records) -> GroupStats:
-    n = len(records)
-    if n == 0:
-        return GroupStats(count=0, mean_age=None, pct_female=None,
-                          pct_by_race={}, mean_total_charge=None)
-    females = sum(1 for r in records if r.sex.upper() in ("F", "FEMALE"))
-    races: dict[str, int] = {}
-    for r in records:
-        races[r.race] = races.get(r.race, 0) + 1
-    return GroupStats(
-        count=n,
-        mean_age=sum(r.age for r in records) / n,
-        pct_female=100.0 * females / n,
-        pct_by_race={race: 100.0 * c / n for race, c in sorted(races.items())},
-        mean_total_charge=sum(r.total_charge for r in records) / n,
-    )
-
-
-def cohort_summary(patients) -> CohortSummary:
-    """Group statistics for the dementia cohort and for all records.
-
-    Also tallies cohort patients per zone, ready to populate the zone
-    table's patient counts.
-    """
-    patients = list(patients)
-    if not patients:
-        raise ValidationError("cohort_summary requires at least one record")
-    adrd = [p for p in patients if is_adrd_code(p.diagnosis_code)]
-    per_zone: dict[str, int] = {}
-    for p in adrd:
-        per_zone[p.zone_id] = per_zone.get(p.zone_id, 0) + 1
-    return CohortSummary(
-        adrd=_group_stats(adrd),
-        all_patients=_group_stats(patients),
-        adrd_per_zone=dict(sorted(per_zone.items())),
-    )

@@ -22,6 +22,10 @@ INSUFFICIENT = "InsufficientData"
 
 AGGREGATE_YEAR = 0  # sentinel year on multi-year averaged records
 
+# Sample standard deviations above the state mean that flag an elevated
+# deaths-per-population rate.
+_ELEVATED_SD = 1.0
+
 __all__ = [
     "UNDERSERVED",
     "OVERSERVED",
@@ -135,15 +139,15 @@ def _mean(values) -> float:
     return sum(values) / len(values)
 
 
-def classify_service_status(counties, elevated_sd: float = 1.0) -> list[ServiceStatus]:
+def classify_service_status(counties) -> list[ServiceStatus]:
     """Label counties against state-wide mean ratios.
 
     Underserved: deaths per patient above the state mean while the
     diagnosis rate sits below it. Overserved: the mirror image. Anything
     else with defined ratios is Typical; a county missing a required
     denominator is InsufficientData and never enters the state means.
-    ``elevated`` flags a deaths-per-population rate more than
-    ``elevated_sd`` sample standard deviations above the state mean.
+    ``elevated`` flags a deaths-per-population rate more than one
+    sample standard deviation above the state mean.
     """
     ratios = {c.county_id: mortality_ratios(c) for c in counties}
     defined = [
@@ -160,7 +164,7 @@ def classify_service_status(counties, elevated_sd: float = 1.0) -> list[ServiceS
         pop_sd = math.sqrt(sum((v - pop_mean) ** 2 for v in pop_rates) / (len(pop_rates) - 1))
     else:
         pop_sd = 0.0
-    elevated_cut = pop_mean + elevated_sd * pop_sd
+    elevated_cut = pop_mean + _ELEVATED_SD * pop_sd
 
     statuses = []
     for county in sorted(counties, key=lambda c: c.county_id):

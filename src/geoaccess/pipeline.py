@@ -129,11 +129,11 @@ def bivariate_rows(zones, x_name: str, y_name: str, cfg: RunConfig, computed=Non
     return bivariate_tables(zones, x_name, [y_name], cfg, computed, weights)[0]
 
 
-def mortality_rows(counties, years=None, elevated_sd: float = 1.0):
+def mortality_rows(counties, years=None):
     if years is None:
         years = sorted({c.year for c in counties})
     aggregated = aggregate_years(counties, years)
-    statuses = {s.county_id: s for s in classify_service_status(aggregated, elevated_sd=elevated_sd)}
+    statuses = {s.county_id: s for s in classify_service_status(aggregated)}
     rows = []
     for county in aggregated:
         s = statuses[county.county_id]

@@ -37,15 +37,20 @@ POSITIVE = "PositiveSignificant"
 NEGATIVE = "NegativeSignificant"
 UNDEFINED = "Undefined"
 
+WEIGHT_SCHEMES = ("fixed_band", "knn")
+
 # Two-sided confidence cutoffs for 90/95/99 percent.
 _Z_CUTS = ((2.576, HOT_99, COLD_99), (1.960, HOT_95, COLD_95), (1.645, HOT_90, COLD_90))
 # Benjamini-Hochberg levels of the same three classes.
 _FDR_ALPHAS = (0.01, 0.05, 0.10)
+# Pseudo p-value at or below which a local association is significant.
+_BIVARIATE_ALPHA = 0.05
 
 # Permuted y columns pushed through the neighbor matrix in one product.
 _PERM_BLOCK = 64
 
 __all__ = [
+    "WEIGHT_SCHEMES",
     "SpatialWeights",
     "HotSpotResult",
     "BivariateResult",
@@ -95,8 +100,6 @@ class BivariateResult:
     local_r: np.ndarray
     pseudo_p: np.ndarray
     category: list
-    permutations: int
-    seed: int
 
 
 def build_weights(points, scheme: str, include_self: bool, k: int | None = None,
@@ -154,7 +157,7 @@ def build_weights(points, scheme: str, include_self: bool, k: int | None = None,
         keys = [i * n + j, j * n + i] + ([own * (n + 1)] if include_self else [])
         rows, cols = np.divmod(np.sort(np.concatenate(keys)), n)
     else:
-        raise ValidationError(f"unknown weights scheme {scheme!r}; expected 'knn' or 'fixed_band'")
+        raise ValidationError(f"unknown weights scheme {scheme!r}; expected one of {WEIGHT_SCHEMES}")
     indptr = np.searchsorted(rows, np.arange(n + 1))
     matrix = sparse.csr_array((np.ones(cols.size), cols, indptr), shape=(n, n))
     return SpatialWeights(ids=list(ids), matrix=matrix, include_self=include_self,
@@ -245,16 +248,15 @@ def _check_int(name: str, value, least: int) -> None:
 
 
 def local_bivariate(x, y, weights: SpatialWeights, permutations: int = 199, seed: int = 42,
-                    min_neighbors: int = 8, alpha: float = 0.05,
-                    workers: int = 1) -> BivariateResult:
+                    min_neighbors: int = 8, workers: int = 1) -> BivariateResult:
     """``local_bivariates`` for one y. ``workers`` is validated and otherwise
     unused: the computation runs in one thread."""
     _check_int("workers", workers, 1)
-    return local_bivariates(x, [y], weights, permutations, seed, min_neighbors, alpha)[0]
+    return local_bivariates(x, [y], weights, permutations, seed, min_neighbors)[0]
 
 
 def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, seed: int = 42,
-                     min_neighbors: int = 8, alpha: float = 0.05) -> list[BivariateResult]:
+                     min_neighbors: int = 8) -> list[BivariateResult]:
     """Neighborhood Pearson correlation of x with each y in ``ys``, permutation-tested.
 
     For each feature, ``local_r`` is the correlation of (x, y) over the
@@ -263,7 +265,8 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
     from (seed, permutation index), and the permutations are evaluated
     in blocks of columns, so identical seeds give identical results. The
     pseudo p-value uses the (count + 1) / (permutations + 1) convention
-    and can never be zero.
+    and can never be zero; at or below 0.05 a defined feature is
+    Positive- or NegativeSignificant by the sign of its r.
 
     A feature is Undefined when its neighborhood is smaller than
     ``min_neighbors`` or either variable is constant there (its
@@ -285,8 +288,6 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
     _check_int("permutations", permutations, 19)
     _check_int("seed", seed, 0)
     _check_int("min_neighbors", min_neighbors, 2)
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be a number in (0, 1), got {alpha!r}")
 
     hood = weights.matrix
     if not weights.include_self:
@@ -347,12 +348,12 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
         local_r[defined] = r_obs[valid, 0]
         pseudo_p = np.ones(n)
         pseudo_p[defined] = (count[valid] + 1.0) / (permutations + 1.0)
-        # alpha < 1, so an Undefined row (p = 1) is never significant.
+        # An Undefined row has p = 1, so it is never significant.
+        significant = pseudo_p <= _BIVARIATE_ALPHA
         category = np.full(n, UNDEFINED, dtype=object)
         category[defined] = NOT_SIGNIFICANT
-        category[(pseudo_p <= alpha) & (local_r > 0)] = POSITIVE
-        category[(pseudo_p <= alpha) & (local_r < 0)] = NEGATIVE
+        category[significant & (local_r > 0)] = POSITIVE
+        category[significant & (local_r < 0)] = NEGATIVE
         results.append(BivariateResult(ids=list(weights.ids), local_r=local_r, pseudo_p=pseudo_p,
-                                       category=category.tolist(), permutations=permutations,
-                                       seed=seed))
+                                       category=category.tolist()))
     return results

@@ -156,25 +156,16 @@ class TestExitCodes:
 
 
 class TestConfigPrecedence:
-    def test_env_overrides_config_file_and_flag_overrides_env(self, tmp_path, monkeypatch):
+    def test_flag_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 1}))
         base = {}
-        for label, extra, env in (
-            ("file", [], None),
-            ("env", [], "2"),
-            ("flag", ["--seed", "3"], "2"),
-        ):
-            if env is None:
-                monkeypatch.delenv("GEOACCESS_SEED", raising=False)
-            else:
-                monkeypatch.setenv("GEOACCESS_SEED", env)
+        for label, extra in (("file", []), ("flag", ["--seed", "3"])):
             out = tmp_path / label
             assert run("synth", "--config", str(cfg), "--out-dir", str(out), *extra) == 0
             base[label] = (out / "zones.csv").read_bytes()
         direct = {}
-        monkeypatch.delenv("GEOACCESS_SEED", raising=False)
-        for label, seed in (("file", "1"), ("env", "2"), ("flag", "3")):
+        for label, seed in (("file", "1"), ("flag", "3")):
             out = tmp_path / f"direct_{label}"
             assert run("synth", "--seed", seed, "--out-dir", str(out)) == 0
             direct[label] = (out / "zones.csv").read_bytes()
@@ -312,6 +303,25 @@ class TestTTestCommand:
         t_col = rows[0].index("t")
         assert float(access_row[t_col]) < 0
         assert access_row[-1] == "ok"
+
+    def test_default_columns_list_accessibility_once(self, synth_dir, tmp_path):
+        rows = read_csv(synth_dir / "zones.csv")
+        zones = tmp_path / "zones.csv"
+        with open(zones, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [rows[0] + ["accessibility"]] + [row + ["0.5"] for row in rows[1:]])
+        out = tmp_path / "ttest.csv"
+        assert run("ttest", "--zones", str(zones), "--facilities",
+                   str(synth_dir / "facilities.csv"), "--out", str(out)) == 0
+        attributes = sorted(rows[0][len(ZONES_HEADER.split(",")):])
+        assert [r[0] for r in read_csv(out)[1:]] == ["accessibility"] + attributes
+
+    def test_header_only_zones_file_is_a_validation_error(self, synth_dir, tmp_path, capsys):
+        zones = tmp_path / "zones.csv"
+        zones.write_text((synth_dir / "zones.csv").read_text().splitlines()[0] + "\n")
+        assert run("ttest", "--zones", str(zones), "--facilities",
+                   str(synth_dir / "facilities.csv"), "--out", str(tmp_path / "o.csv")) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestGeoJson:

@@ -76,8 +76,7 @@ def _zone(zid, urban):
 
 
 def _field(scores):
-    return AccessibilityField(catchment_miles=15.0, facility_ratios={},
-                              zone_scores=scores, skipped_facilities=[])
+    return AccessibilityField(facility_ratios={}, zone_scores=scores, skipped_facilities=[])
 
 
 class TestGiniStratified:

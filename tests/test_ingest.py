@@ -14,13 +14,9 @@ from geoaccess import (
     DemandZone,
     Facility,
     GeoPoint,
-    PatientRecord,
     ValidationError,
-    cohort_summary,
-    is_adrd_code,
     load_counties,
     load_facilities,
-    load_patients,
     load_zones,
 )
 from geoaccess.cli import main
@@ -29,25 +25,6 @@ from geoaccess.output import write_csv, write_geojson
 from oracles import ref_load_counties, ref_load_facilities, ref_load_zones
 
 ZONES_HEADER = "zone_id,lat,lon,population,adrd_patients,urban"
-
-
-class TestAdrdCodes:
-    @pytest.mark.parametrize("code", ["G30", "G30.1", "G309", "F03", "F03.90", "F01", "F011",
-                                      "G31", "G31.83", "g30.1", " f03 "])
-    def test_cohort_codes_match(self, code):
-        assert is_adrd_code(code)
-
-    @pytest.mark.parametrize("code", ["F10", "F0", "G3", "G32", "E11.9", "I10", "XF01"])
-    def test_non_cohort_codes_do_not_match(self, code):
-        assert not is_adrd_code(code)
-
-    def test_empty_code_rejected(self):
-        with pytest.raises(ValidationError):
-            is_adrd_code("")
-
-    def test_whitespace_only_code_rejected(self):
-        with pytest.raises(ValidationError):
-            is_adrd_code("   ")
 
 
 class TestLoadZones:
@@ -178,20 +155,6 @@ class TestOtherLoaders:
         )
         rec = load_counties(path)[0]
         assert rec.county_id == "c1" and rec.year == 2020 and rec.adrd_deaths == 5
-
-    def test_patients_load_normalizes_codes(self, tmp_path):
-        path = tmp_path / "patients.csv"
-        path.write_text(
-            "record_id,zone_id,age,sex,race,diagnosis_code,total_charge\n"
-            "r1,z1,80,F,White,g30.9,30000\n"
-        )
-        rec = load_patients(path)[0]
-        assert rec.diagnosis_code == "G30.9"
-
-
-def patient(rid, zid, age, sex, race, code, charge):
-    return PatientRecord(record_id=rid, zone_id=zid, age=age, sex=sex, race=race,
-                         diagnosis_code=code, total_charge=charge)
 
 
 class TestNonFiniteNumbers:
@@ -398,48 +361,6 @@ class TestReferenceLoaders:
         expected = outcome(ref, path)
         assert isinstance(expected, str)
         assert outcome(load, path) == expected
-
-
-class TestCohortSummary:
-    def test_single_cohort_record(self):
-        summary = cohort_summary([patient("r1", "z1", 80, "F", "White", "G30", 30000)])
-        assert summary.adrd.count == 1
-        assert summary.adrd.mean_age == 80
-        assert summary.adrd.mean_total_charge == 30000
-        assert summary.adrd_per_zone == {"z1": 1}
-
-    def test_no_matching_codes(self):
-        summary = cohort_summary([patient("r1", "z1", 50, "M", "Black", "I10", 9000)])
-        assert summary.adrd.count == 0
-        assert summary.all_patients.count == 1
-        assert summary.all_patients.mean_age == 50
-
-    def test_known_composition(self):
-        records = [
-            patient("r1", "z1", 80, "F", "White", "G30", 30000),
-            patient("r2", "z1", 76, "F", "Black", "F03.90", 26000),
-            patient("r3", "z2", 84, "M", "White", "G31.1", 34000),
-            patient("r4", "z2", 70, "F", "White", "F01", 22000),
-            patient("r5", "z1", 45, "M", "Black", "I10", 8000),
-            patient("r6", "z3", 52, "F", "White", "E11.9", 12000),
-            patient("r7", "z3", 61, "F", "Black", "I25", 15000),
-            patient("r8", "z1", 39, "M", "Other", "J45", 5000),
-            patient("r9", "z2", 58, "F", "White", "K21", 7000),
-            patient("r10", "z3", 66, "M", "White", "I50", 18000),
-        ]
-        summary = cohort_summary(records)
-        assert summary.adrd.count == 4
-        assert summary.adrd.mean_age == pytest.approx((80 + 76 + 84 + 70) / 4)
-        assert summary.adrd.pct_female == pytest.approx(75.0)
-        assert summary.adrd.mean_total_charge == pytest.approx(28000.0)
-        assert summary.adrd.pct_by_race == {"Black": 25.0, "White": 75.0}
-        assert summary.all_patients.count == 10
-        assert summary.all_patients.mean_age == pytest.approx(63.1)
-        assert summary.adrd_per_zone == {"z1": 2, "z2": 2}
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            cohort_summary([])
 
 
 def one_zone_csv(tmp_path):

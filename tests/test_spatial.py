@@ -436,10 +436,6 @@ class TestLocalBivariate:
         ({"permutations": 199.0}, "permutations"),
         ({"min_neighbors": 4.0}, "min_neighbors"),
         ({"workers": True}, "workers"),
-        ({"alpha": 2.0}, "alpha"),
-        ({"alpha": 0.0}, "alpha"),
-        ({"alpha": float("nan")}, "alpha"),
-        ({"alpha": True}, "alpha"),
     ])
     def test_bad_argument_rejected_by_name(self, kwargs, name):
         pts = random_points(42, 10)
