@@ -7,8 +7,9 @@ import math
 
 import pytest
 
-from geoaccess import RunConfig, generate_synthetic_region, load_zones
+from geoaccess import RunConfig, ValidationError, generate_synthetic_region, load_config, load_zones
 from geoaccess.cli import _add_config_flags, main
+from geoaccess.spatial import WEIGHT_SCHEMES
 
 ZONES_HEADER = "zone_id,lat,lon,population,adrd_patients,urban"
 
@@ -171,6 +172,22 @@ class TestConfigPrecedence:
             direct[label] = (out / "zones.csv").read_bytes()
         assert base == direct
 
+    def test_seed_environment_variable_is_not_read(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GEOACCESS_SEED", raising=False)
+        assert run("synth", "--out-dir", str(tmp_path / "plain")) == 0
+        monkeypatch.setenv("GEOACCESS_SEED", "2")
+        assert run("synth", "--out-dir", str(tmp_path / "env")) == 0
+        assert filecmp.cmp(tmp_path / "plain" / "zones.csv", tmp_path / "env" / "zones.csv",
+                           shallow=False)
+
+    def test_load_config_ignores_the_environment(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1}))
+        monkeypatch.setenv("GEOACCESS_SEED", "2")
+        assert load_config() == RunConfig()
+        assert load_config(cfg).seed == 1
+        assert load_config(cfg, {"seed": 3}).seed == 3
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 1, "mystery": True}))
@@ -193,6 +210,31 @@ class TestConfigPrecedence:
         dests = [a.dest for a in parser._actions if a.dest not in ("help", "config")]
         fields = [f.name for f in dataclasses.fields(RunConfig)]
         assert sorted(dests) == sorted(fields)
+
+
+class TestWeightSchemes:
+    @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
+    def test_scheme_flag_matches_the_config_key(self, synth_dir, tmp_path, scheme):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"weights_scheme": scheme}))
+        command = ("hotspot", "--zones", str(synth_dir / "zones.csv"), "--value-col", "poverty_rate")
+        assert run(*command, "--scheme", scheme, "--out", str(tmp_path / "flag.csv")) == 0
+        assert run(*command, "--config", str(cfg), "--out", str(tmp_path / "file.csv")) == 0
+        assert filecmp.cmp(tmp_path / "flag.csv", tmp_path / "file.csv", shallow=False)
+
+    def test_unknown_scheme_flag_is_a_usage_error_naming_every_scheme(self, tmp_path, capsys):
+        assert run("synth", "--scheme", "queen", "--out-dir", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert "usage" in err and all(repr(s) in err for s in WEIGHT_SCHEMES)
+
+    @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
+    def test_run_config_accepts_every_scheme(self, scheme):
+        assert RunConfig(weights_scheme=scheme).weights_scheme == scheme
+
+    def test_run_config_rejects_an_unknown_scheme_naming_every_scheme(self):
+        with pytest.raises(ValidationError, match="weights_scheme") as exc:
+            RunConfig(weights_scheme="queen")
+        assert all(repr(s) in str(exc.value) for s in WEIGHT_SCHEMES)
 
 
 class TestConfigValidation:

@@ -1,3 +1,6 @@
+import random
+import statistics
+
 import pytest
 
 from geoaccess import (
@@ -137,6 +140,19 @@ class TestClassification:
         statuses = {s.county_id: s for s in classify_service_status(counties)}
         assert statuses["d"].elevated
         assert not statuses["a"].elevated
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_elevated_is_a_rate_above_mean_plus_one_sample_sd(self, seed):
+        rng = random.Random(seed)
+        counties = [county(f"c{i:02d}", 0, rng.randint(0, 60), rng.randint(1, 200),
+                           rng.randint(500, 5000)) for i in range(12)]
+        rates = [c.adrd_deaths / c.population_50plus for c in counties]
+        mean = statistics.mean(rates)
+        cut = mean + statistics.stdev(rates)
+        statuses = classify_service_status(counties)
+        assert [s.elevated for s in statuses] == [r > cut for r in rates]
+        # Some rate sits between the mean and the cut, so a lower cut would show.
+        assert any(r > cut for r in rates) and any(mean < r <= cut for r in rates)
 
     def test_too_few_defined_counties_rejected(self):
         with pytest.raises(ValidationError):

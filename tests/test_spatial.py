@@ -18,7 +18,7 @@ from geoaccess import (
     local_bivariate,
     local_bivariates,
 )
-from geoaccess.spatial import benjamini_hochberg
+from geoaccess.spatial import WEIGHT_SCHEMES, benjamini_hochberg
 
 from oracles import (
     ref_bh_reject,
@@ -143,6 +143,11 @@ class TestBuildWeights:
             build_weights(pts[:1], "fixed_band", include_self=True, band=1.0)
         with pytest.raises(ValidationError):
             build_weights(pts, "voronoi", include_self=True)
+
+    def test_unknown_scheme_message_names_every_scheme(self):
+        with pytest.raises(ValidationError, match="voronoi") as exc:
+            build_weights(random_points(5, 10), "voronoi", include_self=True, k=3, band=10.0)
+        assert all(repr(s) in str(exc.value) for s in WEIGHT_SCHEMES)
 
 
 @st.composite
@@ -443,6 +448,27 @@ class TestLocalBivariate:
         x = np.arange(10, dtype=float)
         with pytest.raises(ValidationError, match=name):
             local_bivariate(x, x[::-1], w, **{"permutations": 19, **kwargs})
+
+    @pytest.mark.parametrize("permutations", [19, 39, 99])
+    def test_significant_at_or_below_five_percent(self, permutations):
+        pts = random_points(7, 60)
+        w = build_weights(pts, "knn", include_self=True, k=8)
+        rng = np.random.default_rng(8)
+        x = rng.normal(0, 1, 60)
+        y = x + rng.normal(0, 1, 60)
+        res = local_bivariate(x, y, w, permutations=permutations, seed=3, min_neighbors=5)
+        expected = []
+        for r, p, c in zip(res.local_r, res.pseudo_p, res.category):
+            if c == "Undefined":
+                expected.append(c)
+            elif p <= 0.05:
+                expected.append("PositiveSignificant" if r > 0 else "NegativeSignificant")
+            else:
+                expected.append("NotSignificant")
+        assert res.category == expected
+        # The level is inclusive: p = 0.05 exactly is significant.
+        assert 0.05 in res.pseudo_p.tolist()
+        assert any(0.05 < p < 0.1 + 1e-12 for p in res.pseudo_p)
 
     def test_every_y_is_checked(self):
         pts = random_points(42, 10)
