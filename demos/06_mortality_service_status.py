@@ -9,17 +9,16 @@ for the mirror image. An elevated flag marks death rates more than one
 standard deviation above the mean.
 """
 
-from geoaccess import aggregate_years, classify_service_status, generate_synthetic_region
+from geoaccess import classify_service_status, generate_synthetic_region
 from geoaccess.synth import YEARS
 
 _, _, counties = generate_synthetic_region(seed=42)
 
-aggregated = aggregate_years(counties, YEARS)
-statuses = classify_service_status(aggregated)
+statuses = classify_service_status(counties, YEARS)
 
 print(f"{'county':8s} {'deaths/patient':>14s} {'diagnosis rate':>14s} {'label':>14s} elevated")
 for s in statuses:
-    mort = "-" if s.mortality_per_patient is None else f"{s.mortality_per_patient:.3f}"
+    mort = "-" if s.deaths_per_patient is None else f"{s.deaths_per_patient:.3f}"
     diag = "-" if s.diagnosis_rate is None else f"{s.diagnosis_rate:.4f}"
     print(f"{s.county_id:8s} {mort:>14s} {diag:>14s} {s.label:>14s} {'yes' if s.elevated else ''}")
 

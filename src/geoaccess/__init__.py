@@ -19,13 +19,7 @@ from .equity import GiniResult, StratifiedGini, TTestResult, gini, gini_stratifi
 from .errors import ValidationError
 from .geo import EARTH_RADIUS_MILES, GeoPoint, SpatialIndex, haversine_miles
 from .ingest import load_counties, load_facilities, load_zones
-from .outcomes import (
-    CountyOutcome,
-    ServiceStatus,
-    aggregate_years,
-    classify_service_status,
-    mortality_ratios,
-)
+from .outcomes import CountyOutcome, ServiceStatus, classify_service_status
 from .pipeline import run_pipeline
 from .risk import PcaModel, RiskIndex, health_risk_index, pca_fit, standardize
 from .spatial import (
@@ -62,7 +56,6 @@ __all__ = [
     "TTestResult",
     "ValidationError",
     "accessibility_scores",
-    "aggregate_years",
     "build_weights",
     "classify_hotspots",
     "classify_service_status",
@@ -79,7 +72,6 @@ __all__ = [
     "load_zones",
     "local_bivariate",
     "local_bivariates",
-    "mortality_ratios",
     "pca_fit",
     "run_pipeline",
     "standardize",

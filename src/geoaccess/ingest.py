@@ -16,7 +16,7 @@ from json.decoder import scanstring
 from .accessibility import DemandZone, Facility
 from .errors import ValidationError
 from .geo import GeoPoint
-from .outcomes import AGGREGATE_YEAR, CountyOutcome
+from .outcomes import CountyOutcome
 
 ZONE_COLUMNS = ["zone_id", "lat", "lon", "population", "adrd_patients", "urban"]
 FACILITY_COLUMNS = ["facility_id", "lat", "lon", "beds"]
@@ -350,9 +350,8 @@ def load_counties(path) -> list[CountyOutcome]:
     """Read county-year outcome records; (county_id, year) must be unique."""
     rows = _Columns(path, COUNTY_COLUMNS, extras_allowed=False)
     years = rows.counts("year")
-    if AGGREGATE_YEAR in years:
-        rows.fail(years.index(AGGREGATE_YEAR),
-                  f"year {AGGREGATE_YEAR} is reserved for multi-year averaged records")
+    if 0 in years:
+        rows.fail(years.index(0), "column 'year' must be >= 1, got 0")
     ids = rows["county_id"]
     rows.unique("county-year", list(zip(ids, years)))
     deaths = rows.counts("adrd_deaths")

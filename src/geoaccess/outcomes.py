@@ -20,8 +20,6 @@ OVERSERVED = "Overserved"
 TYPICAL = "Typical"
 INSUFFICIENT = "InsufficientData"
 
-AGGREGATE_YEAR = 0  # sentinel year on multi-year averaged records
-
 # Sample standard deviations above the state mean that flag an elevated
 # deaths-per-population rate.
 _ELEVATED_SD = 1.0
@@ -31,30 +29,21 @@ __all__ = [
     "OVERSERVED",
     "TYPICAL",
     "INSUFFICIENT",
-    "AGGREGATE_YEAR",
     "CountyOutcome",
-    "MortalityRatios",
     "ServiceStatus",
-    "mortality_ratios",
-    "aggregate_years",
     "classify_service_status",
 ]
 
 
 @dataclass(frozen=True)
 class CountyOutcome:
-    """One county-year of deaths, diagnosed patients, and population 50+.
-
-    Counts are floats so that multi-year averaged records fit the same
-    shape; ingestion enforces integers.
-    """
+    """One county-year of deaths, diagnosed patients, and population 50+."""
 
     county_id: str
     year: int
     adrd_deaths: float
     adrd_patients: float
     population_50plus: float
-    contributing_years: int = 1
 
     def __post_init__(self):
         if self.adrd_deaths < 0 or self.adrd_patients < 0 or self.population_50plus < 0:
@@ -62,86 +51,39 @@ class CountyOutcome:
 
 
 @dataclass(frozen=True)
-class MortalityRatios:
+class ServiceStatus:
+    """One county's averaged counts, ratios and label: a row of mortality.csv."""
+
+    county_id: str
+    years_contributing: int
+    adrd_deaths: float
+    adrd_patients: float
+    population_50plus: float
     deaths_per_patient: float | None
     deaths_per_pop50: float | None
     diagnosis_rate: float | None
-
-
-@dataclass(frozen=True)
-class ServiceStatus:
-    county_id: str
-    mortality_per_patient: float | None
-    mortality_per_pop50: float | None
-    diagnosis_rate: float | None
     label: str
     elevated: bool
-
-
-def mortality_ratios(county: CountyOutcome) -> MortalityRatios:
-    """Deaths per patient, deaths per population 50+, and diagnosis rate.
-
-    Each ratio is defined only when its denominator is positive; a zero
-    denominator yields None rather than an error.
-    """
-    patients = county.adrd_patients
-    pop = county.population_50plus
-    return MortalityRatios(
-        deaths_per_patient=county.adrd_deaths / patients if patients > 0 else None,
-        deaths_per_pop50=county.adrd_deaths / pop if pop > 0 else None,
-        diagnosis_rate=county.adrd_patients / pop if pop > 0 else None,
-    )
-
-
-def aggregate_years(records, years) -> list[CountyOutcome]:
-    """Average each county's counts over the years present for it.
-
-    ``years`` is an iterable of calendar years to include. Counts are
-    averaged over the county's present years only, and the number of
-    contributing years is recorded; counties with no record in range are
-    omitted. Output records carry the sentinel year 0 and are sorted by
-    county id.
-    """
-    wanted = sorted(set(int(y) for y in years))
-    if not wanted:
-        raise ValidationError("aggregate_years requires a non-empty year range")
-    seen: set[tuple[str, int]] = set()
-    all_counties: set[str] = set()
-    by_county: dict[str, list[CountyOutcome]] = {}
-    for rec in records:
-        key = (rec.county_id, rec.year)
-        if key in seen:
-            raise ValidationError(f"duplicate county-year record {key!r}")
-        seen.add(key)
-        all_counties.add(rec.county_id)
-        if rec.year in wanted:
-            by_county.setdefault(rec.county_id, []).append(rec)
-    for county_id in sorted(all_counties - set(by_county)):
-        warnings.warn(f"county {county_id!r} has no records in the requested years; omitted")
-    out = []
-    for county_id in sorted(by_county):
-        present = by_county[county_id]
-        k = len(present)
-        out.append(
-            CountyOutcome(
-                county_id=county_id,
-                year=AGGREGATE_YEAR,
-                adrd_deaths=sum(r.adrd_deaths for r in present) / k,
-                adrd_patients=sum(r.adrd_patients for r in present) / k,
-                population_50plus=sum(r.population_50plus for r in present) / k,
-                contributing_years=k,
-            )
-        )
-    return out
 
 
 def _mean(values) -> float:
     return sum(values) / len(values)
 
 
-def classify_service_status(counties) -> list[ServiceStatus]:
-    """Label counties against state-wide mean ratios.
+def _year_span(years) -> str:
+    """Sorted years as ``first:last`` when they run without a gap."""
+    if len(years) > 1 and years[-1] - years[0] == len(years) - 1:
+        return f"{years[0]}:{years[-1]}"
+    return ", ".join(map(str, years))
 
+
+def classify_service_status(records, years=None) -> list[ServiceStatus]:
+    """Average each county's records over ``years`` and label it against
+    the state-wide mean ratios; one status per county, sorted by id.
+
+    ``years`` is an iterable of calendar years (None: every year
+    present). Counts are averaged over the county's present years only;
+    a county with no record in range is omitted with a warning.
     Underserved: deaths per patient above the state mean while the
     diagnosis rate sits below it. Overserved: the mirror image. Anything
     else with defined ratios is Typical; a county missing a required
@@ -149,16 +91,44 @@ def classify_service_status(counties) -> list[ServiceStatus]:
     ``elevated`` flags a deaths-per-population rate more than one
     sample standard deviation above the state mean.
     """
-    ratios = {c.county_id: mortality_ratios(c) for c in counties}
-    defined = [
-        r for r in ratios.values()
-        if r.deaths_per_patient is not None and r.diagnosis_rate is not None
-    ]
+    wanted = None if years is None else set(map(int, years))
+    if years is not None and not wanted:
+        raise ValidationError("service classification requires a non-empty year range")
+    seen: set[tuple[str, int]] = set()
+    by_county: dict[str, list[CountyOutcome]] = {}
+    for rec in records:
+        key = (rec.county_id, rec.year)
+        if key in seen:
+            raise ValidationError(f"duplicate county-year record {key!r}")
+        seen.add(key)
+        present = by_county.setdefault(rec.county_id, [])
+        if wanted is None or rec.year in wanted:
+            present.append(rec)
+    omitted = sorted(cid for cid, present in by_county.items() if not present)
+    if wanted is not None and len(omitted) == len(by_county):
+        raise ValidationError(f"no county has a record in years {_year_span(sorted(wanted))}")
+    if omitted:
+        warnings.warn(f"{len(omitted)} counties have no records in the requested years and are "
+                      f"omitted: {', '.join(map(repr, omitted))}")
+
+    averaged = []
+    for county_id, present in sorted(by_county.items()):
+        if present:
+            k = len(present)
+            averaged.append((county_id, k, sum(r.adrd_deaths for r in present) / k,
+                             sum(r.adrd_patients for r in present) / k,
+                             sum(r.population_50plus for r in present) / k))
+    ratios = [(deaths / patients if patients > 0 else None,
+               deaths / pop if pop > 0 else None,
+               patients / pop if pop > 0 else None)
+              for _, _, deaths, patients, pop in averaged]
+
+    defined = [(m, d) for m, _, d in ratios if m is not None and d is not None]
     if len(defined) < 2:
         raise ValidationError("service classification requires >= 2 counties with defined ratios")
-    mortality_mean = _mean([r.deaths_per_patient for r in defined])
-    diagnosis_mean = _mean([r.diagnosis_rate for r in defined])
-    pop_rates = [r.deaths_per_pop50 for r in ratios.values() if r.deaths_per_pop50 is not None]
+    mortality_mean = _mean([m for m, _ in defined])
+    diagnosis_mean = _mean([d for _, d in defined])
+    pop_rates = [rate for _, rate, _ in ratios if rate is not None]
     pop_mean = _mean(pop_rates) if pop_rates else 0.0
     if len(pop_rates) > 1:
         pop_sd = math.sqrt(sum((v - pop_mean) ** 2 for v in pop_rates) / (len(pop_rates) - 1))
@@ -167,25 +137,15 @@ def classify_service_status(counties) -> list[ServiceStatus]:
     elevated_cut = pop_mean + _ELEVATED_SD * pop_sd
 
     statuses = []
-    for county in sorted(counties, key=lambda c: c.county_id):
-        r = ratios[county.county_id]
-        if r.deaths_per_patient is None or r.diagnosis_rate is None:
+    for counts, (per_patient, per_pop, diagnosis) in zip(averaged, ratios):
+        if per_patient is None or diagnosis is None:
             label = INSUFFICIENT
-        elif r.deaths_per_patient > mortality_mean and r.diagnosis_rate < diagnosis_mean:
+        elif per_patient > mortality_mean and diagnosis < diagnosis_mean:
             label = UNDERSERVED
-        elif r.deaths_per_patient < mortality_mean and r.diagnosis_rate > diagnosis_mean:
+        elif per_patient < mortality_mean and diagnosis > diagnosis_mean:
             label = OVERSERVED
         else:
             label = TYPICAL
-        elevated = r.deaths_per_pop50 is not None and r.deaths_per_pop50 > elevated_cut
-        statuses.append(
-            ServiceStatus(
-                county_id=county.county_id,
-                mortality_per_patient=r.deaths_per_patient,
-                mortality_per_pop50=r.deaths_per_pop50,
-                diagnosis_rate=r.diagnosis_rate,
-                label=label,
-                elevated=elevated,
-            )
-        )
+        elevated = per_pop is not None and per_pop > elevated_cut
+        statuses.append(ServiceStatus(*counts, per_patient, per_pop, diagnosis, label, elevated))
     return statuses

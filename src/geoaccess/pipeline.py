@@ -16,7 +16,7 @@ from .accessibility import accessibility_scores
 from .config import RunConfig
 from .equity import gini_stratified, welch_t_test
 from .errors import ValidationError
-from .outcomes import aggregate_years, classify_service_status
+from .outcomes import classify_service_status
 from .output import GeoJSONWriter, Table
 from .risk import fit_risk_model, health_risk_index
 from .spatial import build_weights, classify_hotspots, getis_ord_gi_star, local_bivariates
@@ -130,20 +130,8 @@ def bivariate_rows(zones, x_name: str, y_name: str, cfg: RunConfig, computed=Non
 
 
 def mortality_rows(counties, years=None):
-    if years is None:
-        years = sorted({c.year for c in counties})
-    aggregated = aggregate_years(counties, years)
-    statuses = {s.county_id: s for s in classify_service_status(aggregated)}
-    rows = []
-    for county in aggregated:
-        s = statuses[county.county_id]
-        rows.append((
-            county.county_id, county.contributing_years,
-            county.adrd_deaths, county.adrd_patients, county.population_50plus,
-            s.mortality_per_patient, s.mortality_per_pop50, s.diagnosis_rate,
-            s.label, s.elevated,
-        ))
-    return rows
+    return [tuple(getattr(s, name) for name in MORTALITY_HEADER)
+            for s in classify_service_status(counties, years)]
 
 
 def ttest_rows(zones, columns, computed=None):
@@ -155,6 +143,9 @@ def ttest_rows(zones, columns, computed=None):
     urban = [z.urban for z in zones]
     if all(urban) or not any(urban):
         raise ValidationError("t-test comparison requires both rural and urban zones")
+    for i, name in enumerate(columns):
+        if name in columns[:i]:
+            raise ValidationError(f"t-test variable {name!r} is listed more than once")
     rows = []
     for name in columns:
         series = resolve_series(zones, name, computed)

@@ -423,9 +423,7 @@ def ref_load_counties(path):
     for lineno, row in rows:
         year = _ref_count(path, lineno, "year", row["year"])
         if year == 0:
-            raise ValidationError(
-                f"{path}:{lineno}: year {year} is reserved for multi-year averaged records"
-            )
+            raise ValidationError(f"{path}:{lineno}: column 'year' must be >= 1, got 0")
         key = (row["county_id"], year)
         if key in seen:
             raise ValidationError(

@@ -20,7 +20,6 @@ from geoaccess import (
     PcaModel,
     RunConfig,
     accessibility_scores,
-    aggregate_years,
     build_weights,
     classify_hotspots,
     classify_service_status,
@@ -31,7 +30,6 @@ from geoaccess import (
     decay_weight,
     health_risk_index,
     local_bivariate,
-    mortality_ratios,
     pca_fit,
     run_pipeline,
     standardize,
@@ -239,8 +237,8 @@ def test_c10_bivariate_calibration_and_power():
 
 def test_c11_service_status_rules():
     counties = [
-        CountyOutcome("A", 0, adrd_deaths=40, adrd_patients=100, population_50plus=10000),
-        CountyOutcome("B", 0, adrd_deaths=10, adrd_patients=100, population_50plus=2000),
+        CountyOutcome("A", 2019, adrd_deaths=40, adrd_patients=100, population_50plus=10000),
+        CountyOutcome("B", 2019, adrd_deaths=10, adrd_patients=100, population_50plus=2000),
     ]
     labels = {s.county_id: s.label for s in classify_service_status(counties)}
     assert labels == {"A": "Underserved", "B": "Overserved"}
@@ -248,9 +246,9 @@ def test_c11_service_status_rules():
     records = [
         CountyOutcome("A", 2018, adrd_deaths=10, adrd_patients=50, population_50plus=900),
         CountyOutcome("A", 2019, adrd_deaths=20, adrd_patients=50, population_50plus=900),
-    ]
-    agg = aggregate_years(records, [2018, 2019])[0]
-    assert mortality_ratios(agg).deaths_per_patient == 0.3
+    ] + counties[1:]  # B, so that two counties have defined ratios
+    agg = classify_service_status(records, [2018, 2019])[0]
+    assert (agg.county_id, agg.years_contributing, agg.deaths_per_patient) == ("A", 2, 0.3)
     _report("criterion 11: two-county classification and ratio-of-means aggregation")
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import filecmp
 import math
+import warnings
 
 import pytest
 
@@ -300,8 +301,8 @@ class TestPipeline:
             assert filecmp.cmp(path, solo / path.name, shallow=False), path.name
 
     def test_year_zero_county_row_fails_both_paths(self, synth_dir, tmp_path, capsys):
-        # Year 0 is the multi-year sentinel; both commands must reject it
-        # rather than one averaging it in and the other dropping it.
+        # Both commands must reject year 0 rather than one averaging it in
+        # and the other dropping it.
         counties = tmp_path / "counties.csv"
         counties.write_text(
             "county_id,year,adrd_deaths,adrd_patients,population_50plus\n"
@@ -331,6 +332,37 @@ class TestPipeline:
             assert filecmp.cmp(dirs[0] / name, dirs[1] / name, shallow=False)
 
 
+class TestMortalityCommand:
+    def test_years_with_no_records_are_one_error_line(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("mortality", "--counties", str(synth_dir / "counties.csv"),
+                       "--years", "2030", "--out", str(out)) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == "error: no county has a record in years 2030\n"
+        assert not out.exists()
+
+    def test_omitted_counties_are_named_in_one_warning(self, synth_dir, tmp_path):
+        header, *rows = read_csv(synth_dir / "counties.csv")
+        dropped = {"CTY07", "CTY02", "CTY15"}
+        counties = tmp_path / "counties.csv"
+        with open(counties, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [header] + [r for r in rows if not (r[0] in dropped and r[1] == "2019")])
+        out = tmp_path / "m.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("mortality", "--counties", str(counties), "--years", "2019",
+                       "--out", str(out)) == 0
+        assert [str(w.message) for w in caught] == [
+            "3 counties have no records in the requested years and are omitted: "
+            "'CTY02', 'CTY07', 'CTY15'"
+        ]
+        written = [r[0] for r in read_csv(out)[1:]]
+        assert written == sorted({r[0] for r in rows} - dropped)
+
+
 class TestTTestCommand:
     def test_table_structure(self, synth_dir, tmp_path):
         out = tmp_path / "ttest.csv"
@@ -357,6 +389,15 @@ class TestTTestCommand:
                    str(synth_dir / "facilities.csv"), "--out", str(out)) == 0
         attributes = sorted(rows[0][len(ZONES_HEADER.split(",")):])
         assert [r[0] for r in read_csv(out)[1:]] == ["accessibility"] + attributes
+
+    def test_repeated_variable_is_a_validation_error(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "ttest.csv"
+        assert run("ttest", "--zones", str(synth_dir / "zones.csv"),
+                   "--facilities", str(synth_dir / "facilities.csv"),
+                   "--columns", "accessibility,poverty_rate,accessibility", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: t-test variable 'accessibility' is listed more than once\n")
+        assert not out.exists()
 
     def test_header_only_zones_file_is_a_validation_error(self, synth_dir, tmp_path, capsys):
         zones = tmp_path / "zones.csv"

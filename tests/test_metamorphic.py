@@ -101,3 +101,25 @@ def test_shuffled_county_rows_keep_mortality_csv(tmp_path_factory, seed, rng):
     write_csv(out / "got.csv", pl.MORTALITY_HEADER, pl.mortality_rows(shuffled))
     assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
+
+
+@given(region_seeds, st.floats(1e-3, 1e3))
+@relation
+def test_scaling_demand_divides_scores_and_keeps_gini(seed, c):
+    zones, facilities, _ = generate_synthetic_region(seed)
+    zones = pl.sorted_zones(zones)
+    field, want = scores(zones, facilities)
+    scaled = [dataclasses.replace(z, adrd_patients=z.adrd_patients * c) for z in zones]
+    scaled_field, got = scores(scaled, facilities)
+    np.testing.assert_allclose(got, want / c, rtol=4e-15, atol=0)
+    want_gini = [format_value(row[3]) for row in pl.gini_rows(zones, field)]
+    assert [format_value(row[3]) for row in pl.gini_rows(scaled, scaled_field)] == want_gini
+
+
+@given(region_seeds)
+@relation
+def test_repeating_every_county_year_doubles_only_years_contributing(seed):
+    counties = generate_synthetic_region(seed)[2]
+    repeated = counties + [dataclasses.replace(c, year=c.year + 100) for c in counties]
+    want = [(cid, 2 * k, *rest) for cid, k, *rest in pl.mortality_rows(counties)]
+    assert pl.mortality_rows(repeated) == want
