@@ -150,20 +150,25 @@ def _parse_years(spec: str):
         raise ValidationError(f"bad --years value {spec!r}")
 
 
-def _cmd_access(args, cfg):
-    zones = _load_sorted_zones(args)
-    facilities = load_facilities(args.facilities)
-    field = pl.compute_access(zones, facilities, cfg)
-    rows = pl.access_rows(zones, field)
+def _access_field(args, zones, cfg):
+    """Accessibility from --facilities, with a note for each skipped facility."""
+    if args.facilities is None:
+        raise ValidationError("--facilities is required to compute accessibility")
+    field = pl.compute_access(zones, load_facilities(args.facilities), cfg)
     for fac_id, reason in field.skipped_facilities:
         print(f"note: facility {fac_id} skipped: {reason}", file=sys.stderr)
-    _write_zone_table(args, zones, pl.ACCESS_HEADER, rows)
+    return field
+
+
+def _cmd_access(args, cfg):
+    zones = _load_sorted_zones(args)
+    field = _access_field(args, zones, cfg)
+    _write_zone_table(args, zones, pl.ACCESS_HEADER, pl.access_rows(zones, field))
 
 
 def _cmd_gini(args, cfg):
     zones = _load_sorted_zones(args)
-    field = pl.compute_access(zones, load_facilities(args.facilities), cfg)
-    write_csv(args.out, pl.GINI_HEADER, pl.gini_rows(zones, field))
+    write_csv(args.out, pl.GINI_HEADER, pl.gini_rows(zones, _access_field(args, zones, cfg)))
 
 
 def _computed(args, zones, cfg, names) -> dict:
@@ -171,10 +176,7 @@ def _computed(args, zones, cfg, names) -> dict:
     among ``names``; a computed name shadows an attribute of that name."""
     computed = {}
     if "accessibility" in names:
-        if args.facilities is None:
-            raise ValidationError("--facilities is required to compute accessibility")
-        field = pl.compute_access(zones, load_facilities(args.facilities), cfg)
-        computed["accessibility"] = field.zone_scores
+        computed["accessibility"] = _access_field(args, zones, cfg).zone_scores
     if "risk_index" in names:
         computed["risk_index"] = dict(pl.risk_rows(zones, cfg)[0])
     return computed

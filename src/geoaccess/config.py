@@ -76,7 +76,10 @@ class RunConfig:
             raise ValidationError(f"config weights_scheme must be one of {WEIGHT_SCHEMES}")
         if not isinstance(self.fdr, bool):
             raise ValidationError(f"config fdr must be a boolean, got {self.fdr!r}")
-        if not self.prevalence_columns:
+        cols = self.prevalence_columns
+        if not isinstance(cols, tuple) or not all(isinstance(c, str) for c in cols):
+            raise ValidationError("config prevalence_columns must be a list of column names")
+        if not cols:
             raise ValidationError("config prevalence_columns must name at least one column")
 
 
@@ -108,11 +111,8 @@ def load_config(path=None, overrides=None) -> RunConfig:
         if name not in CONFIG_KEYS:
             raise ValidationError(f"unknown config override {name!r}")
         values[name] = value
-    if "prevalence_columns" in values and not isinstance(values["prevalence_columns"], tuple):
-        cols = values["prevalence_columns"]
-        if not isinstance(cols, (list, tuple)) or not all(isinstance(c, str) for c in cols):
-            raise ValidationError("config prevalence_columns must be a list of column names")
-        values["prevalence_columns"] = tuple(cols)
+    if isinstance(values.get("prevalence_columns"), list):
+        values["prevalence_columns"] = tuple(values["prevalence_columns"])
     try:
         return RunConfig(**values)
     except TypeError as exc:

@@ -12,6 +12,7 @@ a two-sided p from the Student-t CDF ``scipy.special.stdtr``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,21 +147,18 @@ def welch_t_test(a, b) -> TTestResult:
     var_b = float(xb.var(ddof=1)) if n_b > 1 else 0.0
     fallback_df = float(max(n_a + n_b - 2, 1))
 
-    if n_a < 2 or n_b < 2:
+    constant = var_a == 0.0 and var_b == 0.0
+    if n_a < 2 or n_b < 2 or (constant and mean_a == mean_b):
         return TTestResult(
             mean_a, mean_b, var_a, var_b, n_a, n_b,
             t=0.0, df=fallback_df, p=1.0, degenerate=True,
         )
-    if var_a == 0.0 and var_b == 0.0:
-        if mean_a == mean_b:
-            return TTestResult(
-                mean_a, mean_b, var_a, var_b, n_a, n_b,
-                t=0.0, df=fallback_df, p=1.0, degenerate=True,
-            )
-        t_inf = float("inf") if mean_a > mean_b else float("-inf")
+    if constant:
+        # Two finite doubles that differ have a nonzero difference.
         return TTestResult(
             mean_a, mean_b, var_a, var_b, n_a, n_b,
-            t=t_inf, df=fallback_df, p=0.0, infinite_separation=True,
+            t=math.copysign(math.inf, mean_a - mean_b), df=fallback_df, p=0.0,
+            infinite_separation=True,
         )
 
     se_a = var_a / n_a

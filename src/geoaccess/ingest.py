@@ -62,19 +62,18 @@ class _Columns:
             # A row's number is the physical line it starts on: a quoted
             # field may hold line breaks, which reader.line_num counts.
             self.lines, rows = [], []
+            self._stop, self._failure = math.inf, None
             lineno = reader.line_num + 1
             for row in reader:
                 if row:
-                    if len(row) != len(header):
-                        raise ValidationError(
-                            f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                        )
                     self.lines.append(lineno)
+                    if len(row) != len(header):
+                        # Reading stops here; a fault on an earlier row still wins.
+                        self.fail(len(rows), f"expected {len(header)} fields, got {len(row)}")
+                        break
                     rows.append(row)
                 lineno = reader.line_num + 1
         self._cells = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
-        self._stop = len(rows)
-        self._failure = None
 
     def __getitem__(self, name) -> tuple:
         return self._cells[name]
@@ -99,21 +98,28 @@ class _Columns:
                     return
                 seen[key] = self.lines[i]
 
-    def _parse(self, name, kind, noun) -> list:
-        """The cells of ``name`` as ``kind``, up to the first that does not parse."""
-        cells = self._cells[name]
+    def _map(self, kind, error, message, *columns) -> list:
+        """``kind`` of each row's cells in ``columns``, up to the first row
+        on which it raises ``error``; that row is rejected with
+        ``message(exc, *cells)``."""
         try:
-            return list(map(kind, cells))
-        except ValueError:
+            return list(map(kind, *columns))
+        except error:
             pass
         values = []
-        for text in cells:
+        for cells in zip(*columns):
             try:
-                values.append(kind(text))
-            except ValueError:
-                self.fail(len(values), f"column {name!r} is not {noun}: {text!r}")
+                values.append(kind(*cells))
+            except error as exc:
+                self.fail(len(values), message(exc, *cells))
                 break
         return values
+
+    def _parse(self, name, kind, noun) -> list:
+        """The cells of ``name`` as ``kind``, up to the first that does not parse."""
+        return self._map(kind, ValueError,
+                         lambda _, text: f"column {name!r} is not {noun}: {text!r}",
+                         self._cells[name])
 
     def floats(self, name) -> list:
         values = self._parse(name, float, "a number")
@@ -143,18 +149,7 @@ class _Columns:
     def points(self) -> list:
         """The lat and lon columns as points, up to the first out of range."""
         lats, lons = self.floats("lat"), self.floats("lon")
-        try:
-            return list(map(GeoPoint, lats, lons))
-        except ValidationError:
-            pass
-        points = []
-        for lat, lon in zip(lats, lons):
-            try:
-                points.append(GeoPoint(lat, lon))
-            except ValidationError as exc:
-                self.fail(len(points), str(exc))
-                break
-        return points
+        return self._map(GeoPoint, ValidationError, lambda exc, *_: str(exc), lats, lons)
 
 
 def load_zones(path, geometry_path=None) -> list[DemandZone]:

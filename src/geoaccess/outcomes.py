@@ -128,12 +128,11 @@ def classify_service_status(records, years=None) -> list[ServiceStatus]:
         raise ValidationError("service classification requires >= 2 counties with defined ratios")
     mortality_mean = _mean([m for m, _ in defined])
     diagnosis_mean = _mean([d for _, d in defined])
+    # Each county in ``defined`` has a positive population, so at least
+    # two rates enter the sample standard deviation.
     pop_rates = [rate for _, rate, _ in ratios if rate is not None]
-    pop_mean = _mean(pop_rates) if pop_rates else 0.0
-    if len(pop_rates) > 1:
-        pop_sd = math.sqrt(sum((v - pop_mean) ** 2 for v in pop_rates) / (len(pop_rates) - 1))
-    else:
-        pop_sd = 0.0
+    pop_mean = _mean(pop_rates)
+    pop_sd = math.sqrt(sum((v - pop_mean) ** 2 for v in pop_rates) / (len(pop_rates) - 1))
     elevated_cut = pop_mean + _ELEVATED_SD * pop_sd
 
     statuses = []

@@ -7,7 +7,9 @@ produces byte-identical files to running the whole pipeline.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import operator
 import os
 import shutil
 import tempfile
@@ -16,7 +18,7 @@ from .accessibility import accessibility_scores
 from .config import RunConfig
 from .equity import gini_stratified, welch_t_test
 from .errors import ValidationError
-from .outcomes import classify_service_status
+from .outcomes import ServiceStatus, classify_service_status
 from .output import GeoJSONWriter, Table
 from .risk import fit_risk_model, health_risk_index
 from .spatial import build_weights, classify_hotspots, getis_ord_gi_star, local_bivariates
@@ -26,10 +28,7 @@ GINI_HEADER = ["stratum", "n", "mean", "gini"]
 HOTSPOT_HEADER = ["zone_id", "value", "z", "p", "category"]
 RISK_HEADER = ["zone_id", "risk_index"]
 BIVARIATE_HEADER = ["zone_id", "x_value", "y_value", "local_r", "pseudo_p", "category"]
-MORTALITY_HEADER = [
-    "county_id", "years_contributing", "adrd_deaths", "adrd_patients", "population_50plus",
-    "deaths_per_patient", "deaths_per_pop50", "diagnosis_rate", "label", "elevated",
-]
+MORTALITY_HEADER = [f.name for f in dataclasses.fields(ServiceStatus)]
 TTEST_HEADER = [
     "variable", "n_rural", "n_urban", "mean_rural", "mean_urban",
     "var_rural", "var_urban", "t", "df", "p", "flag",
@@ -101,8 +100,11 @@ def hotspot_rows(zones, values, cfg: RunConfig, weights=None):
 
 
 def risk_rows(zones, cfg: RunConfig):
-    matrix = list(zip(*(resolve_series(zones, col) for col in cfg.prevalence_columns)))
-    model, standardized = fit_risk_model(matrix, columns=list(cfg.prevalence_columns))
+    """The risk index per zone, and the index. It is fitted on the columns in
+    name order, so it depends only on the set of prevalence columns."""
+    columns = sorted(cfg.prevalence_columns)
+    matrix = list(zip(*(resolve_series(zones, col) for col in columns)))
+    model, standardized = fit_risk_model(matrix, columns=columns)
     index = health_risk_index(model, standardized, target=cfg.variance_target)
     rows = [(z.zone_id, float(s)) for z, s in zip(zones, index.scores)]
     return rows, index
@@ -130,8 +132,8 @@ def bivariate_rows(zones, x_name: str, y_name: str, cfg: RunConfig, computed=Non
 
 
 def mortality_rows(counties, years=None):
-    return [tuple(getattr(s, name) for name in MORTALITY_HEADER)
-            for s in classify_service_status(counties, years)]
+    return list(map(operator.attrgetter(*MORTALITY_HEADER),
+                    classify_service_status(counties, years)))
 
 
 def ttest_rows(zones, columns, computed=None):

@@ -174,7 +174,9 @@ def getis_ord_gi_star(values, weights: SpatialWeights) -> HotSpotResult:
         z_i = (S1_i - mean * W_i) / (S * sqrt((n * W_i - W_i^2) / (n - 1)))
 
     where S1_i sums the values over the neighborhood, W_i counts it, and
-    S is the population standard deviation of all values. A degenerate
+    S is the population standard deviation of all values. Both come from
+    the centred values x - mean, so S1_i - mean * W_i is one neighbourhood
+    sum and a large common offset cancels before any sum. A degenerate
     denominator (constant field, or a neighborhood spanning everything)
     yields z = 0 and p = 1 for that feature.
     """
@@ -188,15 +190,15 @@ def getis_ord_gi_star(values, weights: SpatialWeights) -> HotSpotResult:
         raise ValidationError(f"Gi* requires at least 3 features, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValidationError("Gi* requires finite values")
-    xbar = float(x.mean())
-    s = math.sqrt(max(float((x * x).mean()) - xbar * xbar, 0.0))
+    # A constant field has no spread, though its rounded mean may miss its value.
+    d = x - x.mean() if x.min() < x.max() else np.zeros(n)
+    s = math.sqrt(float((d * d).mean()))
     z = np.zeros(n)
     if s > 0.0:
         w = np.diff(weights.matrix.indptr).astype(float)
         bracket = (n * w - w * w) / (n - 1.0)
         ok = bracket > 0.0
-        s1 = weights.matrix @ x
-        z[ok] = (s1[ok] - xbar * w[ok]) / (s * np.sqrt(bracket[ok]))
+        z[ok] = (weights.matrix @ d)[ok] / (s * np.sqrt(bracket[ok]))
     p = erfc(np.abs(z) / math.sqrt(2.0))
     return HotSpotResult(ids=list(weights.ids), z=z, p=p)
 

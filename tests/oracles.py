@@ -301,7 +301,9 @@ def ref_write_geojson(path, zones, attributes_by_zone):
 
 
 def _ref_read_rows(path, required, extras_allowed):
-    """Header checks, then (extra column names, [(line number, row dict)])."""
+    """Header checks, then (extra column names, [(line number, row dict)],
+    the error of a row with a wrong field count or None). Reading stops at
+    that row, so the loaders report a fault on an earlier row first."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -326,11 +328,11 @@ def _ref_read_rows(path, required, extras_allowed):
             if not raw:
                 continue
             if len(raw) != len(header):
-                raise ValidationError(
+                return extra, rows, ValidationError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(raw)}"
                 )
             rows.append((lineno, dict(zip(header, raw))))
-    return extra, rows
+    return extra, rows, None
 
 
 def _ref_float(path, lineno, name, text):
@@ -373,7 +375,7 @@ def _ref_point(path, lineno, row):
 
 def ref_load_zones(path):
     """Zones read and checked one row at a time (no geometry join)."""
-    attr_cols, rows = _ref_read_rows(path, ZONE_COLUMNS, extras_allowed=True)
+    attr_cols, rows, width_error = _ref_read_rows(path, ZONE_COLUMNS, extras_allowed=True)
     zones = []
     seen = {}
     for lineno, row in rows:
@@ -392,12 +394,14 @@ def ref_load_zones(path):
             urban=_ref_flag(path, lineno, "urban", row["urban"]),
             attributes=attributes,
         ))
+    if width_error is not None:
+        raise width_error
     return zones
 
 
 def ref_load_facilities(path):
     """Facilities read and checked one row at a time."""
-    _, rows = _ref_read_rows(path, FACILITY_COLUMNS, extras_allowed=False)
+    _, rows, width_error = _ref_read_rows(path, FACILITY_COLUMNS, extras_allowed=False)
     facilities = []
     seen = {}
     for lineno, row in rows:
@@ -412,12 +416,14 @@ def ref_load_facilities(path):
             raise ValidationError(f"{path}:{lineno}: facility {fid!r} has zero beds")
         facilities.append(Facility(facility_id=fid, location=_ref_point(path, lineno, row),
                                    beds=beds))
+    if width_error is not None:
+        raise width_error
     return facilities
 
 
 def ref_load_counties(path):
     """County-year records read and checked one row at a time."""
-    _, rows = _ref_read_rows(path, COUNTY_COLUMNS, extras_allowed=False)
+    _, rows, width_error = _ref_read_rows(path, COUNTY_COLUMNS, extras_allowed=False)
     records = []
     seen = {}
     for lineno, row in rows:
@@ -438,6 +444,8 @@ def ref_load_counties(path):
             population_50plus=_ref_count(path, lineno, "population_50plus",
                                          row["population_50plus"]),
         ))
+    if width_error is not None:
+        raise width_error
     return records
 
 

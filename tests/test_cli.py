@@ -87,6 +87,21 @@ class TestHotspotCommand:
         assert all(r[-1] == "NotSignificant" for r in rows[1:])
 
 
+class TestSkippedFacilityNotes:
+    @pytest.mark.parametrize("command", [
+        ("access",), ("gini",), ("ttest",), ("hotspot",),
+        ("bivariate", "--x", "poverty_rate", "--y", "accessibility"),
+    ])
+    def test_every_subcommand_computing_accessibility_notes_a_skipped_facility(
+            self, synth_dir, tmp_path, capsys, command):
+        facs = tmp_path / "f.csv"
+        facs.write_text((synth_dir / "facilities.csv").read_text() + "far,0.0,0.0,10\n")
+        assert run(*command, "--zones", str(synth_dir / "zones.csv"), "--facilities", str(facs),
+                   "--out", str(tmp_path / "out.csv")) == 0
+        note = "note: facility far skipped: no demand zone within catchment\n"
+        assert capsys.readouterr().err == note
+
+
 class TestOptionalFacilities:
     def test_hotspot_on_attribute_needs_no_facilities(self, synth_dir, tmp_path):
         out = tmp_path / "hs.csv"
@@ -239,6 +254,17 @@ class TestWeightSchemes:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("columns", ["pct_diabetes", ("pct_diabetes", 3), ["pct_diabetes"]],
+                             ids=["string", "non-string-name", "list"])
+    def test_run_config_takes_a_tuple_of_column_names(self, columns):
+        with pytest.raises(ValidationError, match="config prevalence_columns"):
+            RunConfig(prevalence_columns=columns)
+
+    def test_a_json_list_of_prevalence_columns_becomes_a_tuple(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prevalence_columns": ["pct_obesity", "pct_asthma"]}))
+        assert load_config(cfg).prevalence_columns == ("pct_obesity", "pct_asthma")
+
     @pytest.mark.parametrize("values,name", [
         pytest.param({"permutations": 99.5}, "permutations", id="float-permutations"),
         pytest.param({"permutations": True}, "permutations", id="bool-permutations"),
@@ -335,13 +361,14 @@ class TestPipeline:
 class TestMortalityCommand:
     def test_years_with_no_records_are_one_error_line(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "m.csv"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert run("mortality", "--counties", str(synth_dir / "counties.csv"),
-                       "--years", "2030", "--out", str(out)) == 1
-        assert [str(w.message) for w in caught] == []
-        assert capsys.readouterr().err == "error: no county has a record in years 2030\n"
-        assert not out.exists()
+        for years in ("2030", "2030:2031"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run("mortality", "--counties", str(synth_dir / "counties.csv"),
+                           "--years", years, "--out", str(out)) == 1
+            assert [str(w.message) for w in caught] == []
+            assert capsys.readouterr().err == f"error: no county has a record in years {years}\n"
+            assert not out.exists()
 
     def test_omitted_counties_are_named_in_one_warning(self, synth_dir, tmp_path):
         header, *rows = read_csv(synth_dir / "counties.csv")

@@ -65,6 +65,13 @@ class TestLoadZones:
         with pytest.raises(ValidationError, match=r"zones.csv:2.*'lon'"):
             load_zones(path)
 
+    def test_a_bad_cell_before_a_row_of_the_wrong_width_wins(self, tmp_path):
+        path = tmp_path / "zones.csv"
+        path.write_text(f"{ZONES_HEADER}\nz1,abc,-76.0,10,1,1\nz2,39.0,-76.0,10\n")
+        with pytest.raises(ValidationError,
+                           match=r"zones\.csv:2: column 'lat' is not a number: 'abc'$"):
+            load_zones(path)
+
     def test_geometry_join(self, tmp_path):
         csv_path = tmp_path / "zones.csv"
         csv_path.write_text(f"{ZONES_HEADER}\nz1,39.0,-76.0,1000,12,1\n")
@@ -356,6 +363,27 @@ class TestReferenceLoaders:
         for r, c in zip(lines, columns):
             cells[r][c] = (cells[(r + 1) % len(cells)][0] if c == 0
                            else data.draw(st.sampled_from(BAD_CELLS[header[c]])))
+        path = tmp_path_factory.mktemp(kind) / f"{kind}.csv"
+        path.write_bytes(table_bytes(kind, cells, layout))
+        expected = outcome(ref, path)
+        assert isinstance(expected, str)
+        assert outcome(load, path) == expected
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    @given(data=st.data(), layout=layouts)
+    @settings(max_examples=60, deadline=None)
+    def test_a_row_of_the_wrong_width_is_one_more_bad_row(self, tmp_path_factory, kind, data,
+                                                          layout):
+        """One row a cell short or long, among up to two bad cells: the
+        message and line are those of the row-by-row reading."""
+        load, ref, header = LOADERS[kind]
+        cells = data.draw(table_cells(kind))
+        for _ in range(data.draw(st.integers(0, 2))):
+            r = data.draw(st.integers(0, len(cells) - 1))
+            c = data.draw(st.integers(1, len(header) - 1))
+            cells[r][c] = data.draw(st.sampled_from(BAD_CELLS[header[c]]))
+        r = data.draw(st.integers(0, len(cells) - 1))
+        cells[r] = cells[r][:-1] if data.draw(st.booleans()) else cells[r] + ["1"]
         path = tmp_path_factory.mktemp(kind) / f"{kind}.csv"
         path.write_bytes(table_bytes(kind, cells, layout))
         expected = outcome(ref, path)

@@ -12,11 +12,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoaccess import (RunConfig, generate_synthetic_region, load_counties, load_facilities,
-                       load_zones, run_pipeline)
+from geoaccess import (DemandZone, GeoPoint, RunConfig, build_weights, classify_hotspots,
+                       generate_synthetic_region, getis_ord_gi_star, load_counties,
+                       load_facilities, load_zones, run_pipeline)
 from geoaccess import pipeline as pl
 from geoaccess.cli import main
 from geoaccess.output import format_value, write_csv
+from geoaccess.spatial import WEIGHT_SCHEMES
 
 region_seeds = st.integers(0, 2**31 - 1)
 # Fixed example sequences: every run of the suite checks the same cases.
@@ -86,8 +88,22 @@ def test_permuted_prevalence_columns_keep_the_risk_index(seed, columns):
     zones = pl.sorted_zones(generate_synthetic_region(seed)[0])
     want, _ = pl.risk_rows(zones, RunConfig())
     got, _ = pl.risk_rows(zones, RunConfig(prevalence_columns=tuple(columns)))
-    assert [zid for zid, _ in got] == [zid for zid, _ in want]
-    np.testing.assert_allclose([v for _, v in got], [v for _, v in want], rtol=0, atol=1.1e-14)
+    assert got == want
+
+
+def test_reversed_anticorrelated_prevalence_columns_keep_the_risk_index():
+    # The leading component of two negatively correlated columns, (1, -1) / sqrt(2),
+    # is uncorrelated with the zone-wise mean, so no mean-based rule can orient it.
+    rng = np.random.default_rng(4)
+    raw = rng.normal(0, 1, (8, 2)) @ rng.normal(0, 1, (2, 2)) + 0.875 * rng.normal(0, 1, (8, 2))
+    assert np.corrcoef(raw.T)[0, 1] < -0.9
+    zones = [DemandZone(zone_id=f"z{i}", centroid=GeoPoint(39.0, -76.0 + 0.01 * i),
+                        population=100, adrd_patients=5, urban=False,
+                        attributes={"pct_a": a, "pct_b": b})
+             for i, (a, b) in enumerate(raw.tolist())]
+    want, _ = pl.risk_rows(zones, RunConfig(prevalence_columns=("pct_a", "pct_b")))
+    got, _ = pl.risk_rows(zones, RunConfig(prevalence_columns=("pct_b", "pct_a")))
+    assert got == want
 
 
 @given(region_seeds, st.randoms(use_true_random=False))
@@ -123,3 +139,29 @@ def test_repeating_every_county_year_doubles_only_years_contributing(seed):
     repeated = counties + [dataclasses.replace(c, year=c.year + 100) for c in counties]
     want = [(cid, 2 * k, *rest) for cid, k, *rest in pl.mortality_rows(counties)]
     assert pl.mortality_rows(repeated) == want
+
+
+@given(region_seeds, st.sampled_from(WEIGHT_SCHEMES))
+@relation
+def test_positive_affine_map_keeps_gi_star(seed, scheme):
+    zones, facilities, _ = generate_synthetic_region(seed)
+    zones = pl.sorted_zones(zones)
+    _, x = scores(zones, facilities)
+    points = [(z.zone_id, z.centroid) for z in zones]
+    weights = build_weights(points, scheme, include_self=True, k=8, band=15.0)
+    want = classify_hotspots(getis_ord_gi_star(x, weights))
+    n = x.size
+    w = np.diff(weights.matrix.indptr).astype(float)
+    # A z-score is a neighbourhood sum of centred values over their spread S.
+    # The mapped values and their mean are each rounded to within
+    # eps * max|ax + b|, which moves every centred value by up to twice that
+    # (in units of a * x) and S by as much. So z moves by up to
+    # 2 eps max|ax + b| / (a S) * (W / sqrt(bracket) + |z|), plus the same
+    # term at max|x| for the rounding of the unmapped run.
+    scale = w / np.sqrt((n * w - w * w) / (n - 1.0)) + np.abs(want.z)
+    for a, b in [(2.0, 5.0), (1.0, 100.0), (1.0, 1e4), (0.5, -1e4)]:
+        y = a * x + b
+        got = classify_hotspots(getis_ord_gi_star(y, weights))
+        assert got.category == want.category
+        eps_s = np.finfo(float).eps * (np.abs(x).max() + np.abs(y).max() / a) / x.std()
+        assert np.all(np.abs(got.z - want.z) <= 2.0 * eps_s * scale)

@@ -26,8 +26,14 @@ def status_of(records, cid="a", years=None):
 
 class TestRatios:
     def test_direct_division(self):
-        r = status_of([county("a", 2023, 10, 50, 1000)])
-        assert (r.deaths_per_patient, r.deaths_per_pop50, r.diagnosis_rate) == (0.2, 0.01, 0.05)
+        for records, ratios in [
+            ([("a", 2023, 10, 50, 1000)], (0.2, 0.01, 0.05)),
+            ([("a", 2023, 10, 50, 0)], (0.2, None, None)),
+            # One patient and a population of one in one of two years average to 0.5.
+            ([("a", 2020, 1, 1, 1), ("a", 2021, 0, 0, 0)], (1.0, 1.0, 1.0)),
+        ]:
+            r = status_of([county(*record) for record in records])
+            assert (r.deaths_per_patient, r.deaths_per_pop50, r.diagnosis_rate) == ratios
 
     def test_zero_patients_leaves_ratio_undefined(self):
         r = status_of([county("a", 2023, 3, 0, 1000)])
@@ -176,6 +182,17 @@ class TestClassification:
         assert [s.elevated for s in statuses] == [r > cut for r in rates]
         # Some rate sits between the mean and the cut, so a lower cut would show.
         assert any(r > cut for r in rates) and any(mean < r <= cut for r in rates)
+
+    def test_elevated_cut_divides_by_one_less_than_the_county_count(self):
+        # Rates 0.027 and 0.028 lie either side of mean + SD = 0.02789. The SD
+        # over n = 5 puts the cut at 0.02693 and over n - 2 at 0.0293, so a
+        # denominator off by one either way flags a different county set.
+        deaths = [27, 8, 11, 20, 28]
+        counties = [county(f"c{i}", 2020, d, 100, 1000) for i, d in enumerate(deaths)]
+        rates = [d / 1000 for d in deaths]
+        assert statistics.mean(rates) + statistics.stdev(rates) == pytest.approx(0.02789, abs=1e-5)
+        assert [s.elevated for s in classify_service_status(counties)] == [
+            False, False, False, False, True]
 
     def test_too_few_defined_counties_rejected(self):
         with pytest.raises(ValidationError):

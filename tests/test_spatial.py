@@ -236,12 +236,15 @@ class TestWeightsAgainstBruteForce:
 
 class TestGiStar:
     def test_constant_field_is_everywhere_not_significant(self):
-        pts = random_points(6, 20)
-        w = build_weights(pts, "fixed_band", include_self=True, band=30.0)
-        res = classify_hotspots(getis_ord_gi_star([7.0] * 20, w))
-        assert np.all(res.z == 0.0)
-        assert np.all(res.p == 1.0)
-        assert all(c == "NotSignificant" for c in res.category)
+        # The mean of seven 0.1s rounds to 0.1 - 1.4e-17, off the value itself.
+        assert np.mean([0.1] * 7) != 0.1
+        for value, n in [(7.0, 20), (0.1, 7)]:
+            pts = random_points(6, n)
+            w = build_weights(pts, "fixed_band", include_self=True, band=30.0)
+            res = classify_hotspots(getis_ord_gi_star([value] * n, w))
+            assert np.all(res.z == 0.0)
+            assert np.all(res.p == 1.0)
+            assert all(c == "NotSignificant" for c in res.category)
 
     def test_center_spike_grid_matches_direct_formula(self):
         points, values = grid_3x3()
@@ -257,7 +260,7 @@ class TestGiStar:
 
     def test_random_instances_match_direct_formula(self):
         rng = np.random.default_rng(8)
-        for n in (5, 12, 25):
+        for n in (3, 5, 12, 25):
             pts = random_points(int(rng.integers(0, 1000)), n)
             w = build_weights(pts, "fixed_band", include_self=True, band=40.0)
             x = rng.normal(10.0, 3.0, n)
@@ -321,6 +324,10 @@ class TestClassification:
         p = rng.uniform(0.0, 0.2, 100)
         for alpha in (0.01, 0.05, 0.10):
             np.testing.assert_array_equal(benjamini_hochberg(p, alpha), ref_bh_reject(p, alpha))
+
+    def test_bh_rejects_a_p_value_equal_to_its_threshold(self):
+        # Thresholds 0.04 * k / 2 are 0.02 and 0.04 exactly.
+        np.testing.assert_array_equal(benjamini_hochberg([0.01, 0.04], 0.04), [True, True])
 
     def test_fdr_uniform_p_case(self):
         # all p = 0.04: BH rejects everything at alpha 0.05 and 0.10, nothing at 0.01
