@@ -155,9 +155,13 @@ def _access_field(args, zones, cfg):
     if args.facilities is None:
         raise ValidationError("--facilities is required to compute accessibility")
     field = pl.compute_access(zones, load_facilities(args.facilities), cfg)
-    for fac_id, reason in field.skipped_facilities:
-        print(f"note: facility {fac_id} skipped: {reason}", file=sys.stderr)
+    _note_skipped(field.skipped_facilities)
     return field
+
+
+def _note_skipped(skipped):
+    for fac_id, reason in skipped:
+        print(f"note: facility {fac_id} skipped: {reason}", file=sys.stderr)
 
 
 def _cmd_access(args, cfg):
@@ -231,6 +235,7 @@ def _cmd_pipeline(args, cfg):
     facilities = load_facilities(args.facilities)
     counties = load_counties(args.counties)
     written = pl.run_pipeline(zones, facilities, counties, args.out_dir, cfg)
+    _note_skipped(written.skipped_facilities)
     for name in sorted(written):
         print(f"wrote {written[name]}", file=sys.stderr)
 

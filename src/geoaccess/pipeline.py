@@ -166,15 +166,25 @@ def ttest_rows(zones, columns, computed=None):
     return rows
 
 
+class _Written(dict):
+    """Stage name -> written CSV path, and the run's skipped facilities."""
+
+    def __init__(self, paths, skipped_facilities):
+        super().__init__(paths)
+        self.skipped_facilities = skipped_facilities
+
+
 def run_pipeline(zones, facilities, counties, out_dir, cfg: RunConfig) -> dict:
     """Run every analysis stage and write the full set of output files.
 
-    Returns a mapping from stage name to the written CSV path. GeoJSON
-    twins appear alongside each zone-level CSV when any zone carries
-    geometry. One zone neighbour graph serves the Gi* and bivariate stages.
-    The files are written into a temporary directory (inside ``out_dir``
-    when it exists, else beside it, so it is on the same filesystem) and
-    moved into ``out_dir`` only once every stage has succeeded.
+    Returns a mapping from stage name to the written CSV path; its
+    ``skipped_facilities`` attribute holds the accessibility field's
+    (facility_id, reason) pairs. GeoJSON twins appear alongside each
+    zone-level CSV when any zone carries geometry. One zone neighbour
+    graph serves the Gi* and bivariate stages. The files are written into
+    a temporary directory (inside ``out_dir`` when it exists, else beside
+    it, so it is on the same filesystem) and moved into ``out_dir`` only
+    once every stage has succeeded.
     """
     out_dir = os.fspath(out_dir)
     if os.path.isdir(out_dir):
@@ -184,7 +194,7 @@ def run_pipeline(zones, facilities, counties, out_dir, cfg: RunConfig) -> dict:
         os.makedirs(parent, exist_ok=True)
         tmp_dir = tempfile.mkdtemp(prefix=f".{base}.", dir=parent)
     try:
-        written = _write_outputs(zones, facilities, counties, tmp_dir, cfg)
+        written, skipped = _write_outputs(zones, facilities, counties, tmp_dir, cfg)
         os.makedirs(out_dir, exist_ok=True)
         for name in sorted(os.listdir(tmp_dir)):
             os.replace(os.path.join(tmp_dir, name), os.path.join(out_dir, name))
@@ -192,12 +202,13 @@ def run_pipeline(zones, facilities, counties, out_dir, cfg: RunConfig) -> dict:
     except BaseException:
         shutil.rmtree(tmp_dir, ignore_errors=True)
         raise
-    return {name: os.path.join(out_dir, file_name) for name, file_name in written.items()}
+    return _Written({name: os.path.join(out_dir, file_name) for name, file_name in written.items()},
+                    skipped)
 
 
-def _write_outputs(zones, facilities, counties, out_dir, cfg: RunConfig) -> dict:
+def _write_outputs(zones, facilities, counties, out_dir, cfg: RunConfig) -> tuple[dict, list]:
     """Every stage of ``run_pipeline``, written into ``out_dir``; returns
-    stage name -> CSV file name."""
+    stage name -> CSV file name, and the skipped facilities."""
     zones = sorted_zones(zones)
     poverty = cfg.poverty_column
     geojson = GeoJSONWriter(zones) if any(z.geometry is not None for z in zones) else None
@@ -230,4 +241,4 @@ def _write_outputs(zones, facilities, counties, out_dir, cfg: RunConfig) -> dict
         emit(f"bivariate_{poverty}_{y_name}", BIVARIATE_HEADER, rows, zone_level=True)
 
     emit("mortality", MORTALITY_HEADER, mortality_rows(counties))
-    return written
+    return written, field.skipped_facilities

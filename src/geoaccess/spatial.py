@@ -249,6 +249,14 @@ def _check_int(name: str, value, least: int) -> None:
         raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _first_rows(matrix, rows) -> np.ndarray:
+    """For each of ``rows``, the first of ``rows`` whose matrix row has the same index list."""
+    raw, first = matrix.indices.tobytes(), {}
+    ends = (matrix.indptr.astype(np.int64) * matrix.indices.itemsize).tolist()
+    return np.array([first.setdefault(raw[ends[i]:ends[i + 1]], i) for i in rows.tolist()],
+                    dtype=np.intp)
+
+
 def local_bivariate(x, y, weights: SpatialWeights, permutations: int = 199, seed: int = 42,
                     min_neighbors: int = 8, workers: int = 1) -> BivariateResult:
     """``local_bivariates`` for one y. ``workers`` is validated and otherwise
@@ -277,7 +285,8 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
 
     Every y shares one pass over the permutations and the x-side sums,
     so each result equals its own ``local_bivariate`` call bit for bit;
-    rows Undefined whatever y is get no permutation sums.
+    rows Undefined whatever y is get no permutation sums, and rows with
+    the same neighbour list share the sums, r and count of the first.
     """
     xv = np.asarray(list(x), dtype=float)
     yvs = [np.asarray(list(y), dtype=float) for y in ys]
@@ -298,8 +307,12 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
     sum_x = hood @ xv
     sxx = sizes * (hood @ (xv * xv)) - sum_x * sum_x
     rows = np.flatnonzero((sizes >= min_neighbors) & (sxx > 0.0))
-    # Kept rows as columns, broadcast against blocks of y columns.
-    hood, sizes, sum_x, sxx = hood[rows], sizes[rows, None], sum_x[rows, None], sxx[rows, None]
+    # Rows with the same neighbour list get the same sums in the same order,
+    # so only the first row with each list is evaluated (``lead``), and
+    # kept row j takes the results of lead[group[j]].
+    lead, group = np.unique(_first_rows(hood, rows), return_inverse=True)
+    # Evaluated rows as columns, broadcast against blocks of y columns.
+    hood, sizes, sum_x, sxx = hood[lead], sizes[lead, None], sum_x[lead, None], sxx[lead, None]
     sxx_lo, sxx_hi = sxx.min(initial=np.inf), sxx.max(initial=0.0)
 
     def correlations(yv, y2, idx):
@@ -334,7 +347,7 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
     y2s = [yv * yv for yv in yvs]
     observed = [correlations(yv, y2, np.arange(n)[:, None]) for yv, y2 in zip(yvs, y2s)]
     abs_obs = [np.abs(r) for r, _ in observed]
-    exceed = [np.zeros(rows.size, dtype=np.int64) for _ in yvs]
+    exceed = [np.zeros(lead.size, dtype=np.int64) for _ in yvs]
     for start in range(0, permutations, _PERM_BLOCK):
         block = range(start, min(start + _PERM_BLOCK, permutations))
         idx = np.stack([np.random.default_rng([seed, m]).permutation(n) for m in block], axis=1)
@@ -344,10 +357,10 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
 
     results = []
     for (r_obs, valid), count in zip(observed, exceed):
-        valid = valid[:, 0]
+        r_obs, valid, count = r_obs[group, 0], valid[group, 0], count[group]
         defined = rows[valid]
         local_r = np.full(n, np.nan)
-        local_r[defined] = r_obs[valid, 0]
+        local_r[defined] = r_obs[valid]
         pseudo_p = np.ones(n)
         pseudo_p[defined] = (count[valid] + 1.0) / (permutations + 1.0)
         # An Undefined row has p = 1, so it is never significant.

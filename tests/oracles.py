@@ -97,11 +97,16 @@ def ref_gini_pairwise(values):
 
 def ref_gi_star(values, neighbor_lists):
     """Direct evaluation of the hot-spot z formula with binary weights,
-    one neighbourhood gather and sum per feature."""
+    one neighbourhood gather and sum per feature.
+
+    S and the numerator S1 - mean * W both come from the deviations
+    x - mean: the numerator is the neighbourhood sum of the deviations,
+    and S their root mean square (zero for a constant field).
+    """
     x = np.asarray(values, dtype=float)
     n = x.size
-    xbar = x.mean()
-    s = math.sqrt(max((x * x).mean() - xbar * xbar, 0.0))
+    d = x - x.mean()
+    s = 0.0 if x.min() == x.max() else math.sqrt(float((d * d).mean()))
     zs = []
     for nbrs in neighbor_lists:
         w = float(len(nbrs))
@@ -109,8 +114,7 @@ def ref_gi_star(values, neighbor_lists):
         if s == 0.0 or bracket <= 0.0:
             zs.append(0.0)
             continue
-        s1 = float(x[list(nbrs)].sum())
-        zs.append((s1 - xbar * w) / (s * math.sqrt(bracket)))
+        zs.append(float(d[list(nbrs)].sum()) / (s * math.sqrt(bracket)))
     return np.array(zs)
 
 

@@ -134,7 +134,7 @@ def test_c06_gi_star_oracle():
     weights = build_weights(points, "fixed_band", include_self=True, band=1.5)
     res = getis_ord_gi_star(values, weights)
     expected = ref_gi_star(values, [list(map(int, n)) for n in weights.neighbors])
-    np.testing.assert_allclose(res.z, expected, atol=1e-9)
+    np.testing.assert_allclose(res.z, expected, rtol=0, atol=1e-15)
 
     constant = classify_hotspots(getis_ord_gi_star([3.0] * 9, weights))
     assert np.all(constant.z == 0.0)

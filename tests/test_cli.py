@@ -101,6 +101,18 @@ class TestSkippedFacilityNotes:
         note = "note: facility far skipped: no demand zone within catchment\n"
         assert capsys.readouterr().err == note
 
+    def test_pipeline_notes_a_skipped_facility_before_its_files(self, synth_dir, tmp_path,
+                                                                capsys):
+        facs = tmp_path / "f.csv"
+        facs.write_text((synth_dir / "facilities.csv").read_text() + "far,0.0,0.0,10\n")
+        out = tmp_path / "run"
+        assert run("pipeline", "--zones", str(synth_dir / "zones.csv"), "--facilities", str(facs),
+                   "--counties", str(synth_dir / "counties.csv"), "--out-dir", str(out)) == 0
+        note, *wrote = capsys.readouterr().err.splitlines()
+        assert note == "note: facility far skipped: no demand zone within catchment"
+        assert sorted(wrote) == sorted(f"wrote {p}" for p in out.glob("*.csv"))
+        assert len(wrote) == 7
+
 
 class TestOptionalFacilities:
     def test_hotspot_on_attribute_needs_no_facilities(self, synth_dir, tmp_path):

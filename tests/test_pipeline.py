@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoaccess import RunConfig, generate_synthetic_region, run_pipeline
+from geoaccess import Facility, GeoPoint, RunConfig, generate_synthetic_region, run_pipeline
 from geoaccess import pipeline as pl
 from oracles import ref_write_geojson
 
@@ -111,6 +111,16 @@ def test_geojson_twins_carry_each_table_as_properties(tmp_path_factory, half, sc
         ref = out.parent / f"{name}.ref.geojson"
         ref_write_geojson(ref, zones, attributes)
         assert (out / f"{name}.geojson").read_bytes() == ref.read_bytes(), name
+
+
+def test_run_reports_the_skipped_facilities(tmp_path):
+    zones, facilities, counties = generate_synthetic_region(42)
+    far = Facility("far", GeoPoint(0.0, 0.0), 10.0)
+    written = run_pipeline(zones, facilities + [far], counties, tmp_path / "out", RunConfig())
+    assert written.skipped_facilities == [("far", "no demand zone within catchment")]
+    assert written == {p.stem: str(p) for p in (tmp_path / "out").glob("*.csv")}
+    plain = run_pipeline(zones, facilities, counties, tmp_path / "plain", RunConfig())
+    assert plain.skipped_facilities == []
 
 
 def failing_mortality(*args, **kwargs):

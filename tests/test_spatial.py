@@ -6,19 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from geoaccess import (
     GeoPoint,
     HotSpotResult,
+    RunConfig,
     ValidationError,
     build_weights,
     classify_hotspots,
+    generate_synthetic_region,
     getis_ord_gi_star,
     haversine_miles,
     local_bivariate,
     local_bivariates,
 )
-from geoaccess.spatial import WEIGHT_SCHEMES, benjamini_hochberg
+from geoaccess import pipeline as pl
+from geoaccess.spatial import WEIGHT_SCHEMES, SpatialWeights, benjamini_hochberg
 
 from oracles import (
     ref_bh_reject,
@@ -77,6 +81,65 @@ def shared_pass_case(scheme, include_self):
     x = np.where(lon < -77.0, 1.5, rng.normal(0.0, 1.0, 40))
     y1, y2 = rng.normal(0.0, 1.0, (2, 40))
     return w, x, y1, np.where(lon > -76.5, 0.0, y2)
+
+
+def cluster(prefix, lat, lon, count, rng):
+    """``count`` points within 0.3 miles (north-south and east-west) of (lat, lon)."""
+    lon_mile = MILE_DEG / math.cos(math.radians(lat))
+    return [(f"{prefix}{i}", GeoPoint(lat + float(rng.uniform(-0.3, 0.3)) * MILE_DEG,
+                                      lon + float(rng.uniform(-0.3, 0.3)) * lon_mile))
+            for i in range(count)]
+
+
+def repeated_lists_case(scheme, include_self):
+    """Weights in which whole clusters share one neighbour list, and x, y1, y2.
+
+    Four tight clusters over 100 miles apart, "a", "b" and "d" of six
+    points and "c" of three, and a ring "r" of 16 points 20 miles around
+    "a". Under a 16-mile band a ring point sees the two on either side
+    and a cluster point its own cluster; under knn with k = 5 a six-point
+    cluster is its members' whole neighbourhood. So each cluster's rows
+    repeat one list, while ring rows differ. x is constant on "b", y2 is
+    zero on "d", and "c" is smaller than min_neighbors = 4 under the band.
+    """
+    rng = np.random.default_rng(46)
+    pts = (cluster("a", 39.0, -76.0, 6, rng) + cluster("b", 41.0, -76.0, 6, rng)
+           + cluster("c", 39.0, -73.0, 3, rng) + cluster("d", 37.0, -76.0, 6, rng))
+    lon_mile = MILE_DEG / math.cos(math.radians(39.0))
+    pts += [(f"r{i:02d}", GeoPoint(39.0 + 20.0 * MILE_DEG * math.sin(i * math.pi / 8),
+                                   -76.0 + 20.0 * lon_mile * math.cos(i * math.pi / 8)))
+            for i in range(16)]
+    w = build_weights(pts, scheme, include_self=include_self, k=5, band=16.0)
+    first = np.array([pid[0] for pid, _ in pts])
+    x = np.where(first == "b", 1.5, rng.normal(0.0, 1.0, len(pts)))
+    y1, y2 = rng.normal(0.0, 1.0, (2, len(pts)))
+    return w, x, y1, np.where(first == "d", 0.0, y2)
+
+
+def check_rows_sharing_a_list(w, x, ys, permutations=199, seed=5, min_neighbors=4):
+    """Run ``local_bivariates`` and check it against separate calls and the
+    oracle, and that rows with one neighbourhood share local_r and pseudo_p
+    bit for bit. Returns the results and each group of rows sharing a list."""
+    kwargs = dict(permutations=permutations, seed=seed, min_neighbors=min_neighbors)
+    shared = local_bivariates(x, ys, w, **kwargs)
+    assert len(shared) == len(ys)
+    by_list = {}
+    for i, nb in enumerate(w.neighbors):
+        by_list.setdefault(np.union1d(nb, i).tobytes(), []).append(i)
+    repeated = [rows for rows in by_list.values() if len(rows) > 1]
+    for y, res in zip(ys, shared):
+        alone = local_bivariate(x, y, w, **kwargs)
+        assert res.local_r.tobytes() == alone.local_r.tobytes()  # NaN in the same places
+        assert res.pseudo_p.tobytes() == alone.pseudo_p.tobytes()
+        assert res.category == alone.category
+        local_r, pseudo_p, category = ref_local_bivariate(x, y, w.neighbors, **kwargs)
+        np.testing.assert_allclose(res.local_r, local_r, rtol=0.0, atol=1e-10)
+        np.testing.assert_array_equal(res.pseudo_p, pseudo_p)
+        assert res.category == category
+        for rows in repeated:
+            assert len({res.local_r[i].tobytes() for i in rows}) == 1
+            assert len({res.pseudo_p[i].tobytes() for i in rows}) == 1
+    return shared, repeated
 
 
 class TestBuildWeights:
@@ -251,10 +314,10 @@ class TestGiStar:
         w = build_weights(points, "fixed_band", include_self=True, band=1.5)
         res = getis_ord_gi_star(values, w)
         expected = ref_gi_star(values, [list(map(int, nbrs)) for nbrs in w.neighbors])
-        np.testing.assert_allclose(res.z, expected, atol=1e-9)
+        np.testing.assert_allclose(res.z, expected, rtol=0, atol=1e-15)
         corner_idx, edge_idx = [0, 2, 6, 8], [1, 3, 5, 7]
-        np.testing.assert_allclose(res.z[corner_idx], GRID_CORNER_Z, atol=1e-9)
-        np.testing.assert_allclose(res.z[edge_idx], GRID_EDGE_Z, atol=1e-9)
+        np.testing.assert_allclose(res.z[corner_idx], GRID_CORNER_Z, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(res.z[edge_idx], GRID_EDGE_Z, rtol=0, atol=1e-15)
         assert res.z[4] == 0.0  # saturated neighborhood degenerates
         assert all(res.z[i] > 0 for i in corner_idx + edge_idx)
 
@@ -266,7 +329,24 @@ class TestGiStar:
             x = rng.normal(10.0, 3.0, n)
             res = getis_ord_gi_star(x, w)
             expected = ref_gi_star(x, [list(map(int, nbrs)) for nbrs in w.neighbors])
-            np.testing.assert_allclose(res.z, expected, atol=1e-9)
+            np.testing.assert_allclose(res.z, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
+    def test_large_offset_matches_the_centred_oracle(self, scheme):
+        # Accessibility + 1e4 on the 120-zone region: an oracle taking S
+        # from E[x^2] - mean^2 and the numerator as S1 - mean * W is off by
+        # ~1e-7 here through cancellation; the centred forms agree.
+        zones, facilities, _ = generate_synthetic_region(1)
+        zones = pl.sorted_zones(zones)
+        cfg = RunConfig(weights_scheme=scheme)
+        field = pl.compute_access(zones, facilities, cfg)
+        x = np.array([field.zone_scores[z.zone_id] for z in zones]) + 1e4
+        w = build_weights([(z.zone_id, z.centroid) for z in zones], scheme, include_self=True,
+                          k=cfg.knn_k, band=cfg.band_miles)
+        res = getis_ord_gi_star(x, w)
+        expected = ref_gi_star(x, [list(map(int, nbrs)) for nbrs in w.neighbors])
+        assert np.max(np.abs(res.z)) > 3.0
+        np.testing.assert_allclose(res.z, expected, rtol=0, atol=1e-13)
 
     def test_relabeling_invariance(self):
         pts = random_points(9, 15)
@@ -296,8 +376,8 @@ class TestGiStar:
         base = getis_ord_gi_star(values, w)
         shifted = getis_ord_gi_star(values + 100.0, w)
         scaled = getis_ord_gi_star(values * 7.5, w)
-        np.testing.assert_allclose(shifted.z, base.z, atol=1e-9)
-        np.testing.assert_allclose(scaled.z, base.z, atol=1e-9)
+        np.testing.assert_allclose(shifted.z, base.z, rtol=0, atol=5e-14)
+        np.testing.assert_allclose(scaled.z, base.z, rtol=0, atol=2e-15)
 
     def test_requires_self_inclusive_weights(self):
         pts = random_points(16, 10)
@@ -492,22 +572,10 @@ class TestLocalBivariate:
     def test_shared_pass_equals_separate_calls_and_oracle(self, permutations, scheme,
                                                           include_self):
         w, x, y1, y2 = shared_pass_case(scheme, include_self)
-        shared = local_bivariates(x, [y1, y2], w, permutations=permutations, seed=5,
-                                  min_neighbors=4)
+        shared, _ = check_rows_sharing_a_list(w, x, [y1, y2], permutations=permutations)
         hoods = [np.union1d(nb, i) for i, nb in enumerate(w.neighbors)]
         assert all(np.count_nonzero(y2[hood]) != 1
                    for hood, r in zip(hoods, shared[1].local_r) if not np.isnan(r))
-        assert len(shared) == 2
-        for y, res in zip((y1, y2), shared):
-            alone = local_bivariate(x, y, w, permutations=permutations, seed=5, min_neighbors=4)
-            assert res.local_r.tobytes() == alone.local_r.tobytes()  # NaN in the same places
-            assert res.pseudo_p.tobytes() == alone.pseudo_p.tobytes()
-            assert res.category == alone.category
-            local_r, pseudo_p, category = ref_local_bivariate(
-                x, y, w.neighbors, permutations=permutations, seed=5, min_neighbors=4)
-            np.testing.assert_allclose(res.local_r, local_r, rtol=0.0, atol=1e-10)
-            np.testing.assert_array_equal(res.pseudo_p, pseudo_p)
-            assert res.category == category
         # The case reaches every branch: rows without x-variance, rows
         # Undefined through y alone, and defined rows.
         undefined = [np.isnan(res.local_r) for res in shared]
@@ -535,6 +603,58 @@ class TestLocalBivariate:
         assert max(len(nb) for nb in w.neighbors) >= 500
         assert res.pseudo_p.size == len(pts)
         assert peak < 50 * 2**20
+
+
+class TestRepeatedNeighbourLists:
+    @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_cluster_rows_share_their_results(self, scheme, include_self):
+        w, x, y1, y2 = repeated_lists_case(scheme, include_self)
+        (res1, res2), repeated = check_rows_sharing_a_list(w, x, [y1, y2])
+        hoods = [np.union1d(nb, i) for i, nb in enumerate(w.neighbors)]
+        assert all(np.count_nonzero(y2[hood]) != 1
+                   for hood, r in zip(hoods, res2.local_r) if not np.isnan(r))
+        rows = {c: [i for i, pid in enumerate(w.ids) if pid[0] == c] for c in "abcdr"}
+        assert all(rows[c] in repeated for c in "abd")
+        assert not any(i in group for group in repeated for i in rows["r"])
+        # "a" is defined, "b" Undefined through x, "d" Undefined through y2 alone.
+        assert not np.isnan(res1.local_r[rows["a"]]).any()
+        assert not np.isnan(res2.local_r[rows["a"]]).any()
+        assert np.isnan(res1.local_r[rows["b"]]).all() and np.isnan(res2.local_r[rows["b"]]).all()
+        assert not np.isnan(res1.local_r[rows["d"]]).any()
+        assert np.isnan(res2.local_r[rows["d"]]).all()
+        if scheme == "fixed_band":
+            # "c" is Undefined through its size, and the ring is defined.
+            assert rows["c"] in repeated and np.isnan(res1.local_r[rows["c"]]).all()
+            assert not np.isnan(res1.local_r[rows["r"]]).any()
+
+    @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_complete_graph_is_one_list(self, scheme, include_self):
+        pts = random_points(47, 12)
+        w = build_weights(pts, scheme, include_self=include_self, k=11, band=1000.0)
+        x, y = np.random.default_rng(48).normal(0.0, 1.0, (2, 12))
+        (res,), repeated = check_rows_sharing_a_list(w, x, [y])
+        assert repeated == [list(range(12))]
+        assert not np.isnan(res.local_r).any()
+
+    def test_equal_size_and_index_sum_keep_their_own_results(self):
+        # Rows 0 and 1 have the same size and index sum but different
+        # lists; row 2 repeats row 0.
+        n = 10
+        rng = np.random.default_rng(49)
+        lists = [[0, 1, 2, 3, 4, 9], [0, 1, 2, 3, 5, 8], [0, 1, 2, 3, 4, 9]]
+        lists += [sorted({i, *rng.choice(n, 5, replace=False).tolist()}) for i in range(3, n)]
+        assert len(lists[0]) == len(lists[1]) and sum(lists[0]) == sum(lists[1])
+        indptr = np.cumsum([0] + [len(nb) for nb in lists])
+        matrix = sparse.csr_array((np.ones(indptr[-1]), np.concatenate(lists), indptr),
+                                  shape=(n, n))
+        w = SpatialWeights(ids=[f"z{i}" for i in range(n)], matrix=matrix, include_self=True,
+                           isolated=np.zeros(n, dtype=bool))
+        x, y = rng.normal(0.0, 1.0, (2, n))
+        (res,), repeated = check_rows_sharing_a_list(w, x, [y])
+        assert [0, 2] in repeated and not any(1 in group for group in repeated)
+        assert res.local_r[0] != res.local_r[1]
 
 
 @st.composite
