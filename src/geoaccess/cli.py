@@ -73,6 +73,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         if needs.get("zones"):
             p.add_argument("--zones", required=True, help="zones CSV")
+        if needs.get("geometry"):
             p.add_argument("--geometry", help="optional GeoJSON joined by zone_id")
         if needs.get("facilities"):
             p.add_argument("--facilities", required=needs["facilities"] is True,
@@ -81,14 +82,15 @@ def _build_parser() -> _Parser:
             p.add_argument("--counties", required=True, help="county outcomes CSV")
         if needs.get("out"):
             p.add_argument("--out", required=True, help="output CSV path")
-            p.add_argument("--geojson-out", help="output GeoJSON path (needs --geometry)")
+            if needs.get("geometry"):
+                p.add_argument("--geojson-out", help="output GeoJSON path (needs --geometry)")
         if needs.get("out_dir"):
             p.add_argument("--out-dir", required=True, help="output directory")
         _add_config_flags(p)
         return p
 
     add("access", "two-step floating catchment accessibility scores",
-        zones=True, facilities=True, out=True)
+        zones=True, geometry=True, facilities=True, out=True)
     add("gini", "overall and urban/rural Gini of accessibility",
         zones=True, facilities=True, out=True)
     p = add("ttest", "rural versus urban Welch t-tests",
@@ -96,18 +98,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--columns", help="comma-separated variables: attributes, accessibility or "
                    "risk_index (default: accessibility + attributes)")
     p = add("hotspot", "Getis-Ord Gi* hot/cold spots",
-            zones=True, facilities="optional", out=True)
+            zones=True, geometry=True, facilities="optional", out=True)
     p.add_argument("--value-col", default="accessibility",
                    help="attribute, accessibility, or risk_index (default accessibility)")
     p = add("bivariate", "permutation-tested local bivariate association",
-            zones=True, facilities="optional", out=True)
+            zones=True, geometry=True, facilities="optional", out=True)
     p.add_argument("--x", required=True, help="x column (attribute, accessibility, or risk_index)")
     p.add_argument("--y", required=True, help="y column (attribute, accessibility, or risk_index)")
-    add("risk-index", "PCA composite health-risk index", zones=True, out=True)
+    add("risk-index", "PCA composite health-risk index", zones=True, geometry=True, out=True)
     p = add("mortality", "county mortality ratios and service status", counties=True, out=True)
     p.add_argument("--years", default="all", help="'all', a single year, or first:last")
     add("pipeline", "run every analysis stage into a directory",
-        zones=True, facilities=True, counties=True, out_dir=True)
+        zones=True, geometry=True, facilities=True, counties=True, out_dir=True)
     p = add("synth", "generate a deterministic synthetic region", out_dir=True)
     p.add_argument("--n-urban", type=int, default=40)
     p.add_argument("--n-rural", type=int, default=80)
@@ -122,7 +124,7 @@ def _load_sorted_zones(args):
 
 def _write_zone_table(args, zones, header, rows):
     """--out and, with --geojson-out, its GeoJSON twin, from one rendering."""
-    path = getattr(args, "geojson_out", None)
+    path = args.geojson_out
     if path is not None and not any(z.geometry is not None for z in zones):
         raise ValidationError("--geojson-out requires --geometry with joined features")
     table = Table(header, rows)

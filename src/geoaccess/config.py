@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .accessibility import DECAY_FAMILIES, DEMAND_COLUMNS
 from .errors import ValidationError
-from .spatial import WEIGHT_SCHEMES
+from .ingest import read_text
+from .spatial import MIN_NEIGHBORS, MIN_PERMUTATIONS, WEIGHT_SCHEMES, check_int
 
 DEFAULT_PREVALENCE_COLUMNS = (
     "pct_diabetes",
@@ -27,7 +28,9 @@ DEFAULT_PREVALENCE_COLUMNS = (
     "pct_heart_disease",
 )
 
-_INTEGER_FIELDS = ("knn_k", "permutations", "min_neighbors", "seed")
+# The least value of each integer field.
+_INTEGER_FIELDS = {"knn_k": 1, "permutations": MIN_PERMUTATIONS, "min_neighbors": MIN_NEIGHBORS,
+                   "seed": 0}
 _NUMBER_FIELDS = ("catchment_miles", "band_miles", "variance_target")
 
 __all__ = ["DEFAULT_PREVALENCE_COLUMNS", "CONFIG_KEYS", "RunConfig", "load_config"]
@@ -50,20 +53,16 @@ class RunConfig:
     prevalence_columns: tuple = DEFAULT_PREVALENCE_COLUMNS
 
     def __post_init__(self):
-        typed = [(name, numbers.Integral, "an integer") for name in _INTEGER_FIELDS]
-        typed += [(name, numbers.Real, "a number") for name in _NUMBER_FIELDS]
-        for name, kind, noun in typed:
+        for name, least in _INTEGER_FIELDS.items():
+            check_int(f"config {name}", getattr(self, name), least)
+        for name in _NUMBER_FIELDS:
             value = getattr(self, name)
             # bool is an int subclass; a JSON true must not pass as 1.
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValidationError(f"config {name} must be {noun}, got {value!r}")
-            if name != "seed" and not value > 0:
-                raise ValidationError(f"config {name} must be positive, got {value!r}")
-            # Catches a JSON Infinity and an integer too large for a float.
-            if name in _NUMBER_FIELDS and not value <= sys.float_info.max:
-                raise ValidationError(f"config {name} must be finite, got {value!r}")
-        if self.seed < 0:
-            raise ValidationError(f"config seed must be non-negative, got {self.seed!r}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"config {name} must be a number, got {value!r}")
+            # The upper bound catches a JSON Infinity and an integer too large for a float.
+            if not 0 < value <= sys.float_info.max:
+                raise ValidationError(f"config {name} must be positive and finite, got {value!r}")
         if self.variance_target > 1.0:
             raise ValidationError(
                 f"config variance_target must be in (0, 1], got {self.variance_target!r}"
@@ -76,6 +75,9 @@ class RunConfig:
             raise ValidationError(f"config weights_scheme must be one of {WEIGHT_SCHEMES}")
         if not isinstance(self.fdr, bool):
             raise ValidationError(f"config fdr must be a boolean, got {self.fdr!r}")
+        if not isinstance(self.poverty_column, str):
+            raise ValidationError(
+                f"config poverty_column must be a column name, got {self.poverty_column!r}")
         cols = self.prevalence_columns
         if not isinstance(cols, tuple) or not all(isinstance(c, str) for c in cols):
             raise ValidationError("config prevalence_columns must be a list of column names")
@@ -94,11 +96,11 @@ def load_config(path=None, overrides=None) -> RunConfig:
     """
     values: dict = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: invalid JSON: {exc}")
+        text = read_text(path)
+        try:
+            raw = json.loads(text)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ValidationError(f"{path}: config must be a JSON object")
         unknown = sorted(set(raw) - set(CONFIG_KEYS))
@@ -113,7 +115,4 @@ def load_config(path=None, overrides=None) -> RunConfig:
         values[name] = value
     if isinstance(values.get("prevalence_columns"), list):
         values["prevalence_columns"] = tuple(values["prevalence_columns"])
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ValidationError(f"invalid config: {exc}")
+    return RunConfig(**values)

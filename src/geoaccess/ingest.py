@@ -8,6 +8,7 @@ spreadsheet exports write, is dropped), comma separated, RFC 4180.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -34,6 +35,19 @@ __all__ = [
 ]
 
 
+def read_text(path) -> str:
+    """The text of the file at ``path``, decoded as UTF-8 less a leading
+    byte order mark; a byte that is not UTF-8 is rejected by its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # Physical lines, as the csv reader counts them: \r, \n or \r\n ends one.
+        line = len((data[:exc.start] + b".").splitlines())
+        raise ValidationError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
 class _Columns:
     """The data rows of one CSV file, one tuple of cells per column.
 
@@ -45,34 +59,33 @@ class _Columns:
 
     def __init__(self, path, required, extras_allowed: bool):
         self.path = path
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValidationError(f"{path}: empty file, expected header {','.join(required)}")
-            if header[: len(required)] != required:
-                raise ValidationError(
-                    f"{path}: header must start with {','.join(required)}, got {','.join(header)}"
-                )
-            self.extra = header[len(required):]
-            if self.extra and not extras_allowed:
-                raise ValidationError(f"{path}: unexpected extra columns {self.extra}")
-            if len(set(header)) != len(header):
-                raise ValidationError(f"{path}: duplicate column names in header")
-            # A row's number is the physical line it starts on: a quoted
-            # field may hold line breaks, which reader.line_num counts.
-            self.lines, rows = [], []
-            self._stop, self._failure = math.inf, None
+        reader = csv.reader(io.StringIO(read_text(path), newline=""))
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{path}: empty file, expected header {','.join(required)}")
+        if header[: len(required)] != required:
+            raise ValidationError(
+                f"{path}: header must start with {','.join(required)}, got {','.join(header)}"
+            )
+        self.extra = header[len(required):]
+        if self.extra and not extras_allowed:
+            raise ValidationError(f"{path}: unexpected extra columns {self.extra}")
+        if len(set(header)) != len(header):
+            raise ValidationError(f"{path}: duplicate column names in header")
+        # A row's number is the physical line it starts on: a quoted
+        # field may hold line breaks, which reader.line_num counts.
+        self.lines, rows = [], []
+        self._stop, self._failure = math.inf, None
+        lineno = reader.line_num + 1
+        for row in reader:
+            if row:
+                self.lines.append(lineno)
+                if len(row) != len(header):
+                    # Reading stops here; a fault on an earlier row still wins.
+                    self.fail(len(rows), f"expected {len(header)} fields, got {len(row)}")
+                    break
+                rows.append(row)
             lineno = reader.line_num + 1
-            for row in reader:
-                if row:
-                    self.lines.append(lineno)
-                    if len(row) != len(header):
-                        # Reading stops here; a fault on an earlier row still wins.
-                        self.fail(len(rows), f"expected {len(header)} fields, got {len(row)}")
-                        break
-                    rows.append(row)
-                lineno = reader.line_num + 1
         self._cells = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
 
     def __getitem__(self, name) -> tuple:
@@ -184,12 +197,16 @@ def load_zones(path, geometry_path=None) -> list[DemandZone]:
 
 def _load_geometries(path, known_ids) -> dict:
     """zone_id -> the text of its feature's geometry (None for null)."""
-    with open(path, encoding="utf-8-sig") as fh:
-        text = fh.read()
+    text = read_text(path)
     try:
         doc = _feature_collection(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}")
+    except (ValueError, StopIteration):
+        # The walk stops at the first fault; the decoder names it.
+        try:
+            json.loads(text)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+        raise
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection" \
             or not isinstance(doc.get("features"), list):
         raise ValidationError(f"{path}: expected a GeoJSON FeatureCollection")
@@ -215,36 +232,40 @@ def _load_geometries(path, known_ids) -> dict:
     return geometries
 
 
-# The walk below reads a FeatureCollection as json.loads does, with the same
-# errors at the same index (CPython 3.13 names a trailing comma where this
-# walk keeps the older message), but keeps each geometry as the text it was
-# read as: every value is decoded once by the json module's scanner and, for
-# a geometry, dropped at once. A repeated key keeps its last value.
+# The walk below reads a FeatureCollection as json.loads does, but keeps each
+# geometry as the text it was read as: every value is decoded once by the json
+# module's scanner and, for a geometry, dropped at once. A repeated key keeps
+# its last value. Where the text is not JSON the walk stops with a ValueError
+# or StopIteration and leaves the message to json.loads.
 _SPACE = re.compile(r"[ \t\n\r]*").match
-# One object member up to its value: the "{" or "," before it, and a key
-# without escapes, with the whitespace around them. Other keys, the end of
-# an object and every error go through _member.
-_MEMBER = re.compile(r'[ \t\n\r]*([{,])[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*').match
+# One object member up to its value: the "," before all but the first, and a
+# key with the whitespace around it.
+_MEMBER = re.compile(r'[ \t\n\r]*(,?)[ \t\n\r]*"([^"\\\x00-\x1f]*(?:\\.[^"\\\x00-\x1f]*)*)"'
+                     r"[ \t\n\r]*:[ \t\n\r]*").match
+_OBJECT_END = re.compile(r"[ \t\n\r]*}").match
+_ELEMENT_END = re.compile(r"[ \t\n\r]*([,\]])[ \t\n\r]*").match
+_DOCUMENT_END = re.compile(r"[ \t\n\r]*\Z").match
 _NOT_A_GEOMETRY = object()
+
+
+def _expect(pattern, text, idx):
+    """The match of ``pattern`` at ``text[idx]``; a ValueError where there is none."""
+    match = pattern(text, idx)
+    if match is None:
+        raise ValueError(f"not JSON at index {idx}")
+    return match
 
 
 def _feature_collection(text):
     """The top-level value of ``text``; in an object, ``features`` is read by
     :func:`_features`."""
-    if text.startswith("\ufeff"):
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     scan = json.JSONDecoder().scan_once
     idx = _SPACE(text).end()
-    try:
-        if text.startswith("{", idx):
-            doc, idx = _object(text, idx, scan, _COLLECTION_READERS)
-        else:
-            doc, idx = scan(text, idx)
-    except StopIteration as err:
-        raise json.JSONDecodeError("Expecting value", text, err.value) from None
-    idx = _SPACE(text, idx).end()
-    if idx != len(text):
-        raise json.JSONDecodeError("Extra data", text, idx)
+    if text.startswith("{", idx):
+        doc, idx = _object(text, idx, scan, _COLLECTION_READERS)
+    else:
+        doc, idx = scan(text, idx)
+    _expect(_DOCUMENT_END, text, idx)
     return doc
 
 
@@ -253,39 +274,15 @@ def _object(text, idx, scan, readers):
     member's value is read by ``readers[key]`` where there is one, else
     decoded."""
     members = {}
-    opener = "{"
-    while True:
-        match = _MEMBER(text, idx)
-        if match and match[1] == opener:
-            key, idx = match[2], match.end()
-        else:
-            key, idx = _member(text, idx, opener)
-            if key is None:
-                return members, idx
+    idx, separator = idx + 1, ""
+    while (match := _MEMBER(text, idx)) and match[1] == separator:
+        key, idx = match[2], match.end()
+        if "\\" in key:
+            key = scanstring(text, match.start(2))[0]
         reader = readers.get(key)
         members[key], idx = scan(text, idx) if reader is None else reader(text, idx, scan)
-        opener = ","
-
-
-def _member(text, idx, opener):
-    """The key of the member after ``opener`` ("{" or ",") at or after
-    ``text[idx]``, and the index of its value; at the end of the object, a
-    None key and the index past it."""
-    idx = _SPACE(text, idx).end()
-    if opener == "," and text.startswith("}", idx):
-        return None, idx + 1
-    if not text.startswith(opener, idx):
-        raise json.JSONDecodeError("Expecting ',' delimiter", text, idx)
-    idx = _SPACE(text, idx + 1).end()
-    if opener == "{" and text.startswith("}", idx):
-        return None, idx + 1
-    if not text.startswith('"', idx):
-        raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, idx)
-    key, idx = scanstring(text, idx + 1)
-    idx = _SPACE(text, idx).end()
-    if not text.startswith(":", idx):
-        raise json.JSONDecodeError("Expecting ':' delimiter", text, idx)
-    return key, _SPACE(text, idx + 1).end()
+        separator = ","
+    return members, _expect(_OBJECT_END, text, idx).end()
 
 
 def _features(text, idx, scan):
@@ -304,12 +301,10 @@ def _features(text, idx, scan):
         else:
             idx = scan(text, idx)[1]
             features.append(None)
-        idx = _SPACE(text, idx).end()
-        if text.startswith("]", idx):
-            return features, idx + 1
-        if not text.startswith(",", idx):
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, idx)
-        idx = _SPACE(text, idx + 1).end()
+        match = _expect(_ELEMENT_END, text, idx)
+        idx = match.end()
+        if match[1] == "]":
+            return features, idx
 
 
 def _geometry(text, idx, scan):

@@ -45,6 +45,9 @@ _Z_CUTS = ((2.576, HOT_99, COLD_99), (1.960, HOT_95, COLD_95), (1.645, HOT_90, C
 _FDR_ALPHAS = (0.01, 0.05, 0.10)
 # Pseudo p-value at or below which a local association is significant.
 _BIVARIATE_ALPHA = 0.05
+# The fewest permutations M whose least pseudo p-value, 1 / (M + 1), reaches it.
+MIN_PERMUTATIONS = 19
+MIN_NEIGHBORS = 2
 
 # Permuted y columns pushed through the neighbor matrix in one product.
 _PERM_BLOCK = 64
@@ -243,7 +246,7 @@ def classify_hotspots(result: HotSpotResult, fdr: bool = False) -> HotSpotResult
     return HotSpotResult(ids=result.ids, z=result.z, p=result.p, category=category)
 
 
-def _check_int(name: str, value, least: int) -> None:
+def check_int(name: str, value, least: int) -> None:
     # bool is an int subclass; True must not pass as 1.
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -261,7 +264,7 @@ def local_bivariate(x, y, weights: SpatialWeights, permutations: int = 199, seed
                     min_neighbors: int = 8, workers: int = 1) -> BivariateResult:
     """``local_bivariates`` for one y. ``workers`` is validated and otherwise
     unused: the computation runs in one thread."""
-    _check_int("workers", workers, 1)
+    check_int("workers", workers, 1)
     return local_bivariates(x, [y], weights, permutations, seed, min_neighbors)[0]
 
 
@@ -296,9 +299,9 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
         raise ValidationError(f"variable lengths {lengths} do not match feature count {n}")
     if not all(np.all(np.isfinite(v)) for v in (xv, *yvs)):
         raise ValidationError("local_bivariate requires finite values")
-    _check_int("permutations", permutations, 19)
-    _check_int("seed", seed, 0)
-    _check_int("min_neighbors", min_neighbors, 2)
+    check_int("permutations", permutations, MIN_PERMUTATIONS)
+    check_int("seed", seed, 0)
+    check_int("min_neighbors", min_neighbors, MIN_NEIGHBORS)
 
     hood = weights.matrix
     if not weights.include_self:

@@ -495,29 +495,35 @@ def _beta_continued_fraction(a, b, x):
     raise ValidationError(f"incomplete beta failed to converge for a={a}, b={b}, x={x}")
 
 
-def regularized_incomplete_beta(a, b, x):
-    """I_x(a, b) for a, b > 0 and x in [0, 1], by the Lentz continued fraction."""
+def regularized_incomplete_beta(a, b, x, y=None):
+    """I_x(a, b) for a, b > 0 and x in [0, 1], by the Lentz continued fraction.
+
+    ``y`` is 1 - x. Near x = 1, ``1 - x`` keeps few digits or none, so a
+    caller that can form y another way passes it.
+    """
     if not (a > 0 and b > 0):
         raise ValidationError(f"beta parameters must be positive, got a={a!r}, b={b!r}")
     if not 0.0 <= x <= 1.0:
         raise ValidationError(f"beta argument must be in [0, 1], got {x!r}")
+    if y is None:
+        y = 1.0 - x
     if x == 0.0:
         return 0.0
-    if x == 1.0:
+    if y == 0.0:
         return 1.0
     log_front = (
         math.lgamma(a + b)
         - math.lgamma(a)
         - math.lgamma(b)
         + a * math.log(x)
-        + b * math.log1p(-x)
+        + b * math.log(y)
     )
     front = math.exp(log_front)
     # Use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) on the side where the
     # continued fraction converges fastest.
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
+    return 1.0 - front * _beta_continued_fraction(b, a, y) / b
 
 
 def student_t_two_sided_p(t, df):
@@ -527,7 +533,7 @@ def student_t_two_sided_p(t, df):
     if math.isinf(t):
         return 0.0
     x = df / (df + t * t)
-    p = regularized_incomplete_beta(0.5 * df, 0.5, x)
+    p = regularized_incomplete_beta(0.5 * df, 0.5, x, t * t / (df + t * t))
     return min(1.0, max(0.0, p))
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -67,6 +68,11 @@ class TestImpedance:
                 decay_weight(1.0, d0)
             with pytest.raises(ValidationError, match="d0"):
                 accessibility_scores([zone("z1", 39.0, -76.0, 5)], [], d0)
+
+    # Not the Gaussian: it squares d / d0, which overflows a float here.
+    @pytest.mark.parametrize("family", ["exponential", "power"])
+    def test_the_largest_finite_distance_is_beyond_the_catchment(self, family):
+        assert decay_weight(sys.float_info.max, 15.0, family) == 0.0
 
     def test_rejects_negative_distance(self):
         for d in (-1.0, math.inf, math.nan):

@@ -184,6 +184,50 @@ class TestExitCodes:
         assert run("mortality", "--counties", str(bad), "--out", str(tmp_path / "o.csv")) == 1
 
 
+class TestGeometryFlags:
+    @pytest.mark.parametrize("command,flag", [
+        ("gini", "--geometry"), ("gini", "--geojson-out"), ("ttest", "--geometry"),
+        ("ttest", "--geojson-out"), ("mortality", "--geojson-out"),
+    ])
+    def test_a_subcommand_that_writes_no_geojson_takes_no_geometry_flag(
+            self, synth_dir, tmp_path, capsys, command, flag):
+        inputs = {"gini": ["--zones", "--facilities"], "ttest": ["--zones", "--facilities"],
+                  "mortality": ["--counties"]}[command]
+        files = {"--zones": "zones.csv", "--facilities": "facilities.csv",
+                 "--counties": "counties.csv"}
+        argv = [arg for name in inputs for arg in (name, str(synth_dir / files[name]))]
+        out = tmp_path / "o.csv"
+        assert run(command, *argv, flag, str(tmp_path / "g.geojson"), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "usage" in err and f"unrecognized arguments: {flag}" in err
+        assert not out.exists()
+
+
+class TestInputText:
+    @pytest.mark.parametrize("name", ["zones.csv", "facilities.csv", "counties.csv",
+                                      "zones.geojson", "cfg.json"])
+    def test_a_byte_that_is_not_utf8_fails_by_file_and_line(self, synth_dir, tmp_path, capsys,
+                                                            name):
+        geometry = point_geometry(synth_dir / "zones.csv", synth_dir)
+        config = synth_dir / "cfg.json"
+        config.write_text(json.dumps({"seed": 1}, indent=1))
+        path = synth_dir / name
+        first, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(first + b"\n\xff" + rest)
+        out = tmp_path / "run"
+        assert run("pipeline", *(arg for flag, f in (
+            ("--zones", "zones.csv"), ("--facilities", "facilities.csv"),
+            ("--counties", "counties.csv")) for arg in (flag, str(synth_dir / f))),
+            "--geometry", str(geometry), "--config", str(config), "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: not UTF-8 text (invalid start byte)\n"
+        assert not out.exists()
+
+    def test_a_config_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"seed": 1}).encode("utf-8"))
+        assert load_config(cfg).seed == 1
+
+
 class TestConfigPrecedence:
     def test_flag_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -289,6 +333,14 @@ class TestConfigValidation:
         pytest.param({"catchment_miles": math.inf}, "catchment_miles", id="infinite-catchment"),
         pytest.param({"band_miles": math.inf}, "band_miles", id="infinite-band"),
         pytest.param({"catchment_miles": 10 ** 400}, "catchment_miles", id="huge-integer-catchment"),
+        pytest.param({"permutations": 18}, "permutations", id="too-few-permutations"),
+        pytest.param({"min_neighbors": 1}, "min_neighbors", id="one-neighbor"),
+        pytest.param({"knn_k": 0, "weights_scheme": "knn"}, "knn_k", id="zero-knn_k"),
+        pytest.param({"variance_target": 1.5}, "variance_target", id="variance_target-above-1"),
+        pytest.param({"poverty_column": 5}, "poverty_column", id="number-poverty_column"),
+        pytest.param({"impedance": "linear"}, "impedance", id="unknown-impedance"),
+        pytest.param({"demand": "beds"}, "demand", id="unknown-demand"),
+        pytest.param({"fdr": 1}, "fdr", id="number-fdr"),
     ])
     def test_bad_value_is_named_and_exits_1(self, synth_dir, tmp_path, capsys, values, name):
         cfg = tmp_path / "cfg.json"
@@ -298,6 +350,49 @@ class TestConfigValidation:
                    "--config", str(cfg), "--out-dir", str(tmp_path / "run")) == 1
         assert f"config {name}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--permutations", "5", "permutations"), ("--min-neighbors", "1", "min_neighbors")])
+    def test_a_flag_below_its_least_value_fails_before_any_stage(self, synth_dir, tmp_path,
+                                                                capsys, flag, value, name):
+        z, f, c = (str(synth_dir / n) for n in ("zones.csv", "facilities.csv", "counties.csv"))
+        assert run("pipeline", "--zones", z, "--facilities", f, "--counties", c, flag, value,
+                   "--out-dir", str(tmp_path / "run")) == 1
+        assert capsys.readouterr().err.startswith(f"error: config {name} must be an integer >= ")
+        assert not (tmp_path / "run").exists()
+
+    def test_each_integer_field_takes_its_least_value(self):
+        cfg = RunConfig(knn_k=1, permutations=19, min_neighbors=2, seed=0, variance_target=1.0)
+        assert (cfg.knn_k, cfg.permutations, cfg.min_neighbors, cfg.seed) == (1, 19, 2, 0)
+        assert cfg.variance_target == 1.0
+
+    @pytest.mark.parametrize("text,message", [
+        ("{", "invalid JSON: Expecting property name enclosed in double quotes"),
+        ('{"seed": 1' + "0" * 5000 + "}", "invalid JSON: Exceeds the limit"),
+        ("[]", "config must be a JSON object"),
+    ], ids=["not-json", "long-integer", "array"])
+    def test_a_config_file_that_is_no_json_object_is_named(self, tmp_path, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        with pytest.raises(ValidationError) as exc:
+            load_config(cfg)
+        assert str(exc.value).startswith(f"{cfg}: {message}")
+
+    def test_an_unknown_override_is_named(self):
+        with pytest.raises(ValidationError, match=r"^unknown config override 'workers'$"):
+            load_config(overrides={"workers": 2})
+
+    def test_prevalence_columns_flag_is_a_comma_separated_list(self, synth_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prevalence_columns": ["pct_obesity", "pct_asthma"]}))
+        zones = str(synth_dir / "zones.csv")
+        assert run("risk-index", "--zones", zones, "--prevalence-cols", " pct_obesity,, pct_asthma ",
+                   "--out", str(tmp_path / "flag.csv")) == 0
+        assert run("risk-index", "--zones", zones, "--config", str(cfg),
+                   "--out", str(tmp_path / "file.csv")) == 0
+        assert run("risk-index", "--zones", zones, "--out", str(tmp_path / "default.csv")) == 0
+        assert filecmp.cmp(tmp_path / "flag.csv", tmp_path / "file.csv", shallow=False)
+        assert not filecmp.cmp(tmp_path / "flag.csv", tmp_path / "default.csv", shallow=False)
 
 
 class TestPipeline:
@@ -382,6 +477,26 @@ class TestMortalityCommand:
             assert capsys.readouterr().err == f"error: no county has a record in years {years}\n"
             assert not out.exists()
 
+    def test_a_range_of_one_year_is_that_year(self, synth_dir, tmp_path):
+        counties = str(synth_dir / "counties.csv")
+        for years, name in (("2019", "one.csv"), ("2019:2019", "range.csv"), ("all", "all.csv")):
+            assert run("mortality", "--counties", counties, "--years", years,
+                       "--out", str(tmp_path / name)) == 0
+        assert filecmp.cmp(tmp_path / "one.csv", tmp_path / "range.csv", shallow=False)
+        assert not filecmp.cmp(tmp_path / "one.csv", tmp_path / "all.csv", shallow=False)
+
+    @pytest.mark.parametrize("years,message", [
+        ("2019:x", "bad --years value '2019:x'"),
+        ("2020:2019", "bad --years range '2020:2019'"),
+        ("20x9", "bad --years value '20x9'"),
+    ])
+    def test_a_bad_years_value_is_named(self, synth_dir, tmp_path, capsys, years, message):
+        out = tmp_path / "m.csv"
+        assert run("mortality", "--counties", str(synth_dir / "counties.csv"), "--years", years,
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_omitted_counties_are_named_in_one_warning(self, synth_dir, tmp_path):
         header, *rows = read_csv(synth_dir / "counties.csv")
         dropped = {"CTY07", "CTY02", "CTY15"}
@@ -446,22 +561,24 @@ class TestTTestCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
 
-class TestGeoJson:
-    def _geometry_for(self, zones_csv, tmp_path):
-        rows = read_csv(zones_csv)[1:]
-        features = []
-        for r in rows:
-            features.append({
-                "type": "Feature",
-                "properties": {"zone_id": r[0]},
-                "geometry": {"type": "Point", "coordinates": [float(r[2]), float(r[1])]},
-            })
-        path = tmp_path / "zones.geojson"
-        path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
-        return path
+def point_geometry(zones_csv, directory):
+    """A GeoJSON file giving each zone of ``zones_csv`` its centroid."""
+    rows = read_csv(zones_csv)[1:]
+    features = []
+    for r in rows:
+        features.append({
+            "type": "Feature",
+            "properties": {"zone_id": r[0]},
+            "geometry": {"type": "Point", "coordinates": [float(r[2]), float(r[1])]},
+        })
+    path = directory / "zones.geojson"
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": features}, indent=1))
+    return path
 
+
+class TestGeoJson:
     def test_geojson_output_carries_analysis_attributes(self, synth_dir, tmp_path):
-        geom = self._geometry_for(synth_dir / "zones.csv", tmp_path)
+        geom = point_geometry(synth_dir / "zones.csv", tmp_path)
         out_csv = tmp_path / "access.csv"
         out_geo = tmp_path / "access.geojson"
         assert run("access", "--zones", str(synth_dir / "zones.csv"),
@@ -486,7 +603,7 @@ class TestGeoJson:
         assert not (tmp_path / "a.csv").exists()  # the refused run writes no CSV either
 
     def test_pipeline_emits_geojson_with_geometry(self, synth_dir, tmp_path):
-        geom = self._geometry_for(synth_dir / "zones.csv", tmp_path)
+        geom = point_geometry(synth_dir / "zones.csv", tmp_path)
         out = tmp_path / "run"
         assert run("pipeline", "--zones", str(synth_dir / "zones.csv"),
                    "--geometry", str(geom),

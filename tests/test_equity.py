@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geoaccess import (
     AccessibilityField,
     DemandZone,
     GeoPoint,
+    GiniResult,
     ValidationError,
     gini,
     gini_stratified,
@@ -37,7 +40,7 @@ class TestGini:
         assert gini([1, 2, 3, 4]).gini == pytest.approx(0.25, abs=1e-12)
 
     def test_all_zero_convention(self):
-        assert gini([0.0, 0.0]).gini == 0.0
+        assert gini([0.0, 0.0]) == GiniResult(gini=0.0, n=2, mean=0.0)
 
     def test_result_carries_n_and_mean(self):
         res = gini([1, 2, 3, 4])
@@ -143,6 +146,16 @@ class TestWelch:
     def test_undersized_sample_is_degenerate_not_an_error(self):
         res = welch_t_test([1.0], [2.0, 3.0])
         assert res.degenerate and res.t == 0.0 and res.p == 1.0
+        assert (res.var_a, res.var_b, res.df) == (0.0, 0.5, 1.0)
+        res = welch_t_test([4.0, 6.0, 8.0], [1.0])
+        assert res.degenerate and (res.var_a, res.var_b, res.df) == (4.0, 0.0, 2.0)
+
+    def test_one_constant_sample_is_an_ordinary_test(self):
+        res = welch_t_test([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
+        assert not (res.degenerate or res.infinite_separation)
+        assert res.t == pytest.approx(3.0 * math.sqrt(3.0), rel=1e-12)
+        assert res.df == pytest.approx(2.0, rel=1e-12)
+        assert res.p == pytest.approx(student_t_two_sided_p(res.t, res.df), rel=1e-10)
 
     def test_zero_variances_equal_means(self):
         res = welch_t_test([2.0, 2.0], [2.0, 2.0])
@@ -163,9 +176,17 @@ class TestWelch:
         with pytest.raises(ValidationError):
             welch_t_test([], [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_value_in_either_sample_is_rejected(self, bad):
+        for a, b in (([1.0, bad], [1.0, 2.0]), ([1.0, 2.0], [1.0, bad])):
+            with pytest.raises(ValidationError, match="finite"):
+                welch_t_test(a, b)
+
 
 @given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(2, 700), n_b=st.integers(2, 400),
        gap=st.floats(0.0, 100.0), sd_a=st.floats(0.01, 10.0), sd_b=st.floats(0.01, 10.0))
+# t is about 1.9e-7 here, so 1 - df / (df + t*t) keeps almost no digits.
+@example(seed=2, n_a=22, n_b=2, gap=0.01, sd_a=8.5234375, sd_b=0.01)
 @settings(max_examples=200, deadline=None)
 def test_welch_p_matches_continued_fraction_oracle(seed, n_a, n_b, gap, sd_a, sd_b):
     rng = np.random.default_rng(seed)

@@ -155,6 +155,20 @@ class TestOtherLoaders:
                            match=r"counties\.csv:3: column 'year' must be >= 1, got 0$"):
             load_counties(path)
 
+    @pytest.mark.parametrize("name,text,message", [
+        ("zones.csv", "", f"empty file, expected header {ZONES_HEADER}"),
+        ("facilities.csv", "facility_id,lat,lon,beds,notes\n", "unexpected extra columns ['notes']"),
+        ("zones.csv", f"{ZONES_HEADER},pct,pct\nz1,39.0,-76.0,1,1,0,1,2\n",
+         "duplicate column names in header"),
+    ], ids=["empty", "extra-column", "repeated-column"])
+    def test_a_bad_header_is_named(self, tmp_path, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        load = load_zones if name == "zones.csv" else load_facilities
+        with pytest.raises(ValidationError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: {message}"
+
     def test_counties_load(self, tmp_path):
         path = tmp_path / "counties.csv"
         path.write_text(
@@ -211,6 +225,40 @@ class TestByteOrderMark:
         geo_path.write_bytes(b"\xef\xbb\xbf" + json.dumps(doc).encode("utf-8"))
         geometry = load_zones(csv_path, geometry_path=geo_path)[0].geometry
         assert json.loads(geometry) == doc["features"][0]["geometry"]
+
+
+# One file of each kind: its loader, and three lines of which the third
+# is bad in its own right, so a byte that is not UTF-8 on line 4 must be
+# reported before any row is checked.
+TEXT_FILES = {
+    "zones.csv": (load_zones, [ZONES_HEADER, "z1,39.0,-76.0,1000,12,1", "z2,x,-76.0,1,1,0"]),
+    "facilities.csv": (load_facilities, ["facility_id,lat,lon,beds", "h1,39.0,-76.0,10",
+                                         "h2,39.0,-76.0,0"]),
+    "counties.csv": (load_counties, ["county_id,year,adrd_deaths,adrd_patients,population_50plus",
+                                     "c1,2020,5,40,900", "c1,2020,5,40,900"]),
+    "zones.geojson": (lambda path: load_zones(path.parent / "zones.csv", geometry_path=path),
+                      ['{"type": "FeatureCollection",', '"features": [', "1,"]),
+}
+
+
+class TestUtf8:
+    @pytest.mark.parametrize("name", sorted(TEXT_FILES))
+    def test_the_first_byte_that_is_not_utf8_is_named_by_its_line(self, tmp_path, name):
+        load, lines = TEXT_FILES[name]
+        write_csv(tmp_path / "zones.csv", ZONE_COLUMNS, [["z1", 39.0, -76.0, 1000, 12, True]])
+        path = tmp_path / name
+        # \r\n, a lone \r and \n each end a physical line.
+        text = "\r\n".join(lines[:2]) + "\r" + lines[2] + "\ncaf\u00e9,"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8") + b"\xe9\n")
+        with pytest.raises(ValidationError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}:4: not UTF-8 text (invalid continuation byte)"
+
+    def test_an_undecodable_byte_on_the_first_line(self, tmp_path):
+        path = tmp_path / "facilities.csv"
+        path.write_bytes(b"facility_id,lat,lon,beds\xff\n")
+        with pytest.raises(ValidationError, match=r"facilities.csv:1: not UTF-8 text \(invalid start"):
+            load_facilities(path)
 
 
 zone_rows = st.lists(
@@ -414,6 +462,13 @@ MALFORMED = {
         {"type": "FeatureCollection", "features": [
             GOOD_FEATURE, {"type": "Feature", "properties": {"zone_id": [1]}, "geometry": POINT}]},
         r"feature 1 zone_id \[1\] has no CSV row"),
+    "zone_id missing": (
+        {"type": "FeatureCollection", "features": [
+            GOOD_FEATURE, {"type": "Feature", "properties": {"name": "z1"}, "geometry": POINT}]},
+        "feature 1 has no zone_id property"),
+    "zone_id repeated": (
+        {"type": "FeatureCollection", "features": [GOOD_FEATURE, GOOD_FEATURE]},
+        "duplicate geometry for zone_id 'z0'"),
     "geometry a number": (
         {"type": "FeatureCollection", "features": [
             GOOD_FEATURE, {"type": "Feature", "properties": {"zone_id": "z1"}, "geometry": 5}]},
@@ -437,6 +492,7 @@ INVALID_JSON = [
     '{"features":[{"geometry":null}{}]}', '{"features":[1 2]}', '{1:2}', '{"a":1,2}',
     '{"features":[{"geometry":{"type":"Point","coordinates":[1,]}}]}', '{"a":"\x01"}',
     '{"a\\q":1}', '{"features":[{"properties":{"zone_id":"z1"},"geometry":tru}]}', "﻿{}",
+    '{"a":1,}', '{"features":[1,]}', '{"features":[{"geometry":null,}]}',
 ]
 
 spaces = st.sampled_from(["", " ", "\n", "\t", "\r\n  "])
@@ -536,6 +592,13 @@ class TestGeometryFile:
         with pytest.raises(ValidationError) as walk:
             load_zones(csv_path, geometry_path=geo_path)
         assert str(walk.value) == f"{geo_path}: invalid JSON: {decoder.value}"
+
+    @pytest.mark.parametrize("features", ["[]", "[ \n]"])
+    def test_an_empty_feature_list_joins_no_geometry(self, tmp_path, features):
+        csv_path = one_zone_csv(tmp_path)
+        geo_path = tmp_path / "zones.geojson"
+        geo_path.write_text(f'{{"type": "FeatureCollection", "features": {features}}}')
+        assert load_zones(csv_path, geometry_path=geo_path) == load_zones(csv_path)
 
     def test_every_cut_of_a_document_fails_as_the_decoder_does(self, tmp_path):
         csv_path = one_zone_csv(tmp_path)

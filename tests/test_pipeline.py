@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoaccess import Facility, GeoPoint, RunConfig, generate_synthetic_region, run_pipeline
+from geoaccess import (DemandZone, Facility, GeoPoint, RunConfig, ValidationError,
+                       generate_synthetic_region, run_pipeline)
 from geoaccess import pipeline as pl
+from geoaccess.output import write_csv
 from oracles import ref_write_geojson
 
 
@@ -205,3 +207,43 @@ def test_new_output_directory_gets_the_default_mode(tmp_path):
     run_pipeline(*generate_synthetic_region(3), tmp_path / "out", RunConfig())
     (tmp_path / "plain").mkdir()
     assert (tmp_path / "out").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
+def stratified_zones(values):
+    """One zone per (urban, x) pair, each with attribute ``x``."""
+    return [DemandZone(f"z{i}", GeoPoint(39.0, -76.0 + 0.01 * i), 10, 1, urban, {"x": x})
+            for i, (urban, x) in enumerate(values)]
+
+
+def test_gini_rows_leave_an_empty_stratum_blank(tmp_path):
+    zones, facilities, _ = generate_synthetic_region(3)
+    zones = [dataclasses.replace(z, urban=True) for z in zones]
+    rows = pl.gini_rows(zones, pl.compute_access(zones, facilities, RunConfig()))
+    write_csv(tmp_path / "gini.csv", pl.GINI_HEADER, rows)
+    lines = (tmp_path / "gini.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in lines[1:3]] == [["overall", "120"], ["urban", "120"]]
+    assert lines[3] == "rural,0,,"
+
+
+@pytest.mark.parametrize("urban", [True, False])
+def test_ttest_rows_need_both_strata(urban):
+    with pytest.raises(ValidationError, match="both rural and urban"):
+        pl.ttest_rows(stratified_zones([(urban, 1.0), (urban, 2.0), (urban, 4.0)]), ["x"])
+
+
+@pytest.mark.parametrize("values,flag", [
+    ([(False, 1.0), (False, 2.0), (True, 2.0), (True, 5.0)], "ok"),
+    ([(False, 1.0), (True, 2.0), (True, 5.0)], "degenerate"),
+    ([(False, 2.0), (False, 2.0), (True, 3.0), (True, 3.0)], "infinite_separation"),
+])
+def test_ttest_rows_flag_each_comparison(values, flag):
+    [row] = pl.ttest_rows(stratified_zones(values), ["x"])
+    assert row[0] == "x" and row[-1] == flag
+
+
+def test_resolve_series_names_the_first_zone_without_the_column():
+    zones = stratified_zones([(True, 1.0), (False, 2.0), (True, 3.0)])
+    zones[1:] = [dataclasses.replace(z, attributes={}) for z in zones[1:]]
+    with pytest.raises(ValidationError) as exc:
+        pl.resolve_series(zones, "x")
+    assert str(exc.value) == "zone 'z1' has no attribute column 'x'"
