@@ -8,8 +8,7 @@ every catchment score exactly zero.
 
 The decay weight is a truncated Gaussian that declines smoothly from
 ``1 - exp(-1/2)`` at distance zero to exactly zero at the catchment
-boundary. Exponential and power variants are available for sensitivity
-runs; the Gaussian is the default and the one the test suite pins down.
+boundary, and is zero beyond it.
 """
 
 from __future__ import annotations
@@ -25,12 +24,10 @@ from .geo import GeoPoint, SpatialIndex
 
 DEFAULT_CATCHMENT_MILES = 15.0
 
-DECAY_FAMILIES = ("gaussian", "exponential", "power")
 DEMAND_COLUMNS = ("patients", "population")
 
 __all__ = [
     "DEFAULT_CATCHMENT_MILES",
-    "DECAY_FAMILIES",
     "DEMAND_COLUMNS",
     "DemandZone",
     "Facility",
@@ -60,10 +57,12 @@ class DemandZone:
     geometry: str | dict | None = None
 
     def __post_init__(self):
-        if self.population < 0:
-            raise ValidationError(f"zone {self.zone_id!r}: negative population")
-        if self.adrd_patients < 0:
-            raise ValidationError(f"zone {self.zone_id!r}: negative patient count")
+        if not 0 <= self.population <= sys.float_info.max:
+            raise ValidationError(f"zone {self.zone_id!r}: population must be finite and >= 0, "
+                                  f"got {self.population!r}")
+        if not 0 <= self.adrd_patients <= sys.float_info.max:
+            raise ValidationError(f"zone {self.zone_id!r}: adrd_patients must be finite and >= 0, "
+                                  f"got {self.adrd_patients!r}")
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,9 @@ class Facility:
     beds: float
 
     def __post_init__(self):
-        if not self.beds > 0:
+        if not 0 < self.beds <= sys.float_info.max:
             raise ValidationError(
-                f"facility {self.facility_id!r}: beds must be > 0, got {self.beds!r}"
+                f"facility {self.facility_id!r}: beds must be finite and > 0, got {self.beds!r}"
             )
 
 
@@ -96,43 +95,35 @@ class AccessibilityField:
     skipped_facilities: list
 
 
-def decay_weight(d: float, d0: float, family: str = "gaussian") -> float:
-    """Distance-decay weight under a named family.
+def decay_weight(d: float, d0: float) -> float:
+    """Truncated Gaussian decay weight of distance ``d`` for catchment ``d0``.
 
-    All families are truncated at ``d0``, reach exactly zero there, and
-    decrease strictly on [0, d0]. "gaussian" is the primary form; the
-    shifted "exponential" and "power" analogues exist for sensitivity
-    analysis only. A one-distance call of the weights
+    Decreases strictly on [0, d0], reaches exactly zero at ``d0`` and is
+    zero beyond it. A one-distance call of the weights
     :func:`accessibility_scores` uses, so both give the same bits.
     """
-    _check_decay(d0, family)
+    _check_decay(d0)
     if not 0 <= d <= sys.float_info.max:
         raise ValidationError(f"distance d must be finite and >= 0, got {d!r}")
-    return _decay(np.array([d], dtype=float), d0, family).tolist()[0]
+    return _decay(np.array([d], dtype=float), d0).tolist()[0]
 
 
-def _check_decay(d0, family):
+def _check_decay(d0):
     if not 0 < d0 <= sys.float_info.max:
         raise ValidationError(f"catchment threshold d0 must be finite and > 0, got {d0!r}")
-    if family not in DECAY_FAMILIES:
-        raise ValidationError(f"unknown impedance family {family!r}; expected one of {DECAY_FAMILIES}")
 
 
-def _decay(dist: np.ndarray, d0: float, family: str) -> np.ndarray:
-    """Decay weights of checked distances, elementwise.
+def _decay(dist: np.ndarray, d0: float) -> np.ndarray:
+    """Decay weights of checked distances, elementwise; 0.0 beyond ``d0``.
 
-    Division and the final subtraction are IEEE-exact, so numpy does
-    them; ``exp`` and ``**`` (libm ``pow``) are Python-float libm calls,
-    whose last bits numpy's ufuncs do not keep.
+    The kernel is evaluated only inside the catchment. Division and the
+    final subtraction are IEEE-exact, so numpy does them; ``exp`` and
+    ``**`` (libm ``pow``) are Python-float libm calls, whose last bits
+    numpy's ufuncs do not keep.
     """
-    q, n, exp = dist / d0, dist.size, math.exp
-    if family == "gaussian":
-        w = np.fromiter((exp(-0.5 * v ** 2) for v in q.tolist()), float, n) - exp(-0.5)
-    elif family == "exponential":
-        w = np.fromiter(map(exp, (-q).tolist()), float, n) - exp(-1.0)
-    else:
-        w = np.fromiter((v ** -2 for v in (1.0 + q).tolist()), float, n) - 0.25
-    w[dist > d0] = 0.0
+    inside, exp = dist <= d0, math.exp
+    w = np.zeros(dist.shape)
+    w[inside] = np.array([exp(-0.5 * q ** 2) for q in (dist[inside] / d0).tolist()]) - exp(-0.5)
     return w
 
 
@@ -141,7 +132,6 @@ def accessibility_scores(
     facilities,
     d0: float = DEFAULT_CATCHMENT_MILES,
     demand: str = "patients",
-    family: str = "gaussian",
 ) -> AccessibilityField:
     """Two-step floating catchment area scores for every zone.
 
@@ -160,7 +150,7 @@ def accessibility_scores(
     facilities = sorted(facilities, key=lambda f: f.facility_id)
     if not zones:
         raise ValidationError("accessibility requires at least one demand zone")
-    _check_decay(d0, family)
+    _check_decay(d0)
     if demand not in DEMAND_COLUMNS:
         raise ValidationError(f"unknown demand column {demand!r}; expected one of {DEMAND_COLUMNS}")
 
@@ -172,7 +162,7 @@ def accessibility_scores(
     fac_index = SpatialIndex([(f.facility_id, f.location) for f in facilities])
     zone_index = SpatialIndex([(z.zone_id, z.centroid) for z in zones])
     fac, zone, dist = fac_index.pairs_within(zone_index, d0)
-    weight = _decay(dist, d0, family)
+    weight = _decay(dist, d0)
     need = np.array([z.adrd_patients if demand == "patients" else z.population for z in zones])
     denom = np.bincount(fac, weights=need[zone] * weight, minlength=len(facilities))
     reach = np.bincount(fac, minlength=len(facilities))

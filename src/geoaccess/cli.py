@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import pipeline as pl
-from .accessibility import DECAY_FAMILIES, DEMAND_COLUMNS
+from .accessibility import DEMAND_COLUMNS
 from .config import CONFIG_KEYS, RunConfig, load_config
 from .errors import ValidationError
 from .ingest import (COUNTY_COLUMNS, FACILITY_COLUMNS, ZONE_COLUMNS, load_counties,
@@ -40,7 +40,6 @@ def _add_config_flags(p: _Parser):
     g = p.add_argument_group("configuration")
     g.add_argument("--config", help="JSON config file with RunConfig keys")
     g.add_argument("--d0", type=float, dest="catchment_miles", help="catchment threshold, miles")
-    g.add_argument("--impedance", choices=DECAY_FAMILIES)
     g.add_argument("--demand", choices=DEMAND_COLUMNS)
     g.add_argument("--scheme", choices=WEIGHT_SCHEMES, dest="weights_scheme")
     g.add_argument("--band", type=float, dest="band_miles", help="fixed band distance, miles")

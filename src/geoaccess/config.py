@@ -13,7 +13,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 
-from .accessibility import DECAY_FAMILIES, DEMAND_COLUMNS
+from .accessibility import DEMAND_COLUMNS
 from .errors import ValidationError
 from .ingest import read_text
 from .spatial import MIN_NEIGHBORS, MIN_PERMUTATIONS, WEIGHT_SCHEMES, check_int
@@ -39,7 +39,6 @@ __all__ = ["DEFAULT_PREVALENCE_COLUMNS", "CONFIG_KEYS", "RunConfig", "load_confi
 @dataclass(frozen=True)
 class RunConfig:
     catchment_miles: float = 15.0
-    impedance: str = "gaussian"
     demand: str = "patients"
     weights_scheme: str = "fixed_band"
     band_miles: float = 15.0
@@ -67,8 +66,6 @@ class RunConfig:
             raise ValidationError(
                 f"config variance_target must be in (0, 1], got {self.variance_target!r}"
             )
-        if self.impedance not in DECAY_FAMILIES:
-            raise ValidationError(f"config impedance must be one of {DECAY_FAMILIES}")
         if self.demand not in DEMAND_COLUMNS:
             raise ValidationError(f"config demand must be one of {DEMAND_COLUMNS}")
         if self.weights_scheme not in WEIGHT_SCHEMES:
@@ -99,7 +96,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
         text = read_text(path)
         try:
             raw = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # too deep a nesting is a RecursionError
             raise ValidationError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ValidationError(f"{path}: config must be a JSON object")

@@ -200,11 +200,12 @@ def _load_geometries(path, known_ids) -> dict:
     text = read_text(path)
     try:
         doc = _feature_collection(text)
-    except (ValueError, StopIteration):
-        # The walk stops at the first fault; the decoder names it.
+    except (ValueError, StopIteration, RecursionError):
+        # The walk stops at the first fault, or at too deep a nesting; the
+        # decoder names it.
         try:
             json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from None
         raise
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection" \

@@ -10,6 +10,7 @@ of ratios).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -46,8 +47,15 @@ class CountyOutcome:
     population_50plus: float
 
     def __post_init__(self):
-        if self.adrd_deaths < 0 or self.adrd_patients < 0 or self.population_50plus < 0:
-            raise ValidationError(f"county {self.county_id!r}: negative count")
+        if not 0 <= self.adrd_deaths <= sys.float_info.max:
+            raise ValidationError(f"county {self.county_id!r}: adrd_deaths must be finite and "
+                                  f">= 0, got {self.adrd_deaths!r}")
+        if not 0 <= self.adrd_patients <= sys.float_info.max:
+            raise ValidationError(f"county {self.county_id!r}: adrd_patients must be finite and "
+                                  f">= 0, got {self.adrd_patients!r}")
+        if not 0 <= self.population_50plus <= sys.float_info.max:
+            raise ValidationError(f"county {self.county_id!r}: population_50plus must be finite "
+                                  f"and >= 0, got {self.population_50plus!r}")
 
 
 @dataclass(frozen=True)

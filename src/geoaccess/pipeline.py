@@ -48,8 +48,7 @@ def sorted_zones(zones):
 
 
 def compute_access(zones, facilities, cfg: RunConfig):
-    return accessibility_scores(zones, facilities, d0=cfg.catchment_miles, demand=cfg.demand,
-                                family=cfg.impedance)
+    return accessibility_scores(zones, facilities, d0=cfg.catchment_miles, demand=cfg.demand)
 
 
 def _zone_weights(zones, cfg: RunConfig):

@@ -39,22 +39,12 @@ def ref_haversine_libm(a, b):
     return 2.0 * R_MILES * math.asin(min(1.0, math.sqrt(s)))
 
 
-def ref_decay(d, d0, family="gaussian"):
-    """Decay weight of one distance by the scalar libm formula of each family.
+def ref_decay(d, d0):
+    """Truncated Gaussian decay weight of one distance by the scalar libm formula.
 
     The package's scalar formula as it stood before weights moved to
     arrays; ``decay_weight`` must match it bit for bit.
     """
-    if d > d0:
-        return 0.0
-    if family == "gaussian":
-        return math.exp(-0.5 * (d / d0) ** 2) - math.exp(-0.5)
-    if family == "exponential":
-        return math.exp(-d / d0) - math.exp(-1.0)
-    return (1.0 + d / d0) ** -2 - 0.25
-
-
-def ref_impedance(d, d0):
     if d > d0:
         return 0.0
     return math.exp(-0.5 * (d / d0) ** 2) - math.exp(-0.5)
@@ -72,7 +62,7 @@ def ref_direct_accessibility(zones, facilities, d0):
         for _, zlat, zlon, patients in zones:
             d = ref_haversine(flat, flon, zlat, zlon)
             if d <= d0:
-                total += patients * ref_impedance(d, d0)
+                total += patients * ref_decay(d, d0)
         denominators[fid] = total
     scores = {}
     for zid, zlat, zlon, _ in zones:
@@ -82,7 +72,7 @@ def ref_direct_accessibility(zones, facilities, d0):
                 continue
             d = ref_haversine(flat, flon, zlat, zlon)
             if d <= d0:
-                acc += beds * ref_impedance(d, d0) / denominators[fid]
+                acc += beds * ref_decay(d, d0) / denominators[fid]
         scores[zid] = acc
     return scores
 
@@ -222,7 +212,7 @@ def ref_weights(points, scheme, include_self, k=None, band=None):
     return neighbors, isolated
 
 
-def ref_2sfca(zones, facilities, d0, demand="patients", family="gaussian"):
+def ref_2sfca(zones, facilities, d0, demand="patients"):
     """Two-step floating catchment by a sequential scan over every pair.
 
     zones: DemandZone list; facilities: Facility list. Distances and
@@ -247,7 +237,7 @@ def ref_2sfca(zones, facilities, d0, demand="patients", family="gaussian"):
             continue
         denom = 0.0
         for z, d in in_range:
-            denom += need(z) * ref_decay(d, d0, family)
+            denom += need(z) * ref_decay(d, d0)
         if denom == 0.0:
             skipped.append((f.facility_id, "zero weighted demand within catchment"))
             continue
@@ -259,7 +249,7 @@ def ref_2sfca(zones, facilities, d0, demand="patients", family="gaussian"):
             if f.facility_id in ratios:
                 d = ref_haversine_libm(z.centroid, f.location)
                 if d <= d0:
-                    total += ratios[f.facility_id] * ref_decay(d, d0, family)
+                    total += ratios[f.facility_id] * ref_decay(d, d0)
         scores[z.zone_id] = total
     return ratios, scores, skipped
 

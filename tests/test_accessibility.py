@@ -15,7 +15,7 @@ from geoaccess import (
     decay_weight,
     haversine_miles,
 )
-from geoaccess.accessibility import DECAY_FAMILIES, DEMAND_COLUMNS, _decay
+from geoaccess.accessibility import DEMAND_COLUMNS, _decay
 
 from oracles import ref_2sfca, ref_decay, ref_direct_accessibility
 
@@ -27,11 +27,8 @@ D_SINGLE_ZONE = 5.082988165073597        # 100 / (50 * F_AT_ZERO)
 # x86-64 glibc, found once by a seeded search (default_rng(2026), uniform on
 # [0, 15], rounded to 1e-6).
 LIBM_SENSITIVE_MILES = (
-    10.79786, 9.816753, 11.961875, 7.638704,  # gaussian: q ** 2 != q * q moves the weight
-    6.491441, 3.41838,                        # gaussian: np.exp != math.exp
-    5.477712, 13.119361,                      # exponential: np.exp != math.exp
-    5.32376, 9.791772,                        # power: (1 + q) ** -2 != 1 / ((1 + q) * (1 + q))
-    0.192607, 6.529697,                       # power: (1 + q) ** -2 != np.power(1 + q, -2)
+    10.79786, 9.816753, 11.961875, 7.638704,  # q ** 2 != q * q moves the weight
+    6.491441, 3.41838,                        # np.exp != math.exp
 )
 
 
@@ -69,35 +66,40 @@ class TestImpedance:
             with pytest.raises(ValidationError, match="d0"):
                 accessibility_scores([zone("z1", 39.0, -76.0, 5)], [], d0)
 
-    # Not the Gaussian: it squares d / d0, which overflows a float here.
-    @pytest.mark.parametrize("family", ["exponential", "power"])
-    def test_the_largest_finite_distance_is_beyond_the_catchment(self, family):
-        assert decay_weight(sys.float_info.max, 15.0, family) == 0.0
+    # The kernel is evaluated only inside the catchment: (d / d0) ** 2
+    # overflows a float here.
+    def test_the_largest_finite_distance_is_beyond_the_catchment(self):
+        assert decay_weight(sys.float_info.max, 15.0) == 0.0
 
     def test_rejects_negative_distance(self):
         for d in (-1.0, math.inf, math.nan):
             with pytest.raises(ValidationError, match="distance d"):
                 decay_weight(d, 15.0)
 
-    @pytest.mark.parametrize("family", DECAY_FAMILIES)
-    def test_weights_are_the_libm_formula_bit_for_bit(self, family):
+    def test_weights_are_the_libm_formula_bit_for_bit(self):
         rng = np.random.default_rng(3)
-        ds = np.concatenate([LIBM_SENSITIVE_MILES, [0.0, 15.0, 16.0], rng.uniform(0.0, 16.0, 2000)])
-        want = [ref_decay(d, 15.0, family) for d in ds.tolist()]
-        assert _decay(ds, 15.0, family).tolist() == want
-        assert [decay_weight(d, 15.0, family) for d in ds.tolist()] == want
+        ds = np.concatenate([LIBM_SENSITIVE_MILES, [0.0, 15.0, 16.0, sys.float_info.max],
+                             rng.uniform(0.0, 16.0, 2000)])
+        want = [ref_decay(d, 15.0) for d in ds.tolist()]
+        assert _decay(ds, 15.0).tolist() == want
+        assert [decay_weight(d, 15.0) for d in ds.tolist()] == want
 
-    @pytest.mark.parametrize("family", ["exponential", "power"])
-    def test_alternative_families_share_the_contract(self, family):
-        assert decay_weight(15.0, 15.0, family) == 0.0
-        assert decay_weight(16.0, 15.0, family) == 0.0
-        ws = [decay_weight(float(d), 15.0, family) for d in np.linspace(0, 15, 100)]
-        assert all(a > b for a, b in zip(ws, ws[1:]))
-        assert 0.0 < ws[0] < 1.0
 
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValidationError):
-            decay_weight(1.0, 15.0, "cubic")
+class TestRecords:
+    # A NaN or infinite count would make every score and ratio NaN.
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["population", "adrd_patients"])
+    def test_zone_counts_are_finite_and_non_negative(self, name, value):
+        counts = {"population": 1000, "adrd_patients": 5, name: value}
+        with pytest.raises(ValidationError, match=f"^zone 'z1': {name} must be finite and >= 0"):
+            DemandZone("z1", GeoPoint(39.0, -76.0), urban=False, **counts)
+        assert zone("z1", 39.0, -76.0, sys.float_info.max, sys.float_info.max).population > 0
+
+    @pytest.mark.parametrize("beds", [0, -1.0, math.nan, math.inf])
+    def test_facility_beds_are_finite_and_positive(self, beds):
+        with pytest.raises(ValidationError, match="^facility 'h1': beds must be finite and > 0"):
+            facility("h1", 39.0, -76.0, beds)
+        assert facility("h1", 39.0, -76.0, sys.float_info.max).beds > 0
 
 
 class TestFacilityRatio:
@@ -244,10 +246,10 @@ class TestAlgebraicProperties:
         assert forward.zone_scores == backward.zone_scores
 
 
-def assert_matches_scan(zones, facilities, d0, demand, family):
+def assert_matches_scan(zones, facilities, d0, demand):
     """accessibility_scores equals the sequential scalar scan, bit for bit."""
-    field = accessibility_scores(zones, facilities, d0, demand=demand, family=family)
-    ratios, scores, skipped = ref_2sfca(zones, facilities, d0, demand, family)
+    field = accessibility_scores(zones, facilities, d0, demand=demand)
+    ratios, scores, skipped = ref_2sfca(zones, facilities, d0, demand)
     assert field.facility_ratios == ratios
     assert field.zone_scores == scores
     assert field.skipped_facilities == skipped
@@ -269,40 +271,36 @@ def small_regions(draw):
 
 
 class TestAgainstScalarScan:
-    @given(small_regions(), st.floats(0.5, 30.0), st.sampled_from(DEMAND_COLUMNS),
-           st.sampled_from(DECAY_FAMILIES))
+    @given(small_regions(), st.floats(0.5, 30.0), st.sampled_from(DEMAND_COLUMNS))
     @settings(max_examples=200, deadline=None)
-    def test_bit_identical_to_scan(self, region, d0, demand, family):
+    def test_bit_identical_to_scan(self, region, d0, demand):
         zones, facilities = region
-        assert_matches_scan(zones, facilities, d0, demand, family)
+        assert_matches_scan(zones, facilities, d0, demand)
 
     @pytest.mark.parametrize("seed", [1, 2])
-    @pytest.mark.parametrize("family", DECAY_FAMILIES)
     @pytest.mark.parametrize("demand", DEMAND_COLUMNS)
-    def test_bit_identical_on_random_instances(self, seed, family, demand):
+    def test_bit_identical_on_random_instances(self, seed, demand):
         zones, facilities = random_instance(seed, n_zones=120, n_facilities=20)
-        assert_matches_scan(zones, facilities, 15.0, demand, family)
+        assert_matches_scan(zones, facilities, 15.0, demand)
 
-    @pytest.mark.parametrize("family", DECAY_FAMILIES)
-    def test_zone_exactly_on_catchment_edge_is_in_range(self, family):
+    def test_zone_exactly_on_catchment_edge_is_in_range(self):
         fac = facility("h1", 39.0, -76.0, 100)
         edge = zone("z1", 39.1, -76.05, 30)
         d0 = haversine_miles(fac.location, edge.centroid)
         # In range with weight zero: the facility has demand in reach, but none weighted.
-        field = assert_matches_scan([edge], [fac], d0, "patients", family)
+        field = assert_matches_scan([edge], [fac], d0, "patients")
         assert field.skipped_facilities == [("h1", "zero weighted demand within catchment")]
         inner = zone("z2", 39.02, -76.0, 20)
-        field = assert_matches_scan([edge, inner], [fac], d0, "patients", family)
+        field = assert_matches_scan([edge, inner], [fac], d0, "patients")
         assert field.zone_scores["z1"] == 0.0 and field.zone_scores["z2"] > 0.0
 
-    @pytest.mark.parametrize("family", DECAY_FAMILIES)
     @pytest.mark.parametrize("demand", DEMAND_COLUMNS)
-    def test_zero_demand_and_out_of_reach_facilities(self, family, demand):
+    def test_zero_demand_and_out_of_reach_facilities(self, demand):
         zones = [zone("z1", 39.0, -76.0, 0, population=500), zone("z2", 39.05, -76.0, 0, population=0),
                  zone("z3", 39.5, -76.0, 12, population=800)]
         facilities = [facility("h1", 39.01, -76.0, 40), facility("h2", 45.0, -70.0, 10),
                       facility("h3", 39.5, -76.01, 25)]
-        field = assert_matches_scan(zones, facilities, 10.0, demand, family)
+        field = assert_matches_scan(zones, facilities, 10.0, demand)
         reasons = dict(field.skipped_facilities)
         assert reasons["h2"] == "no demand zone within catchment"
         if demand == "patients":

@@ -4,7 +4,9 @@ import dataclasses
 import json
 import filecmp
 import math
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +224,22 @@ class TestInputText:
         assert capsys.readouterr().err == f"error: {path}:2: not UTF-8 text (invalid start byte)\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--geometry", "--config"])
+    def test_too_deep_a_nesting_is_invalid_json(self, synth_dir, tmp_path, capsys, flag):
+        deep = "[" * 100_000 + "]" * 100_000
+        zone_id = read_csv(synth_dir / "zones.csv")[1][0]
+        path = tmp_path / "deep.json"
+        path.write_text('{"seed": %s}' % deep if flag == "--config" else
+                        '{"type": "FeatureCollection", "features": [{"type": "Feature", '
+                        '"properties": {"zone_id": "%s"}, "geometry": {"type": "Point", '
+                        '"coordinates": %s}}]}' % (zone_id, deep))
+        z, f, c = (str(synth_dir / n) for n in ("zones.csv", "facilities.csv", "counties.csv"))
+        assert run("pipeline", "--zones", z, "--facilities", f, "--counties", c,
+                   flag, str(path), "--out-dir", str(tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid JSON: ") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     def test_a_config_file_may_start_with_a_byte_order_mark(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"seed": 1}).encode("utf-8"))
@@ -275,6 +293,31 @@ class TestConfigPrecedence:
         assert run("synth", "--workers", "2", "--out-dir", str(tmp_path / "o")) == 1
         err = capsys.readouterr().err
         assert "usage" in err and "--workers" in err
+
+    def test_impedance_config_key_rejected_by_name(self, synth_dir, tmp_path, capsys):
+        # Even the one decay kernel's old name: the key is gone, not ignored.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"impedance": "gaussian"}))
+        z, f, c = (str(synth_dir / n) for n in ("zones.csv", "facilities.csv", "counties.csv"))
+        assert run("pipeline", "--zones", z, "--facilities", f, "--counties", c,
+                   "--config", str(cfg), "--out-dir", str(tmp_path / "run")) == 1
+        assert "unknown config keys ['impedance']" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_impedance_flag_is_a_usage_error(self, synth_dir, tmp_path, capsys):
+        z, f, c = (str(synth_dir / n) for n in ("zones.csv", "facilities.csv", "counties.csv"))
+        assert run("pipeline", "--zones", z, "--facilities", f, "--counties", c,
+                   "--impedance", "exponential", "--out-dir", str(tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert "usage" in err and "unrecognized arguments: --impedance" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_the_readme_config_example_is_the_defaults(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"### Configuration\n.*?```json\n(.*?)```", readme, re.DOTALL)[1]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(block)
+        assert load_config(cfg) == RunConfig()
 
     def test_every_config_field_is_one_flag(self):
         parser = argparse.ArgumentParser()
@@ -338,7 +381,6 @@ class TestConfigValidation:
         pytest.param({"knn_k": 0, "weights_scheme": "knn"}, "knn_k", id="zero-knn_k"),
         pytest.param({"variance_target": 1.5}, "variance_target", id="variance_target-above-1"),
         pytest.param({"poverty_column": 5}, "poverty_column", id="number-poverty_column"),
-        pytest.param({"impedance": "linear"}, "impedance", id="unknown-impedance"),
         pytest.param({"demand": "beds"}, "demand", id="unknown-demand"),
         pytest.param({"fdr": 1}, "fdr", id="number-fdr"),
     ])

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoaccess import (DemandZone, GeoPoint, RunConfig, build_weights, classify_hotspots,
-                       generate_synthetic_region, getis_ord_gi_star, load_counties,
-                       load_facilities, load_zones, run_pipeline)
+                       generate_synthetic_region, getis_ord_gi_star, haversine_miles,
+                       load_counties, load_facilities, load_zones, run_pipeline)
 from geoaccess import pipeline as pl
 from geoaccess.cli import main
 from geoaccess.output import format_value, write_csv
@@ -165,3 +165,27 @@ def test_positive_affine_map_keeps_gi_star(seed, scheme):
         assert got.category == want.category
         eps_s = np.finfo(float).eps * (np.abs(x).max() + np.abs(y).max() / a) / x.std()
         assert np.all(np.abs(got.z - want.z) <= 2.0 * eps_s * scale)
+
+
+def neighbour_pairs(weights):
+    m = weights.matrix.tocoo()
+    return set(zip(m.row.tolist(), m.col.tolist()))
+
+
+@given(region_seeds, st.sampled_from([0.5, -3.25, 17.0]), st.sampled_from(WEIGHT_SCHEMES))
+@relation
+def test_a_rigid_longitude_shift_keeps_every_neighbour_set(seed, delta, scheme):
+    zones = pl.sorted_zones(generate_synthetic_region(seed)[0])
+    points = [(z.zone_id, z.centroid) for z in zones]
+    shifted = [(zid, GeoPoint(p.lat, p.lon + delta)) for zid, p in points]
+    cfg = RunConfig()
+    want, got = (build_weights(pts, scheme, include_self=False, k=cfg.knn_k, band=cfg.band_miles)
+                 for pts in (points, shifted))
+    assert got.ids == want.ids
+    moved = neighbour_pairs(got) ^ neighbour_pairs(want)
+    # Distance depends on the longitude difference alone, up to rounding, so
+    # only a fixed-band pair that close to the band edge may move.
+    if scheme == "fixed_band":
+        moved = {(i, j) for i, j in moved
+                 if abs(haversine_miles(points[i][1], points[j][1]) - cfg.band_miles) > 1e-9}
+    assert moved == set()

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import statistics
 import warnings
@@ -47,6 +48,14 @@ class TestRatios:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValidationError):
             county("a", 2023, -1, 0, 0)
+
+    # One NaN count would make the state mean NaN and every county Typical.
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["adrd_deaths", "adrd_patients", "population_50plus"])
+    def test_non_finite_counts_rejected(self, name, value):
+        counts = {"adrd_deaths": 0, "adrd_patients": 0, "population_50plus": 0, name: value}
+        with pytest.raises(ValidationError, match=f"^county 'a': {name} must be finite and >= 0"):
+            CountyOutcome(county_id="a", year=2023, **counts)
 
     def test_fields_are_the_mortality_header(self):
         assert [f.name for f in dataclasses.fields(ServiceStatus)] == MORTALITY_HEADER
