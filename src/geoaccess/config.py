@@ -80,6 +80,9 @@ class RunConfig:
             raise ValidationError("config prevalence_columns must be a list of column names")
         if not cols:
             raise ValidationError("config prevalence_columns must name at least one column")
+        for i, name in enumerate(cols):
+            if name in cols[:i]:
+                raise ValidationError(f"config prevalence_columns lists {name!r} more than once")
 
 
 CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))

@@ -1,8 +1,9 @@
 """File ingestion: strict CSV schemas and a GeoJSON geometry join.
 
 All readers demand exact headers (required columns, in order) and reject
-bad rows by line number. Files are UTF-8 (a leading byte order mark, as
-spreadsheet exports write, is dropped), comma separated, RFC 4180.
+bad rows by line number: ingest parses each cell, and the record built from
+a row judges its values' ranges. Files are UTF-8 (a leading byte order
+mark, as spreadsheet exports write, is dropped), comma separated, RFC 4180.
 """
 
 from __future__ import annotations
@@ -145,11 +146,7 @@ class _Columns:
         return values
 
     def counts(self, name) -> list:
-        values = self._parse(name, int, "an integer")
-        if min(values, default=0) < 0:
-            i = next(i for i, value in enumerate(values) if value < 0)
-            self.fail(i, f"column {name!r} must be >= 0, got {values[i]}")
-        return values
+        return self._parse(name, int, "an integer")
 
     def flags(self, name) -> list:
         cells = self._cells[name]
@@ -159,10 +156,15 @@ class _Columns:
             self.fail(i, f"column {name!r} is not a boolean: {cells[i]!r}")
         return values
 
+    def records(self, kind, *columns) -> list:
+        """``kind`` of each row's values, up to the first row the record
+        rejects; that row is rejected with the record's own message."""
+        return self._map(kind, ValidationError, lambda exc, *_: str(exc), *columns)
+
     def points(self) -> list:
         """The lat and lon columns as points, up to the first out of range."""
-        lats, lons = self.floats("lat"), self.floats("lon")
-        return self._map(GeoPoint, ValidationError, lambda exc, *_: str(exc), lats, lons)
+        return self.records(GeoPoint, self._parse("lat", float, "a number"),
+                            self._parse("lon", float, "a number"))
 
 
 def load_zones(path, geometry_path=None) -> list[DemandZone]:
@@ -172,7 +174,8 @@ def load_zones(path, geometry_path=None) -> list[DemandZone]:
     attributes map. Geometry features must each carry a ``zone_id``
     property matching a CSV row, and a geometry that is null or an object
     with a string ``type``; each zone keeps its geometry as the JSON text
-    it was read as.
+    it was read as. Its counts are judged after every cell parses and the
+    geometry join.
     """
     rows = _Columns(path, ZONE_COLUMNS, extras_allowed=True)
     ids = rows["zone_id"]
@@ -183,16 +186,13 @@ def load_zones(path, geometry_path=None) -> list[DemandZone]:
     patients = rows.counts("adrd_patients")
     urban = rows.flags("urban")
     rows.check()
-    names = rows.extra
-    attributes = [dict(zip(names, values)) for values in zip(*columns)] if names \
+    attributes = [dict(zip(rows.extra, values)) for values in zip(*columns)] if columns \
         else [{} for _ in ids]
     geometries = {} if geometry_path is None else _load_geometries(geometry_path, set(ids))
-    return [
-        DemandZone(zone_id=zid, centroid=centroid, population=pop, adrd_patients=pat,
-                   urban=flag, attributes=attrs, geometry=geometries.get(zid))
-        for zid, centroid, pop, pat, flag, attrs
-        in zip(ids, centroids, population, patients, urban, attributes)
-    ]
+    zones = rows.records(DemandZone, ids, centroids, population, patients, urban, attributes,
+                         list(map(geometries.get, ids)))
+    rows.check()
+    return zones
 
 
 def _load_geometries(path, known_ids) -> dict:
@@ -323,34 +323,23 @@ _FEATURE_READERS = {"geometry": _geometry}
 
 
 def load_facilities(path) -> list[Facility]:
-    """Read facilities; zero or negative bed counts are rejected."""
+    """Read facilities; facility_id must be unique."""
     rows = _Columns(path, FACILITY_COLUMNS, extras_allowed=False)
     ids = rows["facility_id"]
     rows.unique("facility_id", ids)
     beds = rows.counts("beds")
-    if 0 in beds:
-        i = beds.index(0)
-        rows.fail(i, f"facility {ids[i]!r} has zero beds")
-    locations = rows.points()
+    facilities = rows.records(Facility, ids, rows.points(), beds)
     rows.check()
-    return [Facility(facility_id=fid, location=location, beds=n)
-            for fid, location, n in zip(ids, locations, beds)]
+    return facilities
 
 
 def load_counties(path) -> list[CountyOutcome]:
     """Read county-year outcome records; (county_id, year) must be unique."""
     rows = _Columns(path, COUNTY_COLUMNS, extras_allowed=False)
     years = rows.counts("year")
-    if 0 in years:
-        rows.fail(years.index(0), "column 'year' must be >= 1, got 0")
     ids = rows["county_id"]
     rows.unique("county-year", list(zip(ids, years)))
-    deaths = rows.counts("adrd_deaths")
-    patients = rows.counts("adrd_patients")
-    population = rows.counts("population_50plus")
+    counties = rows.records(CountyOutcome, ids, years, rows.counts("adrd_deaths"),
+                            rows.counts("adrd_patients"), rows.counts("population_50plus"))
     rows.check()
-    return [
-        CountyOutcome(county_id=cid, year=year, adrd_deaths=d, adrd_patients=p,
-                      population_50plus=n)
-        for cid, year, d, p, n in zip(ids, years, deaths, patients, population)
-    ]
+    return counties

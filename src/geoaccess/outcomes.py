@@ -47,6 +47,8 @@ class CountyOutcome:
     population_50plus: float
 
     def __post_init__(self):
+        if not self.year >= 1:
+            raise ValidationError(f"county {self.county_id!r}: year must be >= 1, got {self.year}")
         if not 0 <= self.adrd_deaths <= sys.float_info.max:
             raise ValidationError(f"county {self.county_id!r}: adrd_deaths must be finite and "
                                   f">= 0, got {self.adrd_deaths!r}")

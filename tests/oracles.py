@@ -329,11 +329,15 @@ def _ref_read_rows(path, required, extras_allowed):
     return extra, rows, None
 
 
-def _ref_float(path, lineno, name, text):
+def _ref_number(path, lineno, name, text):
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ValidationError(f"{path}:{lineno}: column {name!r} is not a number: {text!r}")
+
+
+def _ref_float(path, lineno, name, text):
+    value = _ref_number(path, lineno, name, text)
     if not math.isfinite(value):
         raise ValidationError(f"{path}:{lineno}: column {name!r} is not finite")
     return value
@@ -341,12 +345,9 @@ def _ref_float(path, lineno, name, text):
 
 def _ref_count(path, lineno, name, text):
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise ValidationError(f"{path}:{lineno}: column {name!r} is not an integer: {text!r}")
-    if value < 0:
-        raise ValidationError(f"{path}:{lineno}: column {name!r} must be >= 0, got {value}")
-    return value
 
 
 def _ref_flag(path, lineno, name, text):
@@ -358,19 +359,25 @@ def _ref_flag(path, lineno, name, text):
     raise ValidationError(f"{path}:{lineno}: column {name!r} is not a boolean: {text!r}")
 
 
-def _ref_point(path, lineno, row):
-    lat = _ref_float(path, lineno, "lat", row["lat"])
-    lon = _ref_float(path, lineno, "lon", row["lon"])
+def _ref_record(path, lineno, kind, *values):
+    """``kind(*values)``; a value the record rejects is reported at the row."""
     try:
-        return GeoPoint(lat, lon)
+        return kind(*values)
     except ValidationError as exc:
         raise ValidationError(f"{path}:{lineno}: {exc}")
 
 
+def _ref_point(path, lineno, row):
+    return _ref_record(path, lineno, GeoPoint, _ref_number(path, lineno, "lat", row["lat"]),
+                       _ref_number(path, lineno, "lon", row["lon"]))
+
+
 def ref_load_zones(path):
-    """Zones read and checked one row at a time (no geometry join)."""
+    """Zones read and parsed one row at a time (no geometry join), then
+    built one row at a time: a zone's counts are judged after every row
+    parses."""
     attr_cols, rows, width_error = _ref_read_rows(path, ZONE_COLUMNS, extras_allowed=True)
-    zones = []
+    parsed = []
     seen = {}
     for lineno, row in rows:
         zid = row["zone_id"]
@@ -380,17 +387,13 @@ def ref_load_zones(path):
             )
         seen[zid] = lineno
         attributes = {name: _ref_float(path, lineno, name, row[name]) for name in attr_cols}
-        zones.append(DemandZone(
-            zone_id=zid,
-            centroid=_ref_point(path, lineno, row),
-            population=_ref_count(path, lineno, "population", row["population"]),
-            adrd_patients=_ref_count(path, lineno, "adrd_patients", row["adrd_patients"]),
-            urban=_ref_flag(path, lineno, "urban", row["urban"]),
-            attributes=attributes,
-        ))
+        parsed.append((lineno, zid, _ref_point(path, lineno, row),
+                       _ref_count(path, lineno, "population", row["population"]),
+                       _ref_count(path, lineno, "adrd_patients", row["adrd_patients"]),
+                       _ref_flag(path, lineno, "urban", row["urban"]), attributes))
     if width_error is not None:
         raise width_error
-    return zones
+    return [_ref_record(path, lineno, DemandZone, *values) for lineno, *values in parsed]
 
 
 def ref_load_facilities(path):
@@ -406,10 +409,8 @@ def ref_load_facilities(path):
             )
         seen[fid] = lineno
         beds = _ref_count(path, lineno, "beds", row["beds"])
-        if beds == 0:
-            raise ValidationError(f"{path}:{lineno}: facility {fid!r} has zero beds")
-        facilities.append(Facility(facility_id=fid, location=_ref_point(path, lineno, row),
-                                   beds=beds))
+        facilities.append(_ref_record(path, lineno, Facility, fid, _ref_point(path, lineno, row),
+                                      beds))
     if width_error is not None:
         raise width_error
     return facilities
@@ -422,22 +423,15 @@ def ref_load_counties(path):
     seen = {}
     for lineno, row in rows:
         year = _ref_count(path, lineno, "year", row["year"])
-        if year == 0:
-            raise ValidationError(f"{path}:{lineno}: column 'year' must be >= 1, got 0")
         key = (row["county_id"], year)
         if key in seen:
             raise ValidationError(
                 f"{path}:{lineno}: duplicate county-year {key!r} (first seen at line {seen[key]})"
             )
         seen[key] = lineno
-        records.append(CountyOutcome(
-            county_id=row["county_id"],
-            year=year,
-            adrd_deaths=_ref_count(path, lineno, "adrd_deaths", row["adrd_deaths"]),
-            adrd_patients=_ref_count(path, lineno, "adrd_patients", row["adrd_patients"]),
-            population_50plus=_ref_count(path, lineno, "population_50plus",
-                                         row["population_50plus"]),
-        ))
+        counts = [_ref_count(path, lineno, name, row[name])
+                  for name in ("adrd_deaths", "adrd_patients", "population_50plus")]
+        records.append(_ref_record(path, lineno, CountyOutcome, row["county_id"], year, *counts))
     if width_error is not None:
         raise width_error
     return records

@@ -151,6 +151,11 @@ class TestAccessibilityScores:
         with pytest.raises(ValidationError):
             accessibility_scores([], [facility("h1", 39.0, -76.0, 100)], 15.0)
 
+    def test_unknown_demand_column_rejected_by_name(self):
+        with pytest.raises(ValidationError, match=r"^unknown demand column 'beds'; expected one of"):
+            accessibility_scores([zone("z1", 39.0, -76.0, 50)],
+                                 [facility("h1", 39.0, -76.0, 100)], 15.0, demand="beds")
+
     def test_empty_facility_list_gives_all_zeros(self):
         field = accessibility_scores([zone("z1", 39.0, -76.0, 50)], [], 15.0)
         assert field.zone_scores == {"z1": 0.0}

@@ -240,6 +240,28 @@ class TestInputText:
         assert err.startswith(f"error: {path}: invalid JSON: ") and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("name,column,command", [
+        ("zones.csv", "population", "access"),
+        ("facilities.csv", "beds", "access"),
+        ("counties.csv", "adrd_deaths", "mortality"),
+    ])
+    def test_a_count_too_large_for_a_float_fails_by_file_and_line(self, synth_dir, tmp_path,
+                                                                  capsys, name, column, command):
+        path = synth_dir / name
+        rows = read_csv(path)
+        rows[1][rows[0].index(column)] = "1" + "0" * 400
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        inputs = (["--counties", str(path)] if command == "mortality" else
+                  ["--zones", str(synth_dir / "zones.csv"),
+                   "--facilities", str(synth_dir / "facilities.csv")])
+        out = tmp_path / "out.csv"
+        assert run(command, *inputs, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: ") and f"{column} must be finite" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_a_config_file_may_start_with_a_byte_order_mark(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"seed": 1}).encode("utf-8"))
@@ -423,6 +445,25 @@ class TestConfigValidation:
     def test_an_unknown_override_is_named(self):
         with pytest.raises(ValidationError, match=r"^unknown config override 'workers'$"):
             load_config(overrides={"workers": 2})
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    @pytest.mark.parametrize("columns", [("pct_diabetes", "pct_diabetes"),
+                                         ("pct_obesity", "pct_asthma", "pct_obesity")])
+    def test_a_repeated_prevalence_column_is_named_and_exits_1(self, synth_dir, tmp_path, capsys,
+                                                                source, columns):
+        # A repeat would weigh its column twice in the risk index.
+        if source == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"prevalence_columns": list(columns)}))
+            flags = ["--config", str(cfg)]
+        else:
+            flags = ["--prevalence-cols", ",".join(columns)]
+        out = tmp_path / "risk_index.csv"
+        assert run("risk-index", "--zones", str(synth_dir / "zones.csv"), *flags,
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: config prevalence_columns lists {columns[0]!r} more than once\n")
+        assert not out.exists()
 
     def test_prevalence_columns_flag_is_a_comma_separated_list(self, synth_dir, tmp_path):
         cfg = tmp_path / "cfg.json"

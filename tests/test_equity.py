@@ -51,6 +51,9 @@ class TestGini:
             gini([])
         with pytest.raises(ValidationError):
             gini([1.0, -0.5])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="^gini requires finite values$"):
+                gini([1.0, bad, 2.0])
 
     def test_sorted_form_equals_pairwise_form(self):
         rng = np.random.default_rng(17)

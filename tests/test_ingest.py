@@ -126,7 +126,9 @@ class TestOtherLoaders:
     def test_zero_bed_facility_rejected(self, tmp_path):
         path = tmp_path / "facilities.csv"
         path.write_text("facility_id,lat,lon,beds\nh1,39.0,-76.0,0\n")
-        with pytest.raises(ValidationError, match="zero beds"):
+        with pytest.raises(ValidationError,
+                           match=r"facilities\.csv:2: facility 'h1': beds must be finite and > 0, "
+                                 r"got 0$"):
             load_facilities(path)
 
     def test_facilities_load(self, tmp_path):
@@ -152,7 +154,7 @@ class TestOtherLoaders:
             "c1,2020,5,40,900\nc1,0,6,44,900\n"
         )
         with pytest.raises(ValidationError,
-                           match=r"counties\.csv:3: column 'year' must be >= 1, got 0$"):
+                           match=r"counties\.csv:3: county 'c1': year must be >= 1, got 0$"):
             load_counties(path)
 
     @pytest.mark.parametrize("name,text,message", [
@@ -178,6 +180,61 @@ class TestOtherLoaders:
         assert rec.county_id == "c1" and rec.year == 2020 and rec.adrd_deaths == 5
 
 
+# A count too large for a float: it parses as an integer, and the record rejects it.
+HUGE = "1" + "0" * 400
+COUNTIES_HEADER = "county_id,year,adrd_deaths,adrd_patients,population_50plus"
+
+
+class TestRecordsJudgeRanges:
+    @pytest.mark.parametrize("name,header,row,message", [
+        ("zones.csv", ZONES_HEADER, f"z2,39.0,-76.0,{HUGE},12,1",
+         f"zone 'z2': population must be finite and >= 0, got {HUGE}"),
+        ("zones.csv", ZONES_HEADER, "z2,39.0,-76.0,1000,-1,1",
+         "zone 'z2': adrd_patients must be finite and >= 0, got -1"),
+        ("facilities.csv", "facility_id,lat,lon,beds", f"h2,39.0,-76.0,{HUGE}",
+         f"facility 'h2': beds must be finite and > 0, got {HUGE}"),
+        ("facilities.csv", "facility_id,lat,lon,beds", "h2,39.0,-76.0,-2",
+         "facility 'h2': beds must be finite and > 0, got -2"),
+        ("counties.csv", COUNTIES_HEADER, f"c2,2020,{HUGE},40,900",
+         f"county 'c2': adrd_deaths must be finite and >= 0, got {HUGE}"),
+        ("counties.csv", COUNTIES_HEADER, "c2,2020,5,40,-3",
+         "county 'c2': population_50plus must be finite and >= 0, got -3"),
+        ("counties.csv", COUNTIES_HEADER, "c2,-2020,5,40,900",
+         "county 'c2': year must be >= 1, got -2020"),
+    ], ids=["huge-population", "negative-patients", "huge-beds", "negative-beds",
+            "huge-deaths", "negative-population_50plus", "negative-year"])
+    def test_a_value_the_record_rejects_is_named_by_file_and_line(self, tmp_path, name, header,
+                                                                  row, message):
+        first = {"zones.csv": "z1,39.0,-76.0,1000,12,1", "facilities.csv": "h1,39.0,-76.0,10",
+                 "counties.csv": "c1,2020,5,40,900"}[name]
+        path = tmp_path / name
+        path.write_text(f"{header}\n{first}\n{row}\n")
+        load = {"zones.csv": load_zones, "facilities.csv": load_facilities,
+                "counties.csv": load_counties}[name]
+        with pytest.raises(ValidationError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}:3: {message}"
+
+    def test_an_earlier_row_the_record_rejects_wins_over_a_later_bad_cell(self, tmp_path):
+        path = tmp_path / "facilities.csv"
+        path.write_text("facility_id,lat,lon,beds\nh1,39.0,-76.0,0\nh2,x,-76.0,10\n")
+        with pytest.raises(ValidationError, match=r"facilities\.csv:2: facility 'h1': beds"):
+            load_facilities(path)
+
+    def test_a_zone_count_is_judged_after_every_cell_parses_and_the_geometry_join(self, tmp_path):
+        csv_path = tmp_path / "zones.csv"
+        csv_path.write_text(f"{ZONES_HEADER}\nz1,39.0,-76.0,-1,12,1\nz2,39.0,-76.0,10,1,x\n")
+        with pytest.raises(ValidationError, match=r"zones\.csv:3: column 'urban'"):
+            load_zones(csv_path)
+        csv_path.write_text(f"{ZONES_HEADER}\nz1,39.0,-76.0,-1,12,1\nz2,39.0,-76.0,10,1,0\n")
+        geo_path = tmp_path / "zones.geojson"
+        geo_path.write_text("not json")
+        with pytest.raises(ValidationError, match=rf"^{re.escape(str(geo_path))}: invalid JSON"):
+            load_zones(csv_path, geometry_path=geo_path)
+        with pytest.raises(ValidationError, match=r"zones\.csv:2: zone 'z1': population must be"):
+            load_zones(csv_path)
+
+
 class TestNonFiniteNumbers:
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_zone_attribute_rejected_with_location(self, tmp_path, text):
@@ -194,7 +251,8 @@ class TestNonFiniteNumbers:
     def test_zone_coordinate_rejected_with_location(self, tmp_path, text):
         path = tmp_path / "zones.csv"
         path.write_text(f"{ZONES_HEADER}\nz1,{text},-76.0,1000,12,1\n")
-        with pytest.raises(ValidationError, match=r"zones.csv:2: column 'lat' is not finite"):
+        with pytest.raises(ValidationError,
+                           match=rf"zones.csv:2: latitude {float(text)!r} outside \[-90, 90\]$"):
             load_zones(path)
 
     @pytest.mark.parametrize("column", ["lat", "lon"])
@@ -203,8 +261,9 @@ class TestNonFiniteNumbers:
         lat, lon = (text, "-76.0") if column == "lat" else ("39.0", text)
         path = tmp_path / "facilities.csv"
         path.write_text(f"facility_id,lat,lon,beds\nh1,39.0,-76.0,10\nh2,{lat},{lon},20\n")
+        name = "latitude" if column == "lat" else "longitude"
         with pytest.raises(ValidationError,
-                           match=rf"facilities.csv:3: column '{column}' is not finite"):
+                           match=rf"facilities.csv:3: {name} {float(text)!r} outside \["):
             load_facilities(path)
 
 
@@ -313,7 +372,10 @@ class TestIngestProperties:
         cells[row][(ZONES_HEADER.split(",") + ["poverty_rate"]).index(column)] = junk
         path = tmp_path_factory.mktemp("zones") / "zones.csv"
         path.write_bytes(zone_file_bytes(cells, layout))
-        with pytest.raises(ValidationError, match=rf"zones.csv:{row + 2}: column '{column}'"):
+        # A junk coordinate that parses ("inf", "NaN") is out of range for the point.
+        fault = {"lat": "|latitude ", "lon": "|longitude "}.get(column, "")
+        with pytest.raises(ValidationError,
+                           match=rf"zones.csv:{row + 2}: (column '{column}'{fault})"):
             load_zones(path)
 
 

@@ -12,9 +12,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoaccess import (DemandZone, GeoPoint, RunConfig, build_weights, classify_hotspots,
-                       generate_synthetic_region, getis_ord_gi_star, haversine_miles,
-                       load_counties, load_facilities, load_zones, run_pipeline)
+from geoaccess import (DemandZone, GeoPoint, RunConfig, SpatialIndex, build_weights,
+                       classify_hotspots, generate_synthetic_region, getis_ord_gi_star,
+                       haversine_miles, load_counties, load_facilities, load_zones, run_pipeline)
 from geoaccess import pipeline as pl
 from geoaccess.cli import main
 from geoaccess.output import format_value, write_csv
@@ -172,20 +172,90 @@ def neighbour_pairs(weights):
     return set(zip(m.row.tolist(), m.col.tolist()))
 
 
-@given(region_seeds, st.sampled_from([0.5, -3.25, 17.0]), st.sampled_from(WEIGHT_SCHEMES))
-@relation
-def test_a_rigid_longitude_shift_keeps_every_neighbour_set(seed, delta, scheme):
-    zones = pl.sorted_zones(generate_synthetic_region(seed)[0])
-    points = [(z.zone_id, z.centroid) for z in zones]
-    shifted = [(zid, GeoPoint(p.lat, p.lon + delta)) for zid, p in points]
+def neighbour_weights(zones, scheme, cfg=RunConfig()):
+    return build_weights([(z.zone_id, z.centroid) for z in zones], scheme, include_self=False,
+                         k=cfg.knn_k, band=cfg.band_miles)
+
+
+def assert_a_longitude_shift_keeps_every_neighbour_set(zones, delta, scheme):
     cfg = RunConfig()
-    want, got = (build_weights(pts, scheme, include_self=False, k=cfg.knn_k, band=cfg.band_miles)
-                 for pts in (points, shifted))
+    shifted = [dataclasses.replace(z, centroid=GeoPoint(z.centroid.lat, z.centroid.lon + delta))
+               for z in zones]
+    want, got = neighbour_weights(zones, scheme, cfg), neighbour_weights(shifted, scheme, cfg)
     assert got.ids == want.ids
     moved = neighbour_pairs(got) ^ neighbour_pairs(want)
     # Distance depends on the longitude difference alone, up to rounding, so
     # only a fixed-band pair that close to the band edge may move.
     if scheme == "fixed_band":
-        moved = {(i, j) for i, j in moved
-                 if abs(haversine_miles(points[i][1], points[j][1]) - cfg.band_miles) > 1e-9}
+        moved = {(i, j) for i, j in moved if abs(haversine_miles(
+            zones[i].centroid, zones[j].centroid) - cfg.band_miles) > 1e-9}
     assert moved == set()
+
+
+shifts = st.sampled_from([0.5, -3.25, 17.0])
+
+
+@given(region_seeds, shifts, st.sampled_from(WEIGHT_SCHEMES))
+@relation
+def test_a_rigid_longitude_shift_keeps_every_neighbour_set(seed, delta, scheme):
+    zones = pl.sorted_zones(generate_synthetic_region(seed)[0])
+    assert_a_longitude_shift_keeps_every_neighbour_set(zones, delta, scheme)
+
+
+# A default region spans about 1.8 degrees of longitude at its latitude. At
+# a pitch of 1.8 degrees zones near a tile edge see the next tile inside the
+# band; at 4 degrees the tiles are over 100 miles apart.
+NEAR_PITCH_DEG, FAR_PITCH_DEG = 1.8, 4.0
+
+
+def tiled_layout(seed, pitch_deg, tiles=3):
+    """Seeded default regions side by side along a parallel, as (zones,
+    facilities) per tile: tile k is region ``seed * tiles + k`` moved
+    ``k * pitch_deg`` degrees east, with ids prefixed ``T<k>``."""
+    layout = []
+    for k in range(tiles):
+        zones, facilities, _ = generate_synthetic_region(seed * tiles + k)
+        east = k * pitch_deg
+        layout.append((
+            [dataclasses.replace(z, zone_id=f"T{k}{z.zone_id}",
+                                 centroid=GeoPoint(z.centroid.lat, z.centroid.lon + east))
+             for z in zones],
+            [dataclasses.replace(f, facility_id=f"T{k}{f.facility_id}",
+                                 location=GeoPoint(f.location.lat, f.location.lon + east))
+             for f in facilities]))
+    return layout
+
+
+@given(region_seeds, shifts, st.sampled_from(WEIGHT_SCHEMES))
+@relation
+def test_a_rigid_longitude_shift_keeps_every_neighbour_set_of_a_tiled_layout(seed, delta,
+                                                                            scheme):
+    zones = pl.sorted_zones([z for tile, _ in tiled_layout(seed, NEAR_PITCH_DEG) for z in tile])
+    assert_a_longitude_shift_keeps_every_neighbour_set(zones, delta, scheme)
+
+
+def id_pairs(weights):
+    return {(weights.ids[i], weights.ids[j]) for i, j in neighbour_pairs(weights)}
+
+
+@given(region_seeds, st.sampled_from(WEIGHT_SCHEMES))
+@relation
+def test_tiles_farther_apart_than_band_and_catchment_keep_their_lone_results(seed, scheme):
+    cfg = RunConfig()
+    layout = tiled_layout(seed, FAR_PITCH_DEG)
+    indexes = [SpatialIndex([(z.zone_id, z.centroid) for z in zones]
+                            + [(f.facility_id, f.location) for f in facilities])
+               for zones, facilities in layout]
+    for a, b in zip(indexes, indexes[1:]):
+        assert len(a.pairs_within(b, max(cfg.band_miles, cfg.catchment_miles))[0]) == 0
+    zones = [z for tile, _ in layout for z in tile]
+    field = pl.compute_access(zones, [f for _, tile in layout for f in tile], cfg)
+    pairs = id_pairs(neighbour_weights(zones, scheme, cfg))
+    for tile_zones, tile_facilities in layout:
+        alone = pl.compute_access(tile_zones, tile_facilities, cfg)
+        assert {zid: field.zone_scores[zid] for zid in alone.zone_scores} == alone.zone_scores
+        assert {fid: field.facility_ratios[fid] for fid in alone.facility_ratios} \
+            == alone.facility_ratios
+        ids = set(alone.zone_scores)
+        assert {(i, j) for i, j in pairs if i in ids} \
+            == id_pairs(neighbour_weights(tile_zones, scheme, cfg))

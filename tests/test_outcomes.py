@@ -57,6 +57,12 @@ class TestRatios:
         with pytest.raises(ValidationError, match=f"^county 'a': {name} must be finite and >= 0"):
             CountyOutcome(county_id="a", year=2023, **counts)
 
+    @pytest.mark.parametrize("year", [0, -2020, math.nan])
+    def test_a_year_before_1_is_rejected(self, year):
+        with pytest.raises(ValidationError, match=rf"^county 'a': year must be >= 1, got {year}$"):
+            county("a", year, 1, 10, 100)
+        assert county("a", 1, 1, 10, 100).year == 1
+
     def test_fields_are_the_mortality_header(self):
         assert [f.name for f in dataclasses.fields(ServiceStatus)] == MORTALITY_HEADER
 

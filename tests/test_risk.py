@@ -44,6 +44,14 @@ class TestStandardize:
         with pytest.raises(ValidationError):
             standardize([[1.0, 2.0]])
 
+    def test_a_matrix_that_is_not_2d_is_rejected(self):
+        with pytest.raises(ValidationError, match=r"^expected a 2-d matrix, got shape \(3,\)$"):
+            standardize([1.0, 2.0, 3.0])
+
+    def test_a_value_that_is_not_finite_is_rejected(self):
+        with pytest.raises(ValidationError, match="^standardization requires finite values$"):
+            standardize([[1.0, 2.0], [np.nan, 3.0], [2.0, 4.0]])
+
 
 class TestJacobi:
     def test_matches_library_eigensolver(self):
@@ -119,6 +127,11 @@ class TestPcaFit:
         with pytest.raises(ValidationError):
             pca_fit(z)
 
+    @pytest.mark.parametrize("z", [np.zeros((1, 3)), np.zeros(4)], ids=["one-row", "1-d"])
+    def test_rejects_fewer_than_two_rows_or_a_1d_array(self, z):
+        with pytest.raises(ValidationError, match=r"^pca_fit requires a 2-d matrix with >= 2 rows"):
+            pca_fit(z)
+
 
 def rank_two_plus_noise(seed, n, p, noise):
     rng = np.random.default_rng(seed)
@@ -183,6 +196,11 @@ class TestRetention:
     def test_full_capture_target(self):
         m, captured = retained_components([0.5, 0.3, 0.2], 1.0)
         assert m == 3
+
+    def test_ratios_that_never_reach_the_target_are_rejected(self):
+        with pytest.raises(ValidationError,
+                           match="^explained ratios never reach the variance target$"):
+            retained_components([0.3, 0.3], 0.9)
 
     def test_target_validation(self):
         with pytest.raises(ValidationError):

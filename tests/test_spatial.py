@@ -309,6 +309,25 @@ class TestGiStar:
             assert np.all(res.p == 1.0)
             assert all(c == "NotSignificant" for c in res.category)
 
+    def test_a_value_count_that_is_not_the_feature_count_is_rejected(self):
+        points, values = grid_3x3()
+        w = build_weights(points, "fixed_band", include_self=True, band=1.5)
+        with pytest.raises(ValidationError,
+                           match="^value count 10 does not match feature count 9$"):
+            getis_ord_gi_star(values + [1.0], w)
+
+    def test_two_features_are_too_few(self):
+        w = build_weights(random_points(6, 2), "fixed_band", include_self=True, band=1e4)
+        with pytest.raises(ValidationError, match="^Gi\\* requires at least 3 features, got 2$"):
+            getis_ord_gi_star([1.0, 2.0], w)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_a_value_that_is_not_finite_is_rejected(self, bad):
+        points, values = grid_3x3()
+        w = build_weights(points, "fixed_band", include_self=True, band=1.5)
+        with pytest.raises(ValidationError, match="^Gi\\* requires finite values$"):
+            getis_ord_gi_star(values[:-1] + [bad], w)
+
     def test_center_spike_grid_matches_direct_formula(self):
         points, values = grid_3x3()
         w = build_weights(points, "fixed_band", include_self=True, band=1.5)
