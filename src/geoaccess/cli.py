@@ -136,19 +136,15 @@ def _parse_years(spec: str):
     """Calendar years named by --years; None ("all") means every year present."""
     if spec == "all":
         return None
-    if ":" in spec:
-        first, last = spec.split(":", 1)
-        try:
-            lo, hi = int(first), int(last)
-        except ValueError:
-            raise ValidationError(f"bad --years value {spec!r}")
-        if hi < lo:
-            raise ValidationError(f"bad --years range {spec!r}")
-        return list(range(lo, hi + 1))
+    first, colon, last = spec.partition(":")
     try:
-        return [int(spec)]
+        lo = int(first)
+        hi = int(last) if colon else lo
     except ValueError:
-        raise ValidationError(f"bad --years value {spec!r}")
+        raise ValidationError(f"bad --years value {spec!r}") from None
+    if hi < lo:
+        raise ValidationError(f"bad --years range {spec!r}")
+    return list(range(lo, hi + 1))
 
 
 def _access_field(args, zones, cfg):

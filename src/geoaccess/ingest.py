@@ -9,6 +9,7 @@ mark, as spreadsheet exports write, is dropped), comma separated, RFC 4180.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -47,6 +48,14 @@ def read_text(path) -> str:
         # Physical lines, as the csv reader counts them: \r, \n or \r\n ends one.
         line = len((data[:exc.start] + b".").splitlines())
         raise ValidationError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
+def _spelled(kind, text):
+    """``kind(text)`` for ASCII text without ``_``: ``int`` and ``float`` also
+    read ``3_9.0`` and other scripts' digits, which no CSV writer spells."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return kind(text)
 
 
 class _Columns:
@@ -130,10 +139,14 @@ class _Columns:
         return values
 
     def _parse(self, name, kind, noun) -> list:
-        """The cells of ``name`` as ``kind``, up to the first that does not parse."""
+        """The cells of ``name`` as ``kind``, up to the first that does not
+        parse; ``_spelled`` judges them only if the column's text needs it."""
+        cells = self._cells[name]
+        joined = "".join(cells)
+        if "_" in joined or not joined.isascii():
+            kind = functools.partial(_spelled, kind)
         return self._map(kind, ValueError,
-                         lambda _, text: f"column {name!r} is not {noun}: {text!r}",
-                         self._cells[name])
+                         lambda _, text: f"column {name!r} is not {noun}: {text!r}", cells)
 
     def floats(self, name) -> list:
         values = self._parse(name, float, "a number")
@@ -186,8 +199,7 @@ def load_zones(path, geometry_path=None) -> list[DemandZone]:
     patients = rows.counts("adrd_patients")
     urban = rows.flags("urban")
     rows.check()
-    attributes = [dict(zip(rows.extra, values)) for values in zip(*columns)] if columns \
-        else [{} for _ in ids]
+    attributes = [dict(zip(rows.extra, values)) for _, *values in zip(ids, *columns)]
     geometries = {} if geometry_path is None else _load_geometries(geometry_path, set(ids))
     zones = rows.records(DemandZone, ids, centroids, population, patients, urban, attributes,
                          list(map(geometries.get, ids)))

@@ -152,25 +152,13 @@ class GeoJSONWriter:
             if zone.geometry is not None
         ]
 
-    def write_table(self, path, table: Table) -> None:
-        """The twin of a zone-level table: each zone's properties are the
-        row whose first cell is its id, that cell named ``zone_id``."""
-        self._write(path, table.properties())
-
-    def write(self, path, attributes_by_zone) -> None:
-        """Properties from ``zone_id -> {name: value}``, names being strings.
-        Zones with the same names share one table."""
-        groups: dict[tuple, list] = {}
-        for zone_id, _ in self._heads:
-            attributes = attributes_by_zone.get(zone_id, {})
-            groups.setdefault(tuple(attributes), []).append([zone_id, *attributes.values()])
+    def write_table(self, path, *tables: Table) -> None:
+        """The twin of zone-level tables: each zone's properties are the
+        row whose first cell is its id, that cell named ``zone_id``; a
+        later table's row wins, and a zone without a row gets its id alone."""
         members: dict = {}
-        for names, rows in groups.items():
-            members.update(Table(["zone_id", *names], rows).properties())
-        self._write(path, members)
-
-    def _write(self, path, members) -> None:
-        """One feature per zone; a zone without members gets its id alone."""
+        for table in tables:
+            members.update(table.properties())
         features = ",".join([
             head + (members.get(zone_id) or '"zone_id":' + _quote(zone_id))
             + '},"type":"Feature"}' for zone_id, head in self._heads])
@@ -178,5 +166,13 @@ class GeoJSONWriter:
 
 
 def write_geojson(path, zones, attributes_by_zone) -> None:
-    """Emit a FeatureCollection for the zones that carry geometry."""
-    GeoJSONWriter(zones).write(path, attributes_by_zone)
+    """Emit a FeatureCollection for the zones that carry geometry, with
+    properties from ``zone_id -> {name: value}``, names being strings.
+    Zones with the same names share one table."""
+    groups: dict[tuple, list] = {}
+    for zone in zones:
+        if zone.geometry is not None:
+            attributes = attributes_by_zone.get(zone.zone_id, {})
+            groups.setdefault(tuple(attributes), []).append([zone.zone_id, *attributes.values()])
+    GeoJSONWriter(zones).write_table(
+        path, *(Table(["zone_id", *names], rows) for names, rows in groups.items()))

@@ -53,9 +53,8 @@ def compute_access(zones, facilities, cfg: RunConfig):
 
 def _zone_weights(zones, cfg: RunConfig):
     points = [(z.zone_id, z.centroid) for z in zones]
-    if cfg.weights_scheme == "knn":
-        return build_weights(points, "knn", include_self=True, k=cfg.knn_k)
-    return build_weights(points, "fixed_band", include_self=True, band=cfg.band_miles)
+    return build_weights(points, cfg.weights_scheme, include_self=True, k=cfg.knn_k,
+                         band=cfg.band_miles)
 
 
 def resolve_series(zones, name: str, computed: dict | None = None) -> list[float]:
@@ -80,13 +79,9 @@ def access_rows(zones, field):
 
 def gini_rows(zones, field):
     strat = gini_stratified(field, zones)
-    rows = [("overall", strat.overall.n, strat.overall.mean, strat.overall.gini)]
-    for name, result in (("urban", strat.urban), ("rural", strat.rural)):
-        if result is None:
-            rows.append((name, 0, None, None))
-        else:
-            rows.append((name, result.n, result.mean, result.gini))
-    return rows
+    strata = (("overall", strat.overall), ("urban", strat.urban), ("rural", strat.rural))
+    return [(name, 0, None, None) if r is None else (name, r.n, r.mean, r.gini)
+            for name, r in strata]
 
 
 def hotspot_rows(zones, values, cfg: RunConfig, weights=None):

@@ -572,6 +572,10 @@ class TestMortalityCommand:
         ("2019:x", "bad --years value '2019:x'"),
         ("2020:2019", "bad --years range '2020:2019'"),
         ("20x9", "bad --years value '20x9'"),
+        ("2019:", "bad --years value '2019:'"),
+        (":2019", "bad --years value ':2019'"),
+        ("2019:2020:2021", "bad --years value '2019:2020:2021'"),
+        ("", "bad --years value ''"),
     ])
     def test_a_bad_years_value_is_named(self, synth_dir, tmp_path, capsys, years, message):
         out = tmp_path / "m.csv"

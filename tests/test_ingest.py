@@ -21,7 +21,7 @@ from geoaccess import (
 )
 from geoaccess.cli import main
 from geoaccess.ingest import FACILITY_COLUMNS, ZONE_COLUMNS
-from geoaccess.output import write_csv, write_geojson
+from geoaccess.output import quantize, write_csv, write_geojson
 from oracles import ref_load_counties, ref_load_facilities, ref_load_zones
 
 ZONES_HEADER = "zone_id,lat,lon,population,adrd_patients,urban"
@@ -36,6 +36,13 @@ class TestLoadZones:
         z = zones[0]
         assert z.zone_id == "z1" and z.urban and z.adrd_patients == 12
         assert z.attributes == {}
+
+    def test_each_zone_without_attribute_columns_has_its_own_empty_map(self, tmp_path):
+        path = tmp_path / "zones.csv"
+        path.write_text(f"{ZONES_HEADER}\nz1,39.0,-76.0,1000,12,1\nz2,38.0,-76.0,10,1,0\n")
+        first, second = load_zones(path)
+        assert first.attributes == second.attributes == {}
+        assert first.attributes is not second.attributes
 
     def test_duplicate_zone_id_rejected_with_location(self, tmp_path):
         path = tmp_path / "zones.csv"
@@ -406,19 +413,28 @@ VALID_CELLS = {
     "population_50plus": count_cells,
 }
 junk = ["x", "", "1;5"]
+# Spellings int() or float() reads that no CSV writer writes: digit
+# separators, and Arabic-Indic and fullwidth digits.
+SPELLINGS = ["3_9.0", "1_000", "\u0661\u0662", "\uff11\uff12", "1_0.5"]
+number_junk = junk + SPELLINGS
 BAD_CELLS = {
-    "lat": junk + ["nan", "inf", "-inf", "1e400", "90.5", "-91"],
-    "lon": junk + ["nan", "-inf", "180.000001", "-181"],
-    "population": junk + ["-1", "1.5", "nan"],
-    "adrd_patients": junk + ["-7", "inf"],
+    "lat": number_junk + ["nan", "inf", "-inf", "1e400", "90.5", "-91"],
+    "lon": number_junk + ["nan", "-inf", "180.000001", "-181"],
+    "population": number_junk + ["-1", "1.5", "nan"],
+    "adrd_patients": number_junk + ["-7", "inf"],
     "urban": junk + ["2", "yes"],
-    "poverty_rate": junk + ["nan", "inf", "-inf"],
-    "pct_obesity": junk + ["nan", "-inf"],
-    "beds": junk + ["-2", "0"],
-    "year": junk + ["-2020", "0"],
-    "adrd_deaths": junk + ["-1"],
-    "population_50plus": junk + ["-3", "2.0"],
+    "poverty_rate": number_junk + ["nan", "inf", "-inf"],
+    "pct_obesity": number_junk + ["nan", "-inf"],
+    "beds": number_junk + ["-2", "0"],
+    "year": number_junk + ["-2020", "0"],
+    "adrd_deaths": number_junk + ["-1"],
+    "population_50plus": number_junk + ["-3", "2.0"],
 }
+# The numeric columns, by the noun of their parse error.
+NOUNS = {"lat": "a number", "lon": "a number", "poverty_rate": "a number",
+         "pct_obesity": "a number", "population": "an integer", "adrd_patients": "an integer",
+         "beds": "an integer", "year": "an integer", "adrd_deaths": "an integer",
+         "population_50plus": "an integer"}
 
 
 @st.composite
@@ -499,6 +515,52 @@ class TestReferenceLoaders:
         expected = outcome(ref, path)
         assert isinstance(expected, str)
         assert outcome(load, path) == expected
+
+
+class TestNumberSpellings:
+    @pytest.mark.parametrize("kind,column", [
+        (kind, column) for kind in sorted(LOADERS) for column in LOADERS[kind][2]
+        if column in NOUNS])
+    def test_a_spelling_no_writer_emits_is_rejected_at_its_line(self, tmp_path, kind, column):
+        load, ref, header = LOADERS[kind]
+        good = [[f"{kind[0]}{i}"] + [{"lat": "39.0", "lon": "-76.0", "urban": "1"}.get(name, "7")
+                                     for name in header[1:]] for i in range(3)]
+        for spelling in SPELLINGS:
+            cells = [row[:] for row in good]
+            cells[1][header.index(column)] = spelling
+            path = tmp_path / f"{kind}.csv"
+            path.write_bytes(table_bytes(kind, cells, ("\n", 0, False)))
+            message = f"{path}:3: column {column!r} is not {NOUNS[column]}: {spelling!r}"
+            assert outcome(load, path) == outcome(ref, path) == message
+
+    def test_the_first_spelling_of_a_row_is_named(self, tmp_path):
+        path = tmp_path / "zones.csv"
+        path.write_text(f"{ZONES_HEADER}\nz1,3_9.0,-76.0,1_000,\u0661\u0662,1\n")
+        with pytest.raises(ValidationError) as exc:
+            load_zones(path)
+        assert str(exc.value) == f"{path}:2: column 'lat' is not a number: '3_9.0'"
+
+    def test_ascii_padding_is_read(self, tmp_path):
+        path = tmp_path / "zones.csv"
+        path.write_text(f"{ZONES_HEADER},v\nz1, 39.0\t,-76.0 ,\t1000, 12 , TRUE ,\v0.5\f\n")
+        [z] = load_zones(path)
+        assert (z.centroid.lat, z.centroid.lon, z.population, z.adrd_patients, z.urban,
+                z.attributes) == (39.0, -76.0, 1000, 12, True, {"v": 0.5})
+
+    @given(st.lists(st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0),
+                              st.integers(0, 10**18), st.integers(0, 10**18),
+                              st.floats(allow_nan=False, allow_infinity=False),
+                              st.integers(-10**15, 10**15)), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_every_number_write_csv_writes_reads_back(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("zones") / "zones.csv"
+        write_csv(path, ZONE_COLUMNS + ["f", "n"],
+                  [[f"z{i}", lat, lon, pop, pat, False, f, n]
+                   for i, (lat, lon, pop, pat, f, n) in enumerate(rows)])
+        assert [(z.centroid.lat, z.centroid.lon, z.population, z.adrd_patients, z.attributes)
+                for z in load_zones(path)] == [
+            (quantize(lat), quantize(lon), pop, pat, {"f": quantize(f), "n": float(n)})
+            for lat, lon, pop, pat, f, n in rows]
 
 
 def one_zone_csv(tmp_path):

@@ -100,18 +100,6 @@ def test_write_geojson_matches_whole_document_dump(tmp_path_factory, case):
     assert (out / "new.geojson").read_bytes() == (out / "ref.geojson").read_bytes()
 
 
-@given(zones_and_attributes(), zones_and_attributes())
-@settings(max_examples=30, deadline=None)
-def test_one_writer_serves_many_files(tmp_path_factory, case, other):
-    zones, attributes = case
-    out = tmp_path_factory.mktemp("geojson")
-    writer = GeoJSONWriter(zones)
-    for i, attrs in enumerate((attributes, other[1], {})):
-        writer.write(out / f"new{i}.geojson", attrs)
-        ref_write_geojson(out / f"ref{i}.geojson", zones, attrs)
-        assert (out / f"new{i}.geojson").read_bytes() == (out / f"ref{i}.geojson").read_bytes()
-
-
 mixed_tables = st.lists(awkward_ids, min_size=1, max_size=4).flatmap(
     lambda header: st.tuples(
         st.just(header),
@@ -135,30 +123,57 @@ def test_write_csv_spells_numpy_booleans_as_flags(tmp_path):
 
 
 @st.composite
-def zones_and_family_table(draw):
+def zones_and_family_tables(draw, count):
+    """Zones and ``count`` (header, rows) tables over them."""
     zones = draw(st.lists(st.builds(zone, awkward_ids, geometries), max_size=8))
     # Row ids: zone ids (not every zone gets a row) and a few that name no zone.
     first = st.one_of(st.sampled_from([z.zone_id for z in zones]), awkward_ids) if zones \
         else awkward_ids
-    header = draw(st.lists(st.one_of(awkward_ids, st.just("zone_id")), min_size=1, max_size=5))
-    return zones, header, draw(family_rows(first, json_families, len(header)))
+    tables = []
+    for _ in range(count):
+        header = draw(st.lists(st.one_of(awkward_ids, st.just("zone_id")), min_size=1,
+                               max_size=5))
+        tables.append((header, draw(family_rows(first, json_families, len(header)))))
+    return zones, tables
 
 
-@given(zones_and_family_table())
+def row_attributes(header, rows) -> dict:
+    """A table's rows as the ``zone_id -> {name: value}`` of the reference writer."""
+    return {row[0]: dict(zip(header[1:], row[1:])) for row in rows}
+
+
+@given(zones_and_family_tables(1))
 @settings(max_examples=150, deadline=None)
 def test_table_and_its_twin_match_the_references(tmp_path_factory, case):
-    zones, header, rows = case
+    zones, [(header, rows)] = case
     out = tmp_path_factory.mktemp("twin")
     table = Table(header, rows)
     table.write_csv(out / "new.csv")
     ref_write_csv(out / "ref.csv", header, rows)
     assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
-    attributes = {row[0]: dict(zip(header[1:], row[1:])) for row in rows}
+    attributes = row_attributes(header, rows)
     ref_write_geojson(out / "ref.geojson", zones, attributes)
     GeoJSONWriter(zones).write_table(out / "new.geojson", table)
     assert (out / "new.geojson").read_bytes() == (out / "ref.geojson").read_bytes()
     write_geojson(out / "dict.geojson", zones, attributes)
     assert (out / "dict.geojson").read_bytes() == (out / "ref.geojson").read_bytes()
+
+
+@given(zones_and_family_tables(2))
+@settings(max_examples=30, deadline=None)
+def test_one_writer_serves_many_files(tmp_path_factory, case):
+    """One writer, three files: each table alone, then both, the second
+    table's row of an id replacing the first's."""
+    zones, [first, second] = case
+    out = tmp_path_factory.mktemp("geojson")
+    writer = GeoJSONWriter(zones)
+    for i, parts in enumerate(([first], [second], [first, second])):
+        writer.write_table(out / f"new{i}.geojson", *(Table(*part) for part in parts))
+        attributes = {}
+        for part in parts:
+            attributes.update(row_attributes(*part))
+        ref_write_geojson(out / f"ref{i}.geojson", zones, attributes)
+        assert (out / f"new{i}.geojson").read_bytes() == (out / f"ref{i}.geojson").read_bytes()
 
 
 def test_twin_of_a_zone_without_a_row_and_of_an_empty_table(tmp_path):
@@ -170,8 +185,7 @@ def test_twin_of_a_zone_without_a_row_and_of_an_empty_table(tmp_path):
         table.write_csv(tmp_path / "new.csv")
         GeoJSONWriter(zones).write_table(tmp_path / "new.geojson", table)
         ref_write_csv(tmp_path / "ref.csv", header, rows)
-        ref_write_geojson(tmp_path / "ref.geojson", zones,
-                          {row[0]: dict(zip(header[1:], row[1:])) for row in rows})
+        ref_write_geojson(tmp_path / "ref.geojson", zones, row_attributes(header, rows))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert (tmp_path / "new.geojson").read_bytes() == (tmp_path / "ref.geojson").read_bytes()
     assert (tmp_path / "new.csv").read_text() == "zone_id,score,label\n"
@@ -184,8 +198,7 @@ def assert_matches_references(path, zones, header, rows):
     ref_write_csv(path / "ref.csv", header, rows)
     assert (path / "new.csv").read_bytes() == (path / "ref.csv").read_bytes()
     GeoJSONWriter(zones).write_table(path / "new.geojson", table)
-    ref_write_geojson(path / "ref.geojson", zones,
-                      {row[0]: dict(zip(header[1:], row[1:])) for row in rows})
+    ref_write_geojson(path / "ref.geojson", zones, row_attributes(header, rows))
     assert (path / "new.geojson").read_bytes() == (path / "ref.geojson").read_bytes()
 
 

@@ -47,6 +47,22 @@ def test_run_pipeline_builds_weights_once_and_shares_them(tmp_path, monkeypatch,
     assert (mismatch, errors) == ([], [])
 
 
+@pytest.mark.parametrize("scheme,own,other", [
+    ("knn", {"knn_k": 4}, {"band_miles": 3.0}),
+    ("fixed_band", {"band_miles": 10.0}, {"knn_k": 2}),
+])
+def test_each_weights_scheme_reads_only_its_own_parameter(tmp_path, scheme, own, other):
+    zones, facilities, counties = generate_synthetic_region(3)
+    cfg = RunConfig(weights_scheme=scheme, permutations=19)
+    outputs = {}
+    for name, changes in (("default", {}), ("own", own), ("other", other)):
+        run_pipeline(zones, facilities, counties, tmp_path / name,
+                     dataclasses.replace(cfg, **changes))
+        outputs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert outputs["other"] == outputs["default"]
+    assert outputs["own"] != outputs["default"]
+
+
 def test_run_pipeline_draws_each_permutation_once(tmp_path, monkeypatch):
     # Both bivariate stages share one pass over the permutations.
     zones, facilities, counties = generate_synthetic_region(3)
