@@ -16,7 +16,7 @@ from . import pipeline as pl
 from .accessibility import DEMAND_COLUMNS
 from .config import CONFIG_KEYS, RunConfig, load_config
 from .errors import ValidationError
-from .ingest import (COUNTY_COLUMNS, FACILITY_COLUMNS, ZONE_COLUMNS, load_counties,
+from .ingest import (COUNTY_COLUMNS, FACILITY_COLUMNS, ZONE_COLUMNS, _spelled, load_counties,
                      load_facilities, load_zones)
 from .output import GeoJSONWriter, Table, write_csv
 from .spatial import WEIGHT_SCHEMES
@@ -36,20 +36,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
+def _spelled_as(kind):
+    """An argparse type reading ``kind`` by ingest's number rule: ASCII text, no ``_``."""
+    def parse(text):
+        return _spelled(kind, text)
+    parse.__name__ = kind.__name__  # argparse names it: "invalid int value: '1_5'"
+    return parse
+
+
+_INT, _FLOAT = _spelled_as(int), _spelled_as(float)
+
+
 def _add_config_flags(p: _Parser):
     g = p.add_argument_group("configuration")
     g.add_argument("--config", help="JSON config file with RunConfig keys")
-    g.add_argument("--d0", type=float, dest="catchment_miles", help="catchment threshold, miles")
+    g.add_argument("--d0", type=_FLOAT, dest="catchment_miles", help="catchment threshold, miles")
     g.add_argument("--demand", choices=DEMAND_COLUMNS)
     g.add_argument("--scheme", choices=WEIGHT_SCHEMES, dest="weights_scheme")
-    g.add_argument("--band", type=float, dest="band_miles", help="fixed band distance, miles")
-    g.add_argument("--k", type=int, dest="knn_k", help="neighbor count for knn weights")
-    g.add_argument("--permutations", type=int)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--variance-target", type=float, dest="variance_target")
+    g.add_argument("--band", type=_FLOAT, dest="band_miles", help="fixed band distance, miles")
+    g.add_argument("--k", type=_INT, dest="knn_k", help="neighbor count for knn weights")
+    g.add_argument("--permutations", type=_INT)
+    g.add_argument("--seed", type=_INT)
+    g.add_argument("--variance-target", type=_FLOAT, dest="variance_target")
     g.add_argument("--fdr", action="store_true", default=None,
                    help="apply Benjamini-Hochberg correction to hot spot classes")
-    g.add_argument("--min-neighbors", type=int, dest="min_neighbors")
+    g.add_argument("--min-neighbors", type=_INT, dest="min_neighbors")
     g.add_argument("--poverty-col", dest="poverty_column")
     g.add_argument("--prevalence-cols", dest="prevalence_columns",
                    help="comma-separated prevalence column names")
@@ -110,9 +121,9 @@ def _build_parser() -> _Parser:
     add("pipeline", "run every analysis stage into a directory",
         zones=True, geometry=True, facilities=True, counties=True, out_dir=True)
     p = add("synth", "generate a deterministic synthetic region", out_dir=True)
-    p.add_argument("--n-urban", type=int, default=40)
-    p.add_argument("--n-rural", type=int, default=80)
-    p.add_argument("--n-facilities", type=int, default=16)
+    p.add_argument("--n-urban", type=_INT, default=40)
+    p.add_argument("--n-rural", type=_INT, default=80)
+    p.add_argument("--n-facilities", type=_INT, default=16)
     return parser
 
 
@@ -138,8 +149,8 @@ def _parse_years(spec: str):
         return None
     first, colon, last = spec.partition(":")
     try:
-        lo = int(first)
-        hi = int(last) if colon else lo
+        lo = _spelled(int, first)
+        hi = _spelled(int, last) if colon else lo
     except ValueError:
         raise ValidationError(f"bad --years value {spec!r}") from None
     if hi < lo:

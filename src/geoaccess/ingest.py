@@ -26,6 +26,8 @@ FACILITY_COLUMNS = ["facility_id", "lat", "lon", "beds"]
 COUNTY_COLUMNS = ["county_id", "year", "adrd_deaths", "adrd_patients", "population_50plus"]
 
 _FLAGS = {"1": True, "true": True, "0": False, "false": False}
+# The ASCII spaces int() and float() drop around a number.
+_PADDING = " \t\n\r\f\v"
 
 __all__ = [
     "ZONE_COLUMNS",
@@ -162,8 +164,10 @@ class _Columns:
         return self._parse(name, int, "an integer")
 
     def flags(self, name) -> list:
+        # As int and float do, read ASCII text less the spaces they drop.
         cells = self._cells[name]
-        values = list(map(_FLAGS.get, map(str.lower, map(str.strip, cells))))
+        values = [_FLAGS.get(cell.strip(_PADDING).lower()) if cell.isascii() else None
+                  for cell in cells]
         if None in values:
             i = values.index(None)
             self.fail(i, f"column {name!r} is not a boolean: {cells[i]!r}")

@@ -20,6 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +51,7 @@ _BIVARIATE_ALPHA = 0.05
 MIN_PERMUTATIONS = 19
 MIN_NEIGHBORS = 2
 
-# Permuted y columns pushed through the neighbor matrix in one product.
+# The most permuted y columns pushed through the neighbor matrix in one product.
 _PERM_BLOCK = 64
 
 __all__ = [
@@ -260,10 +262,18 @@ def _first_rows(matrix, rows) -> np.ndarray:
                     dtype=np.intp)
 
 
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
 def local_bivariate(x, y, weights: SpatialWeights, permutations: int = 199, seed: int = 42,
                     min_neighbors: int = 8, workers: int = 1) -> BivariateResult:
     """``local_bivariates`` for one y. ``workers`` is validated and otherwise
-    unused: the computation runs in one thread."""
+    unused; it stays because perfbench/tracing.py still passes it."""
     check_int("workers", workers, 1)
     return local_bivariates(x, [y], weights, permutations, seed, min_neighbors)[0]
 
@@ -276,10 +286,12 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
     feature's neighborhood (itself included). Significance holds x fixed
     and globally permutes y; each permutation draws its own generator
     from (seed, permutation index), and the permutations are evaluated
-    in blocks of columns, so identical seeds give identical results. The
-    pseudo p-value uses the (count + 1) / (permutations + 1) convention
-    and can never be zero; at or below 0.05 a defined feature is
-    Positive- or NegativeSignificant by the sign of its r.
+    in equal blocks of columns spread over the usable cores, each block
+    returning integer exceedance counts, so identical seeds give
+    identical results whatever the core count. The pseudo p-value uses
+    the (count + 1) / (permutations + 1) convention and can never be
+    zero; at or below 0.05 a defined feature is Positive- or
+    NegativeSignificant by the sign of its r.
 
     A feature is Undefined when its neighborhood is smaller than
     ``min_neighbors`` or either variable is constant there (its
@@ -350,13 +362,30 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
     y2s = [yv * yv for yv in yvs]
     observed = [correlations(yv, y2, np.arange(n)[:, None]) for yv, y2 in zip(yvs, y2s)]
     abs_obs = [np.abs(r) for r, _ in observed]
-    exceed = [np.zeros(lead.size, dtype=np.int64) for _ in yvs]
-    for start in range(0, permutations, _PERM_BLOCK):
-        block = range(start, min(start + _PERM_BLOCK, permutations))
+
+    def exceedances(block):
+        """Per y, how often each kept row's permuted |r| reaches its observed |r|."""
         idx = np.stack([np.random.default_rng([seed, m]).permutation(n) for m in block], axis=1)
-        for yv, y2, a, count in zip(yvs, y2s, abs_obs, exceed):
+        counts = []
+        for yv, y2, a in zip(yvs, y2s, abs_obs):
             r, _ = correlations(yv, y2, idx)
-            count += np.count_nonzero(np.abs(r, out=r) >= a, axis=1)
+            counts.append(np.count_nonzero(np.abs(r, out=r) >= a, axis=1))
+        return counts
+
+    # Equal blocks of at most _PERM_BLOCK, as many as a multiple of the core
+    # count. scipy's CSR products release the GIL, so the blocks run side by
+    # side: this thread takes every cores-th block and a pool the rest. The
+    # counts are integers, so their sum is the same in any order.
+    cores = _usable_cores()
+    per = -(-permutations // (cores * -(-permutations // (cores * _PERM_BLOCK))))
+    blocks = [range(s, min(s + per, permutations)) for s in range(0, permutations, per)]
+    exceed = [np.zeros(lead.size, dtype=np.int64) for _ in yvs]
+    with ThreadPoolExecutor(max(cores - 1, 1)) as pool:
+        others = [pool.submit(exceedances, b) for i, b in enumerate(blocks) if i % cores]
+        for counts in itertools.chain(map(exceedances, blocks[::cores]),
+                                      (f.result() for f in others)):
+            for total, count in zip(exceed, counts):
+                total += count
 
     results = []
     for (r_obs, valid), count in zip(observed, exceed):

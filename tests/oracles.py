@@ -337,6 +337,7 @@ _REF_INTEGER = re.compile(rf"{_REF_SPACE}[+-]?[0-9]+{_REF_SPACE}")
 _REF_NUMBER = re.compile(
     rf"{_REF_SPACE}[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
     rf"|(?i:inf|infinity|nan)){_REF_SPACE}")
+_REF_FLAG = re.compile(rf"{_REF_SPACE}(1|true|0|false){_REF_SPACE}", re.ASCII | re.IGNORECASE)
 
 
 def _ref_number(path, lineno, name, text):
@@ -359,11 +360,9 @@ def _ref_count(path, lineno, name, text):
 
 
 def _ref_flag(path, lineno, name, text):
-    t = text.strip().lower()
-    if t in ("1", "true"):
-        return True
-    if t in ("0", "false"):
-        return False
+    match = _REF_FLAG.fullmatch(text)
+    if match is not None:
+        return match[1].lower() in ("1", "true")
     raise ValidationError(f"{path}:{lineno}: column {name!r} is not a boolean: {text!r}")
 
 

@@ -316,6 +316,37 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert "usage" in err and "--workers" in err
 
+    # Spellings int() or float() reads that ingest rejects in a CSV cell:
+    # digit separators, and Arabic-Indic and fullwidth digits.
+    @pytest.mark.parametrize("flag,value,kind", [
+        ("--d0", "1_5", "float"),
+        ("--band", "\uff11\uff15", "float"),
+        ("--variance-target", "0.\u0669", "float"),
+        ("--k", "\u0661\u0662", "int"),
+        ("--permutations", "1_99", "int"),
+        ("--seed", "\uff14\uff12", "int"),
+        ("--min-neighbors", "1_0", "int"),
+    ])
+    def test_a_number_flag_spelled_as_no_csv_cell_may_be_is_a_usage_error(
+            self, tmp_path, capsys, flag, value, kind):
+        out = tmp_path / "o"
+        assert run("synth", flag, value, "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "usage" in err and f"argument {flag}: invalid {kind} value: {value!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--n-urban", "--n-rural", "--n-facilities"])
+    def test_a_synth_count_spelled_with_a_separator_is_a_usage_error(self, tmp_path, capsys,
+                                                                     flag):
+        assert run("synth", flag, "1_0", "--out-dir", str(tmp_path / "o")) == 1
+        assert f"argument {flag}: invalid int value: '1_0'" in capsys.readouterr().err
+
+    def test_number_flags_take_ascii_padding(self):
+        parser = argparse.ArgumentParser()
+        _add_config_flags(parser)
+        args = parser.parse_args(["--d0", " 12.5", "--k", "7 ", "--seed", "\t3"])
+        assert (args.catchment_miles, args.knn_k, args.seed) == (12.5, 7, 3)
+
     def test_impedance_config_key_rejected_by_name(self, synth_dir, tmp_path, capsys):
         # Even the one decay kernel's old name: the key is gone, not ignored.
         cfg = tmp_path / "cfg.json"
@@ -576,6 +607,9 @@ class TestMortalityCommand:
         (":2019", "bad --years value ':2019'"),
         ("2019:2020:2021", "bad --years value '2019:2020:2021'"),
         ("", "bad --years value ''"),
+        ("\uff12\uff10\uff11\uff19:2_020", "bad --years value '\uff12\uff10\uff11\uff19:2_020'"),
+        ("2019:2_020", "bad --years value '2019:2_020'"),
+        ("\u0662\u0660\u0661\u0669", "bad --years value '\u0662\u0660\u0661\u0669'"),
     ])
     def test_a_bad_years_value_is_named(self, synth_dir, tmp_path, capsys, years, message):
         out = tmp_path / "m.csv"

@@ -422,7 +422,7 @@ BAD_CELLS = {
     "lon": number_junk + ["nan", "-inf", "180.000001", "-181"],
     "population": number_junk + ["-1", "1.5", "nan"],
     "adrd_patients": number_junk + ["-7", "inf"],
-    "urban": junk + ["2", "yes"],
+    "urban": junk + ["2", "yes", "\u00a01\u3000", "\x1c1"],
     "poverty_rate": number_junk + ["nan", "inf", "-inf"],
     "pct_obesity": number_junk + ["nan", "-inf"],
     "beds": number_junk + ["-2", "0"],
@@ -539,6 +539,15 @@ class TestNumberSpellings:
         with pytest.raises(ValidationError) as exc:
             load_zones(path)
         assert str(exc.value) == f"{path}:2: column 'lat' is not a number: '3_9.0'"
+
+    @pytest.mark.parametrize("cell", ["\u00a01\u3000", "\u20281", "0\x85", "\x1ctrue"])
+    def test_a_flag_padded_by_other_than_ascii_spaces_is_rejected_at_its_line(self, tmp_path,
+                                                                             cell):
+        path = tmp_path / "zones.csv"
+        path.write_text(f"{ZONES_HEADER}\nz1,39.0,-76.0,10,1,1\nz2,39.0,-76.0,10,1,{cell}\n",
+                        encoding="utf-8")
+        message = f"{path}:3: column 'urban' is not a boolean: {cell!r}"
+        assert outcome(load_zones, path) == outcome(ref_load_zones, path) == message
 
     def test_ascii_padding_is_read(self, tmp_path):
         path = tmp_path / "zones.csv"

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -22,6 +23,7 @@ from geoaccess import (
     local_bivariates,
 )
 from geoaccess import pipeline as pl
+from geoaccess import spatial
 from geoaccess.spatial import WEIGHT_SCHEMES, SpatialWeights, benjamini_hochberg
 
 from oracles import (
@@ -600,6 +602,40 @@ class TestLocalBivariate:
         undefined = [np.isnan(res.local_r) for res in shared]
         assert np.any(undefined[0]) and np.any(undefined[1] & ~undefined[0])
         assert not np.all(undefined[1])
+
+    @pytest.mark.parametrize("permutations", [19, 64, 65, 199, 257])
+    @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
+    def test_results_do_not_depend_on_the_core_count(self, monkeypatch, permutations, scheme):
+        w, x, y1, y2 = shared_pass_case(scheme, True)
+        results = []
+        for cores in (1, 2, 3, 8):
+            monkeypatch.setattr(spatial, "_usable_cores", lambda: cores)
+            before = threading.active_count()
+            shared, _ = check_rows_sharing_a_list(w, x, [y1, y2], permutations=permutations)
+            # The pool is the call's own: no thread outlives it.
+            assert threading.active_count() == before
+            results.append(shared)
+        for res in results[1:]:
+            for a, b in zip(results[0], res):
+                assert a.local_r.tobytes() == b.local_r.tobytes()  # NaN in the same places
+                assert a.pseudo_p.tobytes() == b.pseudo_p.tobytes()
+                assert a.category == b.category
+
+    def test_an_error_in_a_pool_block_reaches_the_caller(self, monkeypatch):
+        w, x, y1, _ = shared_pass_case("knn", True)
+        draw = np.random.default_rng
+
+        def fails_off_the_calling_thread(seed):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("pool block failed")
+            return draw(seed)
+
+        monkeypatch.setattr(spatial, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(np.random, "default_rng", fails_off_the_calling_thread)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="pool block failed"):
+            local_bivariates(x, [y1], w, permutations=199, seed=5)
+        assert threading.active_count() == before
 
     def test_memory_grows_with_neighbours_not_largest_neighbourhood(self):
         # 500 zones in one tight cluster among 5,500 grid zones ~10 miles
