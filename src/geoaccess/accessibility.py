@@ -14,12 +14,11 @@ boundary, and is zero beyond it.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_range
 from .geo import GeoPoint, SpatialIndex
 
 DEFAULT_CATCHMENT_MILES = 15.0
@@ -57,12 +56,8 @@ class DemandZone:
     geometry: str | dict | None = None
 
     def __post_init__(self):
-        if not 0 <= self.population <= sys.float_info.max:
-            raise ValidationError(f"zone {self.zone_id!r}: population must be finite and >= 0, "
-                                  f"got {self.population!r}")
-        if not 0 <= self.adrd_patients <= sys.float_info.max:
-            raise ValidationError(f"zone {self.zone_id!r}: adrd_patients must be finite and >= 0, "
-                                  f"got {self.adrd_patients!r}")
+        check_range(self.population, "zone %r: population", self.zone_id)
+        check_range(self.adrd_patients, "zone %r: adrd_patients", self.zone_id)
 
 
 @dataclass(frozen=True)
@@ -74,10 +69,7 @@ class Facility:
     beds: float
 
     def __post_init__(self):
-        if not 0 < self.beds <= sys.float_info.max:
-            raise ValidationError(
-                f"facility {self.facility_id!r}: beds must be finite and > 0, got {self.beds!r}"
-            )
+        check_range(self.beds, "facility %r: beds", self.facility_id, strict=True)
 
 
 @dataclass(frozen=True)
@@ -102,15 +94,9 @@ def decay_weight(d: float, d0: float) -> float:
     zero beyond it. A one-distance call of the weights
     :func:`accessibility_scores` uses, so both give the same bits.
     """
-    _check_decay(d0)
-    if not 0 <= d <= sys.float_info.max:
-        raise ValidationError(f"distance d must be finite and >= 0, got {d!r}")
+    check_range(d0, "catchment threshold d0", strict=True)
+    check_range(d, "distance d")
     return _decay(np.array([d], dtype=float), d0).tolist()[0]
-
-
-def _check_decay(d0):
-    if not 0 < d0 <= sys.float_info.max:
-        raise ValidationError(f"catchment threshold d0 must be finite and > 0, got {d0!r}")
 
 
 def _decay(dist: np.ndarray, d0: float) -> np.ndarray:
@@ -150,7 +136,7 @@ def accessibility_scores(
     facilities = sorted(facilities, key=lambda f: f.facility_id)
     if not zones:
         raise ValidationError("accessibility requires at least one demand zone")
-    _check_decay(d0)
+    check_range(d0, "catchment threshold d0", strict=True)
     if demand not in DEMAND_COLUMNS:
         raise ValidationError(f"unknown demand column {demand!r}; expected one of {DEMAND_COLUMNS}")
 

@@ -155,7 +155,7 @@ def _parse_years(spec: str):
         raise ValidationError(f"bad --years value {spec!r}") from None
     if hi < lo:
         raise ValidationError(f"bad --years range {spec!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _access_field(args, zones, cfg):

@@ -10,13 +10,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import numbers
-import sys
 from dataclasses import dataclass
 
 from .accessibility import DEMAND_COLUMNS
-from .errors import ValidationError
+from .errors import ValidationError, check_int, check_range
 from .ingest import read_text
-from .spatial import MIN_NEIGHBORS, MIN_PERMUTATIONS, WEIGHT_SCHEMES, check_int
+from .spatial import MIN_NEIGHBORS, MIN_PERMUTATIONS, WEIGHT_SCHEMES
 
 DEFAULT_PREVALENCE_COLUMNS = (
     "pct_diabetes",
@@ -59,9 +58,7 @@ class RunConfig:
             # bool is an int subclass; a JSON true must not pass as 1.
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValidationError(f"config {name} must be a number, got {value!r}")
-            # The upper bound catches a JSON Infinity and an integer too large for a float.
-            if not 0 < value <= sys.float_info.max:
-                raise ValidationError(f"config {name} must be positive and finite, got {value!r}")
+            check_range(value, "config %s", name, strict=True)
         if self.variance_target > 1.0:
             raise ValidationError(
                 f"config variance_target must be in (0, 1], got {self.variance_target!r}"

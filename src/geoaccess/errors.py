@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the value rules that raise them."""
+
+import numbers
+from sys import float_info
 
 
 class ValidationError(ValueError):
@@ -7,3 +10,21 @@ class ValidationError(ValueError):
     The CLI maps this to exit code 1; genuine I/O failures (missing files,
     unwritable paths) surface as OSError and map to exit code 2.
     """
+
+
+def check_int(name: str, value, least: int) -> None:
+    """Reject ``value`` unless it is an integer >= ``least``; a bool is an int but no integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_range(value, label: str, *parts, strict: bool = False) -> None:
+    """Reject ``value`` unless it is a finite number > 0 (``strict``) or >= 0.
+    ``label % parts`` names it, formatted only on failure: every record checks here."""
+    try:  # the upper bound rejects infinity and an integer too large for a float
+        if (0 < value if strict else 0 <= value) and value <= float_info.max:
+            return
+    except TypeError:  # such as None or a string
+        pass
+    raise ValidationError(f"{label % parts} must be finite and {'>' if strict else '>='} 0, "
+                          f"got {value!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ValidationError
+from .errors import ValidationError, check_range
 
 EARTH_RADIUS_MILES = 3958.7613
 # The factor CPython's math.radians multiplies by.
@@ -147,8 +147,7 @@ class SpatialIndex:
         are measured together over the pair arrays, so the pairs are
         exactly those a brute-force scan keeps.
         """
-        if not (math.isfinite(radius) and radius >= 0.0):
-            raise ValidationError(f"radius must be finite and non-negative, got {radius!r}")
+        check_range(radius, "radius")
         cand = self.tree.sparse_distance_matrix(other.tree, chord_bound(radius),
                                                  output_type="ndarray")
         # One integer key per pair sorts by (i, j) faster than a lexsort.

@@ -72,7 +72,10 @@ class _Columns:
     def __init__(self, path, required, extras_allowed: bool):
         self.path = path
         reader = csv.reader(io.StringIO(read_text(path), newline=""))
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ValidationError(f"{path}:1: {exc}") from None
         if header is None:
             raise ValidationError(f"{path}: empty file, expected header {','.join(required)}")
         if header[: len(required)] != required:
@@ -89,15 +92,19 @@ class _Columns:
         self.lines, rows = [], []
         self._stop, self._failure = math.inf, None
         lineno = reader.line_num + 1
-        for row in reader:
-            if row:
-                self.lines.append(lineno)
-                if len(row) != len(header):
-                    # Reading stops here; a fault on an earlier row still wins.
-                    self.fail(len(rows), f"expected {len(header)} fields, got {len(row)}")
-                    break
-                rows.append(row)
-            lineno = reader.line_num + 1
+        try:
+            for row in reader:
+                if row:
+                    self.lines.append(lineno)
+                    if len(row) != len(header):
+                        # Reading stops here; a fault on an earlier row still wins.
+                        self.fail(len(rows), f"expected {len(header)} fields, got {len(row)}")
+                        break
+                    rows.append(row)
+                lineno = reader.line_num + 1
+        except csv.Error as exc:  # such as a cell over the process-wide field size limit
+            self.lines.append(lineno)
+            self.fail(len(rows), str(exc))
         self._cells = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
 
     def __getitem__(self, name) -> tuple:

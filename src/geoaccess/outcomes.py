@@ -10,11 +10,10 @@ of ratios).
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, check_range
 
 UNDERSERVED = "Underserved"
 OVERSERVED = "Overserved"
@@ -49,15 +48,9 @@ class CountyOutcome:
     def __post_init__(self):
         if not self.year >= 1:
             raise ValidationError(f"county {self.county_id!r}: year must be >= 1, got {self.year}")
-        if not 0 <= self.adrd_deaths <= sys.float_info.max:
-            raise ValidationError(f"county {self.county_id!r}: adrd_deaths must be finite and "
-                                  f">= 0, got {self.adrd_deaths!r}")
-        if not 0 <= self.adrd_patients <= sys.float_info.max:
-            raise ValidationError(f"county {self.county_id!r}: adrd_patients must be finite and "
-                                  f">= 0, got {self.adrd_patients!r}")
-        if not 0 <= self.population_50plus <= sys.float_info.max:
-            raise ValidationError(f"county {self.county_id!r}: population_50plus must be finite "
-                                  f"and >= 0, got {self.population_50plus!r}")
+        check_range(self.adrd_deaths, "county %r: adrd_deaths", self.county_id)
+        check_range(self.adrd_patients, "county %r: adrd_patients", self.county_id)
+        check_range(self.population_50plus, "county %r: population_50plus", self.county_id)
 
 
 @dataclass(frozen=True)
@@ -81,10 +74,12 @@ def _mean(values) -> float:
 
 
 def _year_span(years) -> str:
-    """Sorted years as ``first:last`` when they run without a gap."""
-    if len(years) > 1 and years[-1] - years[0] == len(years) - 1:
-        return f"{years[0]}:{years[-1]}"
-    return ", ".join(map(str, years))
+    """Years as ``first:last`` when they run without a gap, as a range of step 1 does."""
+    if not (isinstance(years, range) and years.step == 1):
+        years = sorted(years)
+        if years[-1] - years[0] != len(years) - 1:
+            return ", ".join(map(str, years))
+    return f"{years[0]}:{years[-1]}" if years[0] != years[-1] else str(years[0])
 
 
 def classify_service_status(records, years=None) -> list[ServiceStatus]:
@@ -101,7 +96,8 @@ def classify_service_status(records, years=None) -> list[ServiceStatus]:
     ``elevated`` flags a deaths-per-population rate more than one
     sample standard deviation above the state mean.
     """
-    wanted = None if years is None else set(map(int, years))
+    # A range, such as --years gives, is kept: its membership and emptiness are O(1).
+    wanted = years if years is None or isinstance(years, range) else set(map(int, years))
     if years is not None and not wanted:
         raise ValidationError("service classification requires a non-empty year range")
     seen: set[tuple[str, int]] = set()
@@ -116,7 +112,7 @@ def classify_service_status(records, years=None) -> list[ServiceStatus]:
             present.append(rec)
     omitted = sorted(cid for cid, present in by_county.items() if not present)
     if wanted is not None and len(omitted) == len(by_county):
-        raise ValidationError(f"no county has a record in years {_year_span(sorted(wanted))}")
+        raise ValidationError(f"no county has a record in years {_year_span(wanted)}")
     if omitted:
         warnings.warn(f"{len(omitted)} counties have no records in the requested years and are "
                       f"omitted: {', '.join(map(repr, omitted))}")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import erfc
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int, check_range
 from .geo import SpatialIndex, chord_bound
 
 HOT_99, HOT_95, HOT_90 = "HotSpot99", "HotSpot95", "HotSpot90"
@@ -128,8 +127,7 @@ def build_weights(points, scheme: str, include_self: bool, k: int | None = None,
     own = np.arange(n, dtype=np.intp)
     isolated = np.zeros(n, dtype=bool)
     if scheme == "knn":
-        if k is None or k < 1:
-            raise ValidationError(f"knn weights require k >= 1, got {k!r}")
+        check_int("k", k, 1)
         if k >= n:
             raise ValidationError(f"knn k={k} must be smaller than the feature count {n}")
         # The k+1 nearest by chord (self included) reach past the k-th other
@@ -151,8 +149,7 @@ def build_weights(points, scheme: str, include_self: bool, k: int | None = None,
         cols = np.sort(chosen, axis=1).ravel()
         rows = np.repeat(own, chosen.shape[1])
     elif scheme == "fixed_band":
-        if band is None or not band > 0:
-            raise ValidationError(f"fixed_band weights require band > 0, got {band!r}")
+        check_range(band, "band", strict=True)
         i, j = index.tree.query_pairs(chord_bound(band), output_type="ndarray").astype(np.intp).T
         near = index.arc_miles(i, j) <= band
         i, j = i[near], j[near]
@@ -246,12 +243,6 @@ def classify_hotspots(result: HotSpotResult, fdr: bool = False) -> HotSpotResult
                      + [(hot, cold) for _, hot, cold in reversed(_Z_CUTS)])
     category = names[level, np.less_equal(result.z, 0.0).astype(int)].tolist()
     return HotSpotResult(ids=result.ids, z=result.z, p=result.p, category=category)
-
-
-def check_int(name: str, value, least: int) -> None:
-    # bool is an int subclass; True must not pass as 1.
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _first_rows(matrix, rows) -> np.ndarray:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .accessibility import DemandZone, Facility
-from .errors import ValidationError
+from .errors import check_int
 from .geo import GeoPoint
 from .outcomes import CountyOutcome
 from .output import quantize
@@ -126,8 +126,9 @@ def generate_synthetic_region(
     (and the largest ones) sit in the core. County records cover five
     consecutive years with mortality per patient increasing outward.
     """
-    if n_urban_zones < 1 or n_rural_zones < 1 or n_facilities < 1:
-        raise ValidationError("synthetic region requires at least one of each feature kind")
+    check_int("n_urban_zones", n_urban_zones, 1)
+    check_int("n_rural_zones", n_rural_zones, 1)
+    check_int("n_facilities", n_facilities, 1)
     rng = np.random.default_rng(seed)
 
     zones = [_zone(rng, f"Z{i:04d}", True) for i in range(n_urban_zones)]

@@ -101,6 +101,13 @@ class TestRecords:
             facility("h1", 39.0, -76.0, beds)
         assert facility("h1", 39.0, -76.0, sys.float_info.max).beds > 0
 
+    def test_a_value_that_is_no_number_fails_the_range_rule(self):
+        with pytest.raises(ValidationError, match="^facility 'h1': beds must be finite and > 0, "
+                                                  "got '10'$"):
+            facility("h1", 39.0, -76.0, "10")
+        with pytest.raises(ValidationError, match="^distance d must be finite and >= 0, got None$"):
+            decay_weight(None, 15.0)
+
 
 class TestFacilityRatio:
     def test_single_zone_at_distance_zero(self):

@@ -5,6 +5,7 @@ import json
 import filecmp
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -582,7 +583,7 @@ class TestPipeline:
 class TestMortalityCommand:
     def test_years_with_no_records_are_one_error_line(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "m.csv"
-        for years in ("2030", "2030:2031"):
+        for years in ("2030", "2030:2031", "3000:3000000"):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 assert run("mortality", "--counties", str(synth_dir / "counties.csv"),
@@ -598,6 +599,19 @@ class TestMortalityCommand:
                        "--out", str(tmp_path / name)) == 0
         assert filecmp.cmp(tmp_path / "one.csv", tmp_path / "range.csv", shallow=False)
         assert not filecmp.cmp(tmp_path / "one.csv", tmp_path / "all.csv", shallow=False)
+
+    def test_a_wide_year_range_costs_no_memory_for_its_span(self, synth_dir, tmp_path):
+        counties = str(synth_dir / "counties.csv")
+        assert run("mortality", "--counties", counties, "--out", str(tmp_path / "all.csv")) == 0
+        tracemalloc.start()
+        try:
+            assert run("mortality", "--counties", counties, "--years", "1:3000000",
+                       "--out", str(tmp_path / "wide.csv")) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert filecmp.cmp(tmp_path / "all.csv", tmp_path / "wide.csv", shallow=False)
+        assert peak < 5 * 2**20
 
     @pytest.mark.parametrize("years,message", [
         ("2019:x", "bad --years value '2019:x'"),

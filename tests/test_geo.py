@@ -98,6 +98,13 @@ def test_negative_radius_rejected():
         index.pairs_within(_one(GeoPoint(0.0, 0.0)), -1.0)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, None])
+def test_a_radius_that_is_no_finite_number_fails_the_shared_rule(radius):
+    index = SpatialIndex([("a", GeoPoint(0.0, 0.0))])
+    with pytest.raises(ValidationError, match=f"^radius must be finite and >= 0, got {radius!r}$"):
+        index.pairs_within(_one(GeoPoint(0.0, 0.0)), radius)
+
+
 @pytest.mark.parametrize("radius", [15.0, 0.5, 120.0])
 def test_index_matches_linear_scan(radius):
     rng = np.random.default_rng(7)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import gc
 import json
@@ -177,6 +178,33 @@ class TestOtherLoaders:
         with pytest.raises(ValidationError) as exc:
             load(path)
         assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("name,header,good", [
+        ("zones.csv", ZONES_HEADER, "z1,39.0,-76.0,1000,12,1"),
+        ("facilities.csv", "facility_id,lat,lon,beds", "h1,39.0,-76.0,10"),
+        ("counties.csv", "county_id,year,adrd_deaths,adrd_patients,population_50plus",
+         "c1,2020,5,40,900"),
+    ], ids=["zones", "facilities", "counties"])
+    def test_a_cell_over_the_field_size_limit_is_named_by_file_and_line(self, tmp_path, name,
+                                                                        header, good):
+        path = tmp_path / name
+        load = {"zones.csv": load_zones, "facilities.csv": load_facilities,
+                "counties.csv": load_counties}[name]
+        too_long = "x" * (csv.field_size_limit() + 1)
+        limit = f"field larger than field limit ({csv.field_size_limit()})"
+        # The row starts on line 3, and its quoted cell runs on to line 4.
+        path.write_text(f'{header}\n{good}\n"\n{too_long}",{good.partition(",")[2]}\n{good}\n')
+        with pytest.raises(ValidationError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}:3: {limit}"
+        # A bad cell on an earlier row is met first, as for a row of the wrong width.
+        path.write_text(f'{header}\n{good.replace(",", ",x", 1)}\n{too_long}\n')
+        with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}:2: column "):
+            load(path)
+        path.write_text(f"{too_long}\n{good}\n")
+        with pytest.raises(ValidationError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}:1: {limit}"
 
     def test_counties_load(self, tmp_path):
         path = tmp_path / "counties.csv"

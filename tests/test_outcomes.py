@@ -100,7 +100,9 @@ class TestAggregation:
         ]
 
     @pytest.mark.parametrize("years, named", [([2030], "2030"), (range(3000, 10**5), "3000:99999"),
-                                              ([2031, 2030, 2035], "2030, 2031, 2035")])
+                                              ([2031, 2030, 2035], "2030, 2031, 2035"),
+                                              (range(2030, 2036, 2), "2030, 2032, 2034"),
+                                              (range(2030, 2031), "2030")])
     def test_no_county_in_range_names_the_years(self, years, named):
         records = [county(cid, 2018, 1, 10, 100) for cid in ("a", "b", "c")]
         with pytest.raises(ValidationError) as err:

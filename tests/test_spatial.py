@@ -209,6 +209,20 @@ class TestBuildWeights:
         with pytest.raises(ValidationError):
             build_weights(pts, "voronoi", include_self=True)
 
+    @pytest.mark.parametrize("k", [True, 2.5, "3", None])
+    def test_a_k_that_is_no_integer_is_rejected_by_name(self, k):
+        with pytest.raises(ValidationError, match=rf"^k must be an integer >= 1, got {k!r}$"):
+            build_weights(random_points(5, 10), "knn", include_self=True, k=k)
+
+    @pytest.mark.parametrize("band", [math.inf, math.nan, -1.0, None])
+    def test_band_takes_the_rule_of_the_band_setting(self, band):
+        with pytest.raises(ValidationError, match=rf"^band must be finite and > 0, got {band!r}$"):
+            build_weights(random_points(5, 10), "fixed_band", include_self=True, band=band)
+        if band is not None:
+            with pytest.raises(ValidationError,
+                               match=rf"^config band_miles must be finite and > 0, got {band!r}$"):
+                RunConfig(band_miles=band)
+
     def test_unknown_scheme_message_names_every_scheme(self):
         with pytest.raises(ValidationError, match="voronoi") as exc:
             build_weights(random_points(5, 10), "voronoi", include_self=True, k=3, band=10.0)
@@ -658,6 +672,24 @@ class TestLocalBivariate:
         assert max(len(nb) for nb in w.neighbors) >= 500
         assert res.pseudo_p.size == len(pts)
         assert peak < 50 * 2**20
+
+    @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
+    def test_white_noise_is_flagged_near_the_nominal_rate(self, scheme):
+        """Size under the permutation null: independent white-noise x and y
+        on the default region and config, 20 seeded replicate pairs. The
+        global-permutation null holds here; it is smooth fields that fool it."""
+        cfg = RunConfig()
+        zones, _, _ = generate_synthetic_region(1)
+        w = build_weights([(z.zone_id, z.centroid) for z in zones], scheme, include_self=True,
+                          k=cfg.knn_k, band=cfg.band_miles)
+        rng = np.random.default_rng(1)
+        shares = []
+        for _ in range(20):
+            x, y = rng.standard_normal((2, len(zones)))
+            res = local_bivariate(x, y, w, cfg.permutations, cfg.seed, cfg.min_neighbors)
+            defined = np.array(res.category) != "Undefined"
+            shares.append(np.mean(res.pseudo_p[defined] <= 0.05))
+        assert np.mean(shares) <= 0.07
 
 
 class TestRepeatedNeighbourLists:

@@ -34,6 +34,14 @@ def test_zero_facility_count_rejected():
         generate_synthetic_region(42, 10, 10, 0)
 
 
+@pytest.mark.parametrize("counts,name,bad", [
+    ((2.5,), "n_urban_zones", 2.5), ((10, True), "n_rural_zones", True),
+    ((10, 10, "3"), "n_facilities", "'3'")])
+def test_a_count_that_is_no_integer_is_rejected_by_name(counts, name, bad):
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer >= 1, got {bad}$"):
+        generate_synthetic_region(1, *counts)
+
+
 def test_zone_ids_unique_and_attributes_complete():
     zones, _, _ = generate_synthetic_region(5)
     ids = [z.zone_id for z in zones]
