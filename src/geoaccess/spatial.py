@@ -28,7 +28,7 @@ from scipy import sparse
 from scipy.special import erfc
 
 from .errors import ValidationError, check_int, check_range
-from .geo import SpatialIndex, chord_bound
+from .geo import SpatialIndex, chord_bound, knn_candidates, near_pairs
 
 HOT_99, HOT_95, HOT_90 = "HotSpot99", "HotSpot95", "HotSpot90"
 COLD_99, COLD_95, COLD_90 = "ColdSpot99", "ColdSpot95", "ColdSpot90"
@@ -116,8 +116,9 @@ def build_weights(points, scheme: str, include_self: bool, k: int | None = None,
     A fixed-band feature with no in-band neighbor is flagged isolated,
     not rejected.
 
-    Candidates come from a k-d tree on the sphere embedding and are
-    re-checked by exact distance; memory grows with the neighbour count.
+    Candidates come from a cell-grid search on the sphere embedding and
+    are re-checked by exact distance; memory grows with the neighbour
+    count.
     """
     ids = [pid for pid, _ in points]
     n = len(ids)
@@ -130,13 +131,8 @@ def build_weights(points, scheme: str, include_self: bool, k: int | None = None,
         check_int("k", k, 1)
         if k >= n:
             raise ValidationError(f"knn k={k} must be smaller than the feature count {n}")
-        # The k+1 nearest by chord (self included) reach past the k-th other
-        # feature; every feature within that chord is a candidate, so all
-        # ties at the k-th distance are seen and broken by id.
-        reach, _ = index.tree.query(index.xyz, k=k + 1)
-        hits = index.tree.query_ball_point(index.xyz, reach[:, k] * (1.0 + 1e-9) + 1e-9)
-        rows = np.repeat(own, np.fromiter(map(len, hits), dtype=np.intp, count=n))
-        cols = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=rows.size)
+        # Every tie at the k-th distance is a candidate, and is broken by id.
+        rows, cols = knn_candidates(index.xyz, k)
         rows, cols = rows[rows != cols], cols[rows != cols]
         id_rank = np.empty(n, dtype=np.intp)
         id_rank[sorted(range(n), key=ids.__getitem__)] = own
@@ -150,7 +146,7 @@ def build_weights(points, scheme: str, include_self: bool, k: int | None = None,
         rows = np.repeat(own, chosen.shape[1])
     elif scheme == "fixed_band":
         check_range(band, "band", strict=True)
-        i, j = index.tree.query_pairs(chord_bound(band), output_type="ndarray").astype(np.intp).T
+        i, j, _ = near_pairs(index.xyz, None, chord_bound(band))
         near = index.arc_miles(i, j) <= band
         i, j = i[near], j[near]
         isolated = np.bincount(np.concatenate((i, j)), minlength=n) == 0

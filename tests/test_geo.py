@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geoaccess import GeoPoint, SpatialIndex, ValidationError, haversine_miles
+from geoaccess.geo import near_pairs
 
 from oracles import R_MILES, ref_haversine, ref_haversine_libm
 
@@ -180,6 +181,8 @@ def _antipode(p, nudge):
 # An exact antipode whose libm s rounds to 1 + 2**-52, above 1; its distance is
 # the half circumference, the largest radius asked for.
 @example([GeoPoint(48.333, -141.899)], [], [0.0], HALF_CIRCUMFERENCE_MILES)
+# Points and their antipodes, whose mean direction is zero.
+@example([GeoPoint(0.0, 0.0), GeoPoint(0.0, 180.0)], [], [0.0, 0.0], 100.0)
 def test_pairs_within_is_the_libm_scan_on_the_whole_globe(left, extra, nudges, radius):
     # The right side holds coincident copies of left points and their
     # (nearly) antipodal points, besides points anywhere on the globe.
@@ -190,3 +193,99 @@ def test_pairs_within_is_the_libm_scan_on_the_whole_globe(left, extra, nudges, r
     assert list(zip(i.tolist(), j.tolist(), dist.tolist())) == _scan(left, right, radius)
     assert dist.tolist() == [haversine_miles(left[a][1], right[b][1])
                              for a, b in zip(i.tolist(), j.tolist())]
+
+
+def _brute_pairs(a, b, bound):
+    """Sorted (i, j, squared distance) of every pair at most ``bound`` apart, over all pairs."""
+    d = (a[:, None, :] - (a if b is None else b)[None, :, :]) ** 2
+    d2 = d[..., 0] + d[..., 1]
+    d2 += d[..., 2]
+    i, j = np.nonzero((d2 <= bound * bound) & (np.arange(len(a))[:, None] <
+                                                   np.arange(d2.shape[1])[None, :]
+                                                   if b is None else True))
+    return sorted(zip(i.tolist(), j.tolist(), d2[i, j].tolist()))
+
+
+def _near(a, b, bound):
+    i, j, d2 = near_pairs(a, b, bound)
+    return sorted(zip(i.tolist(), j.tolist(), d2.tolist()))
+
+
+def _on_sphere(rng, n):
+    v = rng.normal(size=(n, 3))
+    return R_MILES * v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def _lattice(u, v, n=12):
+    """The n x n lattice spanned by steps ``u`` and ``v``, far from the origin."""
+    i, j = np.meshgrid(np.arange(n), np.arange(n))
+    return i.reshape(-1, 1) * u + j.reshape(-1, 1) * v + [0.0, 0.0, R_MILES]
+
+
+# Steps of equal length 0.5 or 0.625 whose coordinates are multiples of 1/8,
+# so that every squared distance between lattice points is exact.
+SQUARE = (np.array([0.5, 0.0, 0.0]), np.array([0.0, 0.5, 0.0]))
+TURNED = (np.array([0.375, 0.5, 0.0]), np.array([-0.5, 0.375, 0.0]))
+TILTED = (np.array([0.375, 0.0, 0.5]), np.array([0.0, 0.625, 0.0]))
+
+
+def _near_pair_cases():
+    rng = np.random.default_rng(3)
+    # Neighbours exactly one bound apart, across many cell borders.
+    yield "lattice", _lattice(*SQUARE), None, 0.5
+    yield "lattice_two_sets", _lattice(*SQUARE)[::2], _lattice(*SQUARE)[1::2], 0.5
+    yield "turned_lattice", _lattice(*TURNED), None, 0.625
+    yield "tilted_lattice", _lattice(*TILTED), None, 0.625
+    globe = _on_sphere(rng, 150)
+    yield "full_diameter", globe, None, 2.0 * R_MILES + 1.0
+    yield "full_diameter_two_sets", globe[:40], globe[40:], 2.0 * R_MILES + 1.0
+    repeated = np.repeat(_on_sphere(rng, 30) * 1e-3 + [0.0, 0.0, R_MILES], 3, axis=0)
+    yield "zero_bound", repeated, None, 0.0
+    yield "zero_bound_two_sets", repeated[:40], repeated[40:], 0.0
+    # Each point beside its antipode: the mean direction is exactly zero.
+    yield "whole_globe", np.concatenate([(p, -p) for p in globe[:60]]), None, 3000.0
+    yield "whole_globe_two_sets", globe[:70], globe[70:], 3000.0
+
+
+@pytest.mark.parametrize("a, b, bound", [case[1:] for case in _near_pair_cases()],
+                         ids=[case[0] for case in _near_pair_cases()])
+def test_near_pairs_is_the_brute_force_scan(a, b, bound):
+    got = _near(a, b, bound)
+    assert got == _brute_pairs(a, b, bound)
+    assert got
+
+
+@pytest.mark.parametrize("steps", [SQUARE, TURNED, TILTED])
+def test_near_pairs_keep_every_pair_exactly_a_bound_apart(steps):
+    bound = float(np.linalg.norm(steps[0]))
+    edges = [(bound * bound, 2 * 12 * 11)]
+    got = _near(_lattice(*steps), None, bound)
+    assert [(d2, len(got)) for d2 in {d2 for _, _, d2 in got}] == edges
+
+
+@pytest.mark.parametrize("two_sets", [False, True])
+def test_near_pairs_keep_a_pair_a_bound_apart_from_just_inside_a_cell(two_sets):
+    # Mirrored about the z axis, so the points project onto their own x
+    # coordinates, and the lowest at x = -1 starts the first cell. Each
+    # pair (x, x + 0.5) is exactly 0.5 apart, with x just short of the
+    # first cell border at x = -0.75: cells a hair narrower than a half
+    # bound would put its partner three cells on.
+    x = -1.0 + (0.25 - np.arange(1, 21) * 1e-7)
+    assert ((x + 0.5) - x == 0.5).all()
+
+    def mirrored(values):
+        v = np.concatenate([(v, -v) for v in values])
+        return np.column_stack((v, np.zeros(v.size), np.full(v.size, R_MILES)))
+
+    a, b = mirrored(np.append(x, -1.0)), mirrored(x + 0.5)
+    if not two_sets:
+        a, b = np.concatenate((a, b)), None
+    got = _near(a, b, 0.5)
+    assert got == _brute_pairs(a, b, 0.5)
+    assert sum(d2 == 0.25 for _, _, d2 in got) >= 20
+
+
+def test_near_pairs_of_an_empty_set_or_one_point_are_none():
+    lattice = _lattice(*SQUARE)
+    assert _near(np.zeros((0, 3)), lattice, 1.0) == [] == _near(lattice, np.zeros((0, 3)), 1.0)
+    assert _near(lattice[:1], None, 1.0) == []

@@ -1,17 +1,38 @@
 import dataclasses
 import filecmp
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geoaccess
 from geoaccess import (DemandZone, Facility, GeoPoint, RunConfig, ValidationError,
                        generate_synthetic_region, run_pipeline)
 from geoaccess import pipeline as pl
 from geoaccess.output import write_csv
 from oracles import ref_write_geojson
+
+
+def test_a_pipeline_run_loads_no_scipy_spatial(tmp_path):
+    # In a fresh interpreter, so that no other test's import counts.
+    script = """if True:
+        import sys
+        from geoaccess import RunConfig, generate_synthetic_region, run_pipeline
+        region = generate_synthetic_region(1)
+        for scheme in ("fixed_band", "knn"):
+            run_pipeline(*region, sys.argv[1] + "/" + scheme, RunConfig(weights_scheme=scheme))
+        assert "scipy.spatial" not in sys.modules, "scipy.spatial was imported"
+        """
+    src = os.path.dirname(os.path.dirname(geoaccess.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert len(os.listdir(tmp_path / "knn")) == len(os.listdir(tmp_path / "fixed_band")) > 0
 
 
 @pytest.mark.parametrize("scheme", ["fixed_band", "knn"])

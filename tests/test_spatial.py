@@ -54,6 +54,21 @@ def grid_3x3():
     return points, values
 
 
+def uneven_layout(name):
+    """60 features within a mile, beside 20 on a 40-mile ring; or 150
+    scattered features and one an ocean away."""
+    if name == "far_outlier":
+        return random_points(12, 150) + [("zz_far", GeoPoint(-33.9, 151.2))]
+    rng = np.random.default_rng(13)
+    cluster = [(f"c{i:02d}", GeoPoint(39.0 + float(rng.uniform(-0.5, 0.5)) * MILE_DEG,
+                                      -76.0 + float(rng.uniform(-0.5, 0.5)) * MILE_DEG))
+               for i in range(60)]
+    ring = [(f"r{i:02d}", GeoPoint(39.0 + 40.0 * MILE_DEG * math.sin(2 * math.pi * i / 20),
+                                   -76.0 + 40.0 * MILE_DEG * math.cos(2 * math.pi * i / 20)))
+            for i in range(20)]
+    return cluster + ring
+
+
 def random_points(seed, n):
     rng = np.random.default_rng(seed)
     return [
@@ -291,6 +306,19 @@ class TestWeightsAgainstBruteForce:
         sets = [set(map(int, nb)) for nb in w.neighbors]
         assert all(i in sets[j] for i in range(len(pts)) for j in sets[i])
 
+    @pytest.mark.parametrize("layout", ["cluster_and_ring", "far_outlier"])
+    @pytest.mark.parametrize("scheme, k, band", [("knn", 1, None), ("knn", 8, None),
+                                                 ("knn", -1, None), ("fixed_band", None, 0.3),
+                                                 ("fixed_band", None, 30.0)])
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_uneven_layouts_equal_oracle(self, layout, scheme, k, band, include_self):
+        pts = uneven_layout(layout)
+        k = len(pts) - 1 if k == -1 else k  # -1 stands for every other feature
+        w = build_weights(pts, scheme, include_self=include_self, k=k, band=band)
+        neighbors, isolated = ref_weights(pts, scheme, include_self, k=k, band=band)
+        assert [list(nb) for nb in w.neighbors] == neighbors
+        assert list(w.isolated) == isolated
+
     def test_equidistant_knn_tie_goes_to_smaller_id(self):
         # "m" sits at the origin, "z" and "a" mirror each other through it,
         # so its single nearest neighbour is an exact tie won by the smaller id.
@@ -300,16 +328,19 @@ class TestWeightsAgainstBruteForce:
         w = build_weights(pts, "knn", include_self=False, k=1)
         assert list(w.neighbors[1]) == [2]
 
-    def test_fixed_band_memory_grows_with_neighbours_not_n_squared(self):
+    @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
+    def test_memory_grows_with_neighbours_not_n_squared(self, scheme):
         # 5,000 features: a dense n x n float matrix alone would be 200 MB.
-        pts = random_points(8, 5000)
+        # One of them lies an ocean away, and a knn search that took every
+        # feature out to its radius would hold every pair.
+        pts = random_points(8, 5000) + [("outlier", GeoPoint(-33.9, 151.2))]
         tracemalloc.start()
         try:
-            w = build_weights(pts, "fixed_band", include_self=True, band=15.0)
+            w = build_weights(pts, scheme, include_self=True, k=8, band=15.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(len(nb) for nb in w.neighbors) > 5000
+        assert sum(len(nb) for nb in w.neighbors) > 5001
         assert peak < 100 * 2**20
 
 
