@@ -7,7 +7,8 @@ The Gini index is computed with the O(n log n) sorted form
 which is algebraically identical to the pairwise mean absolute
 difference normalized by twice the mean. Group comparisons use Welch's
 unequal-variance t-test with Welch-Satterthwaite degrees of freedom and
-a two-sided p from the Student-t CDF ``scipy.special.stdtr``.
+a two-sided p from the Student-t CDF ``scipy.special.stdtr``, imported
+only when a test computes one.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import ValidationError
 
@@ -166,5 +166,7 @@ def welch_t_test(a, b) -> TTestResult:
     se2 = se_a + se_b
     t = (mean_a - mean_b) / np.sqrt(se2)
     df = se2 * se2 / (se_a * se_a / (n_a - 1) + se_b * se_b / (n_b - 1))
+    from scipy.special import stdtr
+
     p = min(1.0, 2.0 * float(stdtr(df, -abs(t))))
     return TTestResult(mean_a, mean_b, var_a, var_b, n_a, n_b, t=float(t), df=float(df), p=p)

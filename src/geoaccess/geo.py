@@ -183,6 +183,8 @@ def near_pairs(a, b, bound: float):
 def knn_candidates(xyz, k: int):
     """Pairs ``(i, j)``, self pairs among them, holding each point's ``k`` nearest others.
 
+    The pairs come grouped by ``i``, in ascending order.
+
     Point ``i`` keeps every ``j`` within ``reach * (1 + 1e-9) + 1e-9``,
     ``reach`` being the distance to its ``(k + 1)``-th nearest point,
     itself included, so the callers' exact ranking sees every tie at the
@@ -218,8 +220,8 @@ def knn_candidates(xyz, k: int):
     rank[np.argsort(d2)] = np.arange(d2.size)
     by_point = np.argsort(i * d2.size + rank)
     reach = np.sqrt(d2[by_point[np.searchsorted(i[by_point], np.arange(n)) + k]])
-    near = d2 <= (reach * (1.0 + 1e-9) + 1e-9)[i] ** 2
-    return i[near], j[near]
+    by_point = by_point[d2[by_point] <= (reach * (1.0 + 1e-9) + 1e-9)[i[by_point]] ** 2]
+    return i[by_point], j[by_point]
 
 
 class SpatialIndex:

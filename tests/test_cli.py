@@ -4,13 +4,17 @@ import dataclasses
 import json
 import filecmp
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
+import geoaccess
 from geoaccess import RunConfig, ValidationError, generate_synthetic_region, load_config, load_zones
 from geoaccess.cli import _add_config_flags, main
 from geoaccess.spatial import WEIGHT_SCHEMES
@@ -650,6 +654,32 @@ class TestMortalityCommand:
         ]
         written = [r[0] for r in read_csv(out)[1:]]
         assert written == sorted({r[0] for r in rows} - dropped)
+
+
+def test_commands_without_spatial_statistics_load_no_scipy(tmp_path):
+    # In a fresh interpreter, so that no other test's import counts. ttest
+    # comes last: its p needs scipy.special.
+    script = """if True:
+        import sys
+        from geoaccess.cli import main
+        out = sys.argv[1] + "/"
+        inputs = ["--zones", out + "zones.csv", "--facilities", out + "facilities.csv"]
+        for argv in (["synth", "--out-dir", out], ["access", *inputs, "--out", out + "a.csv"],
+                     ["gini", *inputs, "--out", out + "g.csv"],
+                     ["risk-index", "--zones", out + "zones.csv", "--out", out + "r.csv"],
+                     ["mortality", "--counties", out + "counties.csv", "--out", out + "m.csv"]):
+            assert main(argv) == 0, argv
+            loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+            assert not loaded, (argv[0], loaded)
+        assert main(["ttest", *inputs, "--out", out + "ttest.csv"]) == 0
+        """
+    src = os.path.dirname(os.path.dirname(geoaccess.__file__))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    rows = read_csv(tmp_path / "ttest.csv")
+    p = [float(row[rows[0].index("p")]) for row in rows[1:]]
+    assert len(p) > 1 and all(0.0 < v <= 1.0 for v in p) and min(p) < 1e-6
 
 
 class TestTTestCommand:

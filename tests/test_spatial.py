@@ -2,6 +2,7 @@ import math
 import threading
 import tracemalloc
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from geoaccess import (
 )
 from geoaccess import pipeline as pl
 from geoaccess import spatial
+from geoaccess.geo import SpatialIndex, knn_candidates
 from geoaccess.spatial import WEIGHT_SCHEMES, SpatialWeights, benjamini_hochberg
 
 from oracles import (
@@ -42,6 +44,17 @@ MILE_DEG = 1.0 / 3958.7613 * 180.0 / math.pi  # one mile of arc, in degrees
 # bracket term vanishes and z degenerates to 0 there.
 GRID_CORNER_Z = 1.1180339887498947
 GRID_EDGE_Z = 0.7071067811865475
+
+# Two-sided p at |z| = 1, 5, 17 and 30: erfc(x) to 40 digits (mpmath, computed
+# offline), x being the double z / sqrt(2.0) that the kernel passes to erfc.
+# At 30 the rounding of x alone moves erfc by ~1e-13 relative, so these are not
+# erfc(z / sqrt 2) of the exact quotient.
+FROZEN_GI_P = [
+    (1.0, "3.173105078629141457315053953134003316096e-1"),
+    (5.0, "5.733031437583891413415898945086687882097e-7"),
+    (17.0, "8.211992404197935717295396966548115442345e-65"),
+    (30.0, "9.81342785429752816340637800115838665329e-198"),
+]
 
 
 def grid_3x3():
@@ -319,6 +332,20 @@ class TestWeightsAgainstBruteForce:
         assert [list(nb) for nb in w.neighbors] == neighbors
         assert list(w.isolated) == isolated
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_knn_on_a_lattice_with_ties_at_the_kth_distance(self, k):
+        # Mirrored lattice neighbours tie, so some rows hold exactly k
+        # candidates and others more, which must be ranked by (arc, id).
+        cells = [(r, c) for r in range(-3, 3) for c in range(-3, 3)]
+        ids = [f"f{i:02d}" for i in np.random.default_rng(3).permutation(len(cells))]
+        pts = [(pid, GeoPoint(r * MILE_DEG, c * MILE_DEG)) for pid, (r, c) in zip(ids, cells)]
+        i, j = knn_candidates(SpatialIndex(pts).xyz, k)
+        assert np.all(np.diff(i) >= 0)
+        counts = np.bincount(i[i != j], minlength=len(pts))
+        assert counts.min() == k < counts.max()
+        w = build_weights(pts, "knn", include_self=False, k=k)
+        assert [list(nb) for nb in w.neighbors] == ref_weights(pts, "knn", False, k=k)[0]
+
     def test_equidistant_knn_tie_goes_to_smaller_id(self):
         # "m" sits at the origin, "z" and "a" mirror each other through it,
         # so its single nearest neighbour is an exact tie won by the smaller id.
@@ -444,6 +471,22 @@ class TestGiStar:
         scaled = getis_ord_gi_star(values * 7.5, w)
         np.testing.assert_allclose(shifted.z, base.z, rtol=0, atol=5e-14)
         np.testing.assert_allclose(scaled.z, base.z, rtol=0, atol=2e-15)
+
+    def test_p_is_libm_erfc_and_matches_frozen_values(self):
+        # Each feature its own neighbourhood, so z = (x - mean) / S. The
+        # values +-1, +-5, +-17 and +-30 among zeros, as many features as
+        # their squares sum to, give mean 0 and S = 1 exactly.
+        targets = [z for z, _ in FROZEN_GI_P]
+        x = np.zeros(int(2 * sum(z * z for z in targets)))
+        x[:8] = targets + [-z for z in targets]
+        n = x.size
+        w = SpatialWeights(ids=list(range(n)), matrix=sparse.eye_array(n, format="csr"),
+                           include_self=True, isolated=np.zeros(n, dtype=bool))
+        res = getis_ord_gi_star(x, w)
+        assert res.z.tolist() == x.tolist()
+        assert res.p.tolist() == [math.erfc(abs(z) / math.sqrt(2.0)) for z in res.z.tolist()]
+        for i, (_, want) in enumerate(FROZEN_GI_P * 2):
+            assert abs(Decimal(res.p[i]) - Decimal(want)) <= Decimal("1e-15") * Decimal(want)
 
     def test_requires_self_inclusive_weights(self):
         pts = random_points(16, 10)
@@ -804,6 +847,7 @@ class TestKernelsAgainstOracles:
         res = getis_ord_gi_star(x, w)
         expected = ref_gi_star(x, [list(map(int, nb)) for nb in w.neighbors])
         np.testing.assert_allclose(res.z, expected, rtol=1e-12, atol=1e-12)
+        assert res.p.tolist() == [math.erfc(abs(z) / math.sqrt(2.0)) for z in res.z.tolist()]
 
     @given(weighted_case(), st.integers(0, 1000), st.integers(3, 5))
     @settings(max_examples=100, deadline=None)
