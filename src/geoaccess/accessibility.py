@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, check_range
-from .geo import GeoPoint, SpatialIndex
+from .geo import GeoPoint, SpatialIndex, _libm
 
 DEFAULT_CATCHMENT_MILES = 15.0
 
@@ -102,14 +102,12 @@ def decay_weight(d: float, d0: float) -> float:
 def _decay(dist: np.ndarray, d0: float) -> np.ndarray:
     """Decay weights of checked distances, elementwise; 0.0 beyond ``d0``.
 
-    The kernel is evaluated only inside the catchment. Division and the
-    final subtraction are IEEE-exact, so numpy does them; ``exp`` and
-    ``**`` (libm ``pow``) are Python-float libm calls, whose last bits
-    numpy's ufuncs do not keep.
+    The kernel is evaluated only inside the catchment; its square and
+    ``exp`` go through :func:`geo._libm`.
     """
-    inside, exp = dist <= d0, math.exp
+    inside = dist <= d0
     w = np.zeros(dist.shape)
-    w[inside] = np.array([exp(-0.5 * q ** 2) for q in (dist[inside] / d0).tolist()]) - exp(-0.5)
+    w[inside] = _libm(-0.5 * _libm(dist[inside] / d0, (pow, 2)), math.exp) - math.exp(-0.5)
     return w
 
 
@@ -140,14 +138,13 @@ def accessibility_scores(
     if demand not in DEMAND_COLUMNS:
         raise ValidationError(f"unknown demand column {demand!r}; expected one of {DEMAND_COLUMNS}")
 
-    # Step one: the pairs within d0 as arrays (facility index, zone index,
-    # decay weight) sorted by (facility, zone). Distances and weights come
-    # from array code with the bits of haversine_miles and decay_weight,
-    # and np.bincount adds terms in ascending zone id order, so each ratio
-    # has the bits of a sequential scan.
+    # The pairs within d0, (zone, facility) sorted, with the bits of
+    # haversine_miles and decay_weight. np.bincount adds in array order, so
+    # step one adds each facility's terms in ascending zone id order, step
+    # two each zone's in ascending facility id order, as a sequential scan.
     fac_index = SpatialIndex([(f.facility_id, f.location) for f in facilities])
     zone_index = SpatialIndex([(z.zone_id, z.centroid) for z in zones])
-    fac, zone, dist = fac_index.pairs_within(zone_index, d0)
+    zone, fac, dist = zone_index.pairs_within(fac_index, d0)
     weight = _decay(dist, d0)
     need = np.array([z.adrd_patients if demand == "patients" else z.population for z in zones])
     denom = np.bincount(fac, weights=need[zone] * weight, minlength=len(facilities))
@@ -162,12 +159,10 @@ def accessibility_scores(
         else:
             ratios[f.facility_id] = f.beds / total
 
-    # Step two: per-zone decay-weighted sums of the facility ratios, added
-    # in ascending facility id order within each zone. A skipped facility
-    # carries ratio 0.0, and adding 0.0 leaves a sum's bits unchanged.
+    # Step two: a skipped facility carries ratio 0.0, and adding 0.0 leaves
+    # a sum's bits unchanged.
     ratio_v = np.array([ratios.get(f.facility_id, 0.0) for f in facilities], dtype=float)
-    order = np.lexsort((fac, zone))
-    scores = np.bincount(zone[order], weights=(ratio_v[fac] * weight)[order], minlength=len(zones))
+    scores = np.bincount(zone, weights=ratio_v[fac] * weight, minlength=len(zones))
     return AccessibilityField(
         facility_ratios=ratios,
         zone_scores=dict(zip((z.zone_id for z in zones), scores.tolist())),

@@ -77,10 +77,11 @@ def _resolve_config(args) -> RunConfig:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="geoaccess", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="subcommand")
+    sub = parser.add_subparsers(metavar="subcommand")
 
-    def add(name, help_text, **needs):
+    def add(name, handler, help_text, **needs):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         if needs.get("zones"):
             p.add_argument("--zones", required=True, help="zones CSV")
         if needs.get("geometry"):
@@ -99,28 +100,30 @@ def _build_parser() -> _Parser:
         _add_config_flags(p)
         return p
 
-    add("access", "two-step floating catchment accessibility scores",
+    add("access", _cmd_access, "two-step floating catchment accessibility scores",
         zones=True, geometry=True, facilities=True, out=True)
-    add("gini", "overall and urban/rural Gini of accessibility",
+    add("gini", _cmd_gini, "overall and urban/rural Gini of accessibility",
         zones=True, facilities=True, out=True)
-    p = add("ttest", "rural versus urban Welch t-tests",
+    p = add("ttest", _cmd_ttest, "rural versus urban Welch t-tests",
             zones=True, facilities="optional", out=True)
     p.add_argument("--columns", help="comma-separated variables: attributes, accessibility or "
                    "risk_index (default: accessibility + attributes)")
-    p = add("hotspot", "Getis-Ord Gi* hot/cold spots",
+    p = add("hotspot", _cmd_hotspot, "Getis-Ord Gi* hot/cold spots",
             zones=True, geometry=True, facilities="optional", out=True)
     p.add_argument("--value-col", default="accessibility",
                    help="attribute, accessibility, or risk_index (default accessibility)")
-    p = add("bivariate", "permutation-tested local bivariate association",
+    p = add("bivariate", _cmd_bivariate, "permutation-tested local bivariate association",
             zones=True, geometry=True, facilities="optional", out=True)
     p.add_argument("--x", required=True, help="x column (attribute, accessibility, or risk_index)")
     p.add_argument("--y", required=True, help="y column (attribute, accessibility, or risk_index)")
-    add("risk-index", "PCA composite health-risk index", zones=True, geometry=True, out=True)
-    p = add("mortality", "county mortality ratios and service status", counties=True, out=True)
+    add("risk-index", _cmd_risk_index, "PCA composite health-risk index",
+        zones=True, geometry=True, out=True)
+    p = add("mortality", _cmd_mortality, "county mortality ratios and service status",
+            counties=True, out=True)
     p.add_argument("--years", default="all", help="'all', a single year, or first:last")
-    add("pipeline", "run every analysis stage into a directory",
+    add("pipeline", _cmd_pipeline, "run every analysis stage into a directory",
         zones=True, geometry=True, facilities=True, counties=True, out_dir=True)
-    p = add("synth", "generate a deterministic synthetic region", out_dir=True)
+    p = add("synth", _cmd_synth, "generate a deterministic synthetic region", out_dir=True)
     p.add_argument("--n-urban", type=_INT, default=40)
     p.add_argument("--n-rural", type=_INT, default=80)
     p.add_argument("--n-facilities", type=_INT, default=16)
@@ -269,28 +272,14 @@ def _cmd_synth(args, cfg):
                for c in sorted(counties, key=lambda c: (c.county_id, c.year))])
 
 
-_COMMANDS = {
-    "access": _cmd_access,
-    "gini": _cmd_gini,
-    "ttest": _cmd_ttest,
-    "hotspot": _cmd_hotspot,
-    "bivariate": _cmd_bivariate,
-    "risk-index": _cmd_risk_index,
-    "mortality": _cmd_mortality,
-    "pipeline": _cmd_pipeline,
-    "synth": _cmd_synth,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
+        if "handler" not in args:
             parser.print_usage(sys.stderr)
             return 1
-        cfg = _resolve_config(args)
-        _COMMANDS[args.command](args, cfg)
+        args.handler(args, _resolve_config(args))
         return 0
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

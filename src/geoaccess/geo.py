@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -57,28 +58,38 @@ def haversine_miles(a: GeoPoint, b: GeoPoint) -> float:
     return _haversine(*_coords([a]), *_coords([b])).tolist()[0]
 
 
+def _libm(values: np.ndarray, *steps) -> np.ndarray:
+    """``steps`` applied in turn to each element of the 1-D float array ``values``.
+
+    A step is a ``math`` function, or a pair such as ``(pow, 2)`` for
+    ``pow(v, 2)``, the libm ``pow`` of ``v ** 2``. numpy's ufuncs for these
+    may take SIMD kernels whose last bits differ from libm, so every
+    per-element libm call is a Python-float call mapped here at C level;
+    IEEE-exact steps (+, -, *, /, sqrt, min) stay numpy, between calls.
+    """
+    out = values.tolist()
+    for step in steps:
+        out = map(step[0], out, repeat(step[1])) if isinstance(step, tuple) else map(step, out)
+    return np.fromiter(out, float, values.size)
+
+
 def _coords(points):
     """Latitude, longitude and libm ``cos(radians(lat))`` arrays of ``points``."""
     lat = np.array([p.lat for p in points], dtype=float)
     lon = np.array([p.lon for p in points], dtype=float)
-    return lat, lon, np.fromiter(map(math.cos, (lat * _DEG).tolist()), float, lat.size)
+    return lat, lon, _libm(lat * _DEG, math.cos)
 
 
 def _haversine(lat1, lon1, cos1, lat2, lon2, cos2) -> np.ndarray:
     """Haversine miles from point 1 to point 2, elementwise.
 
-    Subtraction, scaling, products and the square root are IEEE-exact,
-    so numpy does them; sine, ``** 2`` (libm ``pow``) and arcsine are
-    Python-float libm calls, whose last bits numpy's ufuncs do not keep.
-    The result is bit for bit ``2 R asin(min(1, sqrt(s)))`` with
-    ``s = sin(dphi / 2) ** 2 + cos1 * cos2 * sin(dlam / 2) ** 2``.
+    Bit for bit ``2 R asin(min(1, sqrt(s)))`` with
+    ``s = sin(dphi / 2) ** 2 + cos1 * cos2 * sin(dlam / 2) ** 2``; sine,
+    square and arcsine go through :func:`_libm`.
     """
-    sin, n = math.sin, lat1.size
-    s = np.fromiter((sin(a) ** 2 + c * sin(b) ** 2 for a, b, c in zip(
-        ((lat2 - lat1) * _DEG / 2.0).tolist(), ((lon2 - lon1) * _DEG / 2.0).tolist(),
-        (cos1 * cos2).tolist())), float, n)
-    h = np.minimum(1.0, np.sqrt(s)).tolist()
-    return 2.0 * EARTH_RADIUS_MILES * np.fromiter(map(math.asin, h), float, n)
+    s = (_libm((lat2 - lat1) * _DEG / 2.0, math.sin, (pow, 2))
+         + cos1 * cos2 * _libm((lon2 - lon1) * _DEG / 2.0, math.sin, (pow, 2)))
+    return 2.0 * EARTH_RADIUS_MILES * _libm(np.minimum(1.0, np.sqrt(s)), math.asin)
 
 
 def chord_bound(radius: float) -> float:

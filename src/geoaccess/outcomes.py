@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import ValidationError, check_range
+from .errors import ValidationError, check_int, check_range
 
 UNDERSERVED = "Underserved"
 OVERSERVED = "Overserved"
@@ -46,8 +46,7 @@ class CountyOutcome:
     population_50plus: float
 
     def __post_init__(self):
-        if not self.year >= 1:
-            raise ValidationError(f"county {self.county_id!r}: year must be >= 1, got {self.year}")
+        check_int(f"county {self.county_id!r}: year", self.year, 1)
         check_range(self.adrd_deaths, "county %r: adrd_deaths", self.county_id)
         check_range(self.adrd_patients, "county %r: adrd_patients", self.county_id)
         check_range(self.population_50plus, "county %r: population_50plus", self.county_id)
@@ -96,8 +95,11 @@ def classify_service_status(records, years=None) -> list[ServiceStatus]:
     ``elevated`` flags a deaths-per-population rate more than one
     sample standard deviation above the state mean.
     """
-    # A range, such as --years gives, is kept: its membership and emptiness are O(1).
-    wanted = years if years is None or isinstance(years, range) else set(map(int, years))
+    # A range, such as --years gives, is kept: its membership and emptiness are O(1),
+    # its least year at one end. Other years key a dict: a set that keeps their order.
+    wanted = years if years is None or isinstance(years, range) else dict.fromkeys(years)
+    for year in (*wanted[:1], *wanted[-1:]) if isinstance(wanted, range) else wanted or ():
+        check_int("requested year", year, 1)
     if years is not None and not wanted:
         raise ValidationError("service classification requires a non-empty year range")
     seen: set[tuple[str, int]] = set()

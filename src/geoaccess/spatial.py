@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ValidationError, check_int, check_range
-from .geo import SpatialIndex, chord_bound, knn_candidates, near_pairs
+from .geo import SpatialIndex, _libm, chord_bound, knn_candidates, near_pairs
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -207,7 +207,7 @@ def getis_ord_gi_star(values, weights: SpatialWeights) -> HotSpotResult:
         bracket = (n * w - w * w) / (n - 1.0)
         ok = bracket > 0.0
         z[ok] = (weights.matrix @ d)[ok] / (s * np.sqrt(bracket[ok]))
-    p = np.fromiter(map(math.erfc, (np.abs(z) / math.sqrt(2.0)).tolist()), float, n)
+    p = _libm(np.abs(z) / math.sqrt(2.0), math.erfc)
     return HotSpotResult(ids=list(weights.ids), z=z, p=p)
 
 

@@ -162,7 +162,8 @@ class TestOtherLoaders:
             "c1,2020,5,40,900\nc1,0,6,44,900\n"
         )
         with pytest.raises(ValidationError,
-                           match=r"counties\.csv:3: county 'c1': year must be >= 1, got 0$"):
+                           match=r"counties\.csv:3: county 'c1': year must be an integer >= 1, "
+                                 r"got 0$"):
             load_counties(path)
 
     @pytest.mark.parametrize("name,text,message", [
@@ -235,7 +236,7 @@ class TestRecordsJudgeRanges:
         ("counties.csv", COUNTIES_HEADER, "c2,2020,5,40,-3",
          "county 'c2': population_50plus must be finite and >= 0, got -3"),
         ("counties.csv", COUNTIES_HEADER, "c2,-2020,5,40,900",
-         "county 'c2': year must be >= 1, got -2020"),
+         "county 'c2': year must be an integer >= 1, got -2020"),
     ], ids=["huge-population", "negative-patients", "huge-beds", "negative-beds",
             "huge-deaths", "negative-population_50plus", "negative-year"])
     def test_a_value_the_record_rejects_is_named_by_file_and_line(self, tmp_path, name, header,

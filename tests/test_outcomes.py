@@ -5,9 +5,12 @@ import statistics
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geoaccess import CountyOutcome, ServiceStatus, ValidationError, classify_service_status
 from geoaccess.pipeline import MORTALITY_HEADER
+from oracles import ref_service_status
 
 
 def county(cid, year, deaths, patients, pop50):
@@ -59,9 +62,17 @@ class TestRatios:
 
     @pytest.mark.parametrize("year", [0, -2020, math.nan])
     def test_a_year_before_1_is_rejected(self, year):
-        with pytest.raises(ValidationError, match=rf"^county 'a': year must be >= 1, got {year}$"):
+        with pytest.raises(ValidationError,
+                           match=rf"^county 'a': year must be an integer >= 1, got {year}$"):
             county("a", year, 1, 10, 100)
         assert county("a", 1, 1, 10, 100).year == 1
+
+    # int() would take 2018.5 as 2018 and "2019" as 2019, and True is an int.
+    @pytest.mark.parametrize("year", [2018.5, 2018.0, True, "2019"])
+    def test_a_year_that_is_not_an_integer_is_rejected(self, year):
+        with pytest.raises(ValidationError,
+                           match=rf"^county 'a': year must be an integer >= 1, got {year!r}$"):
+            county("a", year, 1, 10, 100)
 
     def test_fields_are_the_mortality_header(self):
         assert [f.name for f in dataclasses.fields(ServiceStatus)] == MORTALITY_HEADER
@@ -113,6 +124,15 @@ class TestAggregation:
         records = [county("a", 2018, 1, 10, 100), county("a", 2018, 2, 20, 200)]
         with pytest.raises(ValidationError):
             classify_service_status(records, [2018])
+
+    @pytest.mark.parametrize("years, bad", [([2018.9], 2018.9), (["2019"], "2019"),
+                                            ([2019, True], True), ([2019, 0, -1], 0),
+                                            (range(0, 2020), 0), (range(2019, -1, -1), 0)])
+    def test_a_requested_year_that_is_not_an_integer_from_1_is_rejected(self, years, bad):
+        records = [county(cid, y, 1, 10, 100) for cid in ("a", "b") for y in (2018, 2019)]
+        with pytest.raises(ValidationError) as err:
+            classify_service_status(records, years)
+        assert str(err.value) == f"requested year must be an integer >= 1, got {bad!r}"
 
     def test_empty_year_range_rejected(self):
         with pytest.raises(ValidationError):
@@ -214,3 +234,45 @@ class TestClassification:
     def test_too_few_defined_counties_rejected(self):
         with pytest.raises(ValidationError):
             classify_service_status([county("a", 2020, 1, 10, 100), county("b", 2020, 1, 0, 100)])
+
+
+# Counts whose ratios are mostly dyadic, so that ratios often equal a state
+# mean exactly, or miss it by the mean's rounding alone.
+YEARS = (2018, 2019, 2020, 2021)
+COUNTS = st.tuples(st.integers(0, 8), st.sampled_from([0, 1, 2, 4, 8]),
+                   st.sampled_from([0, 8, 16, 32]))
+
+
+@st.composite
+def county_sets(draw):
+    """County-year records, several counties sharing counts, and the years asked for."""
+    shared = draw(st.lists(COUNTS, min_size=1, max_size=2))
+    records = []
+    for i in range(draw(st.integers(2, 7))):
+        for year in draw(st.sets(st.sampled_from(YEARS), min_size=1)):
+            # Two draws in three take shared counts.
+            counts = draw(st.sampled_from(shared) | st.sampled_from(shared) | COUNTS)
+            records.append(county(f"c{i}", year, *counts))
+    years = draw(st.none() | st.lists(st.sampled_from(YEARS), min_size=1, max_size=3)
+                 | st.builds(range, st.sampled_from(YEARS), st.integers(2019, 2023)))
+    return draw(st.permutations(records)), years
+
+
+class TestAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(county_sets())
+    # Deaths per patient 0.25, 0.5, 0.75 and diagnosis rates 0.75, 0.25, 0.5:
+    # c1's deaths per patient and c2's diagnosis rate equal their state means.
+    @example(([county("c0", 2020, 3, 12, 16), county("c1", 2020, 2, 4, 16),
+               county("c2", 2020, 3, 4, 8)], None))
+    def test_every_field_is_the_reference(self, case):
+        records, years = case
+        want = ref_service_status(records, years)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if want is None:
+                with pytest.raises(ValidationError):
+                    classify_service_status(records, years)
+                return
+            got = classify_service_status(records, years)
+        assert [dataclasses.astuple(s) for s in got] == want
