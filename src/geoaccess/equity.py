@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, finite_floats
 
 __all__ = [
     "GiniResult",
@@ -81,11 +81,9 @@ def gini(values) -> GiniResult:
     ValidationError
         On an empty sample or any negative value.
     """
-    x = np.asarray(list(values), dtype=float)
+    x = finite_floats(list(values), "gini")
     if x.size == 0:
         raise ValidationError("gini requires at least one value")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("gini requires finite values")
     if np.any(x < 0):
         raise ValidationError("gini requires non-negative values")
     n = x.size
@@ -135,12 +133,9 @@ def welch_t_test(a, b) -> TTestResult:
     ``degenerate`` with t=0, p=1; zero variances with unequal means come
     back flagged ``infinite_separation`` with p=0.
     """
-    xa = np.asarray(list(a), dtype=float)
-    xb = np.asarray(list(b), dtype=float)
+    xa, xb = (finite_floats(list(v), "welch_t_test") for v in (a, b))
     if xa.size == 0 or xb.size == 0:
         raise ValidationError("welch_t_test requires non-empty samples")
-    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
-        raise ValidationError("welch_t_test requires finite values")
     n_a, n_b = int(xa.size), int(xb.size)
     mean_a, mean_b = float(xa.mean()), float(xb.mean())
     var_a = float(xa.var(ddof=1)) if n_a > 1 else 0.0

@@ -3,6 +3,8 @@
 import numbers
 from sys import float_info
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """Raised when an input value, file, or configuration is rejected.
@@ -28,3 +30,11 @@ def check_range(value, label: str, *parts, strict: bool = False) -> None:
         pass
     raise ValidationError(f"{label % parts} must be finite and {'>' if strict else '>='} 0, "
                           f"got {value!r}")
+
+
+def finite_floats(values, who: str) -> np.ndarray:
+    """``values`` as a float array, unless one is NaN or infinite: ``who`` then rejects it."""
+    x = np.asarray(values, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValidationError(f"{who} requires finite values")
+    return x

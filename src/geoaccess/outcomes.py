@@ -4,7 +4,7 @@ Ratios are left undefined (None) when their denominator is zero; such
 counties are labeled InsufficientData and excluded from the state means
 used to classify everyone else. Multi-year aggregation averages the
 raw counts first and takes ratios afterwards (ratio of means, not mean
-of ratios).
+of ratios); every mean is one correctly rounded ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class ServiceStatus:
 
 
 def _mean(values) -> float:
-    return sum(values) / len(values)
+    return math.fsum(values) / len(values)
 
 
 def _year_span(years) -> str:
@@ -90,10 +90,11 @@ def classify_service_status(records, years=None) -> list[ServiceStatus]:
     a county with no record in range is omitted with a warning.
     Underserved: deaths per patient above the state mean while the
     diagnosis rate sits below it. Overserved: the mirror image. Anything
-    else with defined ratios is Typical; a county missing a required
-    denominator is InsufficientData and never enters the state means.
-    ``elevated`` flags a deaths-per-population rate more than one
-    sample standard deviation above the state mean.
+    else with defined ratios is Typical. ``elevated`` flags a
+    deaths-per-population rate more than one sample standard deviation
+    above the state mean. Every state mean and that deviation run over
+    the counties whose three ratios are all defined; any other county is
+    InsufficientData and moves no other county's label or flag.
     """
     # A range, such as --years gives, is kept: its membership and emptiness are O(1),
     # its least year at one end. Other years key a dict: a set that keeps their order.
@@ -102,45 +103,37 @@ def classify_service_status(records, years=None) -> list[ServiceStatus]:
         check_int("requested year", year, 1)
     if years is not None and not wanted:
         raise ValidationError("service classification requires a non-empty year range")
-    seen: set[tuple[str, int]] = set()
-    by_county: dict[str, list[CountyOutcome]] = {}
+    by_county: dict[str, dict[int, CountyOutcome]] = {}
     for rec in records:
-        key = (rec.county_id, rec.year)
-        if key in seen:
-            raise ValidationError(f"duplicate county-year record {key!r}")
-        seen.add(key)
-        present = by_county.setdefault(rec.county_id, [])
-        if wanted is None or rec.year in wanted:
-            present.append(rec)
-    omitted = sorted(cid for cid, present in by_county.items() if not present)
-    if wanted is not None and len(omitted) == len(by_county):
+        present = by_county.setdefault(rec.county_id, {})
+        if rec.year in present:
+            raise ValidationError(f"duplicate county-year record {(rec.county_id, rec.year)!r}")
+        present[rec.year] = rec
+    averaged, omitted = [], []
+    for county_id, present in sorted(by_county.items()):
+        counts = [(rec.adrd_deaths, rec.adrd_patients, rec.population_50plus)
+                  for year, rec in present.items() if wanted is None or year in wanted]
+        if counts:
+            averaged.append((county_id, len(counts), *map(_mean, zip(*counts))))
+        else:
+            omitted.append(county_id)
+    if wanted is not None and not averaged:
         raise ValidationError(f"no county has a record in years {_year_span(wanted)}")
     if omitted:
         warnings.warn(f"{len(omitted)} counties have no records in the requested years and are "
                       f"omitted: {', '.join(map(repr, omitted))}")
 
-    averaged = []
-    for county_id, present in sorted(by_county.items()):
-        if present:
-            k = len(present)
-            averaged.append((county_id, k, sum(r.adrd_deaths for r in present) / k,
-                             sum(r.adrd_patients for r in present) / k,
-                             sum(r.population_50plus for r in present) / k))
     ratios = [(deaths / patients if patients > 0 else None,
                deaths / pop if pop > 0 else None,
                patients / pop if pop > 0 else None)
               for _, _, deaths, patients, pop in averaged]
 
-    defined = [(m, d) for m, _, d in ratios if m is not None and d is not None]
+    defined = [three for three in ratios if None not in three]
     if len(defined) < 2:
         raise ValidationError("service classification requires >= 2 counties with defined ratios")
-    mortality_mean = _mean([m for m, _ in defined])
-    diagnosis_mean = _mean([d for _, d in defined])
-    # Each county in ``defined`` has a positive population, so at least
-    # two rates enter the sample standard deviation.
-    pop_rates = [rate for _, rate, _ in ratios if rate is not None]
-    pop_mean = _mean(pop_rates)
-    pop_sd = math.sqrt(sum((v - pop_mean) ** 2 for v in pop_rates) / (len(pop_rates) - 1))
+    mortality_mean, pop_mean, diagnosis_mean = map(_mean, zip(*defined))
+    pop_sd = math.sqrt(math.fsum((rate - pop_mean) ** 2 for _, rate, _ in defined)
+                       / (len(defined) - 1))
     elevated_cut = pop_mean + _ELEVATED_SD * pop_sd
 
     statuses = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, finite_floats
 
 DEFAULT_VARIANCE_TARGET = 0.75
 # Relative size below which two magnitudes tie and a covariance is zero.
@@ -61,13 +61,11 @@ def standardize(matrix, columns=None):
     Returns (standardized, means, stds). A constant column cannot be
     standardized and is rejected by name (or index when unnamed).
     """
-    x = np.asarray(matrix, dtype=float)
+    x = finite_floats(matrix, "standardization")
     if x.ndim != 2:
         raise ValidationError(f"expected a 2-d matrix, got shape {x.shape}")
     if x.shape[0] < 2:
         raise ValidationError("standardization requires at least 2 rows")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("standardization requires finite values")
     means = x.mean(axis=0)
     stds = x.std(axis=0, ddof=1)
     for j, s in enumerate(stds):
@@ -84,11 +82,9 @@ def pca_fit(standardized) -> PcaModel:
     eigenvectors; explained ratios are eigenvalues over their sum (which
     equals the variable count, the trace of a correlation matrix).
     """
-    z = np.asarray(standardized, dtype=float)
+    z = finite_floats(standardized, "pca_fit")
     if z.ndim != 2 or z.shape[0] < 2:
         raise ValidationError(f"pca_fit requires a 2-d matrix with >= 2 rows, got {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValidationError("pca_fit requires finite values")
     n = z.shape[0]
     corr = (z.T @ z) / (n - 1.0)
     corr = 0.5 * (corr + corr.T)

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ValidationError, check_int, check_range
+from .errors import ValidationError, check_int, check_range, finite_floats
 from .geo import SpatialIndex, _libm, chord_bound, knn_candidates, near_pairs
 
 if TYPE_CHECKING:
@@ -74,8 +74,9 @@ class SpatialWeights:
     """Binary neighbor graph as an n x n CSR matrix of ones.
 
     Row ``i`` of ``matrix`` holds ascending feature indices and includes
-    ``i`` itself exactly when ``include_self`` is set. ``isolated`` flags
-    fixed-band features with no neighbor besides themselves.
+    ``i`` itself exactly when ``include_self`` is set, as both local
+    statistics require. ``isolated`` flags fixed-band features with no
+    neighbor besides themselves.
     """
 
     ids: list
@@ -171,6 +172,12 @@ def build_weights(points, scheme: str, include_self: bool, k: int | None = None,
                           isolated=isolated)
 
 
+def _require_self(weights: SpatialWeights, who: str) -> None:
+    """Reject weights whose rows leave out the focal feature: ``who`` counts it."""
+    if not weights.include_self:
+        raise ValidationError(f"{who} requires weights built with include_self=True")
+
+
 def getis_ord_gi_star(values, weights: SpatialWeights) -> HotSpotResult:
     """Getis-Ord Gi* z-scores and two-sided normal p-values.
 
@@ -188,16 +195,13 @@ def getis_ord_gi_star(values, weights: SpatialWeights) -> HotSpotResult:
     yields z = 0 and p = 1 for that feature. The two-sided p is libm's
     ``math.erfc(|z| / sqrt(2))``, within 4e-16 relative of erfc at that argument.
     """
-    if not weights.include_self:
-        raise ValidationError("Gi* requires weights built with include_self=True")
-    x = np.asarray(list(values), dtype=float)
+    _require_self(weights, "Gi*")
+    x = finite_floats(list(values), "Gi*")
     n = len(weights)
     if x.size != n:
         raise ValidationError(f"value count {x.size} does not match feature count {n}")
     if n < 3:
         raise ValidationError(f"Gi* requires at least 3 features, got {n}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("Gi* requires finite values")
     # A constant field has no spread, though its rounded mean may miss its value.
     d = x - x.mean() if x.min() < x.max() else np.zeros(n)
     s = math.sqrt(float((d * d).mean()))
@@ -280,7 +284,7 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
     """Neighborhood Pearson correlation of x with each y in ``ys``, permutation-tested.
 
     For each feature, ``local_r`` is the correlation of (x, y) over the
-    feature's neighborhood (itself included). Significance holds x fixed
+    feature's neighborhood, itself included as in Gi*. Significance holds x fixed
     and globally permutes y; each permutation draws its own generator
     from (seed, permutation index), and the permutations are evaluated
     in equal blocks of columns spread over the usable cores, each block
@@ -300,23 +304,17 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
     rows Undefined whatever y is get no permutation sums, and rows with
     the same neighbour list share the sums, r and count of the first.
     """
-    xv = np.asarray(list(x), dtype=float)
-    yvs = [np.asarray(list(y), dtype=float) for y in ys]
+    _require_self(weights, "local_bivariate")
+    xv, *yvs = (finite_floats(list(v), "local_bivariate") for v in (x, *ys))
     n = len(weights)
     if any(v.size != n for v in (xv, *yvs)):
         lengths = tuple(v.size for v in (xv, *yvs))
         raise ValidationError(f"variable lengths {lengths} do not match feature count {n}")
-    if not all(np.all(np.isfinite(v)) for v in (xv, *yvs)):
-        raise ValidationError("local_bivariate requires finite values")
     check_int("permutations", permutations, MIN_PERMUTATIONS)
     check_int("seed", seed, 0)
     check_int("min_neighbors", min_neighbors, MIN_NEIGHBORS)
 
     hood = weights.matrix
-    if not weights.include_self:
-        from scipy import sparse
-
-        hood = hood + sparse.eye_array(n, format="csr")
     sizes = np.diff(hood.indptr).astype(float)
     sum_x = hood @ xv
     sxx = sizes * (hood @ (xv * xv)) - sum_x * sum_x

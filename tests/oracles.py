@@ -450,37 +450,38 @@ def ref_service_status(records, years):
     Each county's counts are averaged over its records with a year in
     ``years`` (None: every year), and the ratios are taken from those
     means; a ratio with a zero denominator is undefined. Counties with no
-    record in range are left out. The deaths-per-patient and diagnosis
-    state means run over the counties where both are defined; every other
-    county is InsufficientData. Underserved: deaths per patient above its
-    state mean and diagnosis rate below it; Overserved: the mirror image;
-    otherwise Typical. Elevated: deaths per population 50+ above the mean
-    plus one sample standard deviation of every defined such rate. Means
-    are Python's float ``sum`` in county id order over the count. Returns
-    the rows as tuples in the fields' order, sorted by county id, or None
-    where fewer than two counties have both ratios, which the package
-    rejects.
+    record in range are left out. Every state mean, and the sample
+    standard deviation, runs over one set: the counties whose three
+    ratios are all defined; every other county is InsufficientData.
+    Underserved: deaths per patient above its state mean and diagnosis
+    rate below it; Overserved: the mirror image; otherwise Typical.
+    Elevated: deaths per population 50+ above the mean plus one sample
+    standard deviation of that set's such rates. Every mean and sum of
+    squares is ``math.fsum``, the correctly rounded sum, over the count.
+    Returns the rows as tuples in the fields' order, sorted by county
+    id, or None where fewer than two counties have all three ratios,
+    which the package rejects.
     """
     rows = []
     for cid in sorted({r.county_id for r in records}):
         mine = [r for r in records if r.county_id == cid and (years is None or r.year in years)]
         if not mine:
             continue
-        deaths = sum(r.adrd_deaths for r in mine) / len(mine)
-        patients = sum(r.adrd_patients for r in mine) / len(mine)
-        pop = sum(r.population_50plus for r in mine) / len(mine)
+        deaths = math.fsum(r.adrd_deaths for r in mine) / len(mine)
+        patients = math.fsum(r.adrd_patients for r in mine) / len(mine)
+        pop = math.fsum(r.population_50plus for r in mine) / len(mine)
         rows.append([cid, len(mine), deaths, patients, pop,
                      deaths / patients if patients != 0 else None,
                      deaths / pop if pop != 0 else None,
                      patients / pop if pop != 0 else None])
-    defined = [row for row in rows if row[5] is not None and row[7] is not None]
+    defined = [row for row in rows if None not in row[5:8]]
     if len(defined) < 2:
         return None
-    mortality_mean = sum(row[5] for row in defined) / len(defined)
-    diagnosis_mean = sum(row[7] for row in defined) / len(defined)
-    rates = [row[6] for row in rows if row[6] is not None]
-    rate_mean = sum(rates) / len(rates)
-    sample_sd = math.sqrt(sum((v - rate_mean) ** 2 for v in rates) / (len(rates) - 1))
+    mortality_mean = math.fsum(row[5] for row in defined) / len(defined)
+    diagnosis_mean = math.fsum(row[7] for row in defined) / len(defined)
+    rates = [row[6] for row in defined]
+    rate_mean = math.fsum(rates) / len(rates)
+    sample_sd = math.sqrt(math.fsum((v - rate_mean) ** 2 for v in rates) / (len(rates) - 1))
     out = []
     for row in rows:
         per_patient, per_pop, diagnosis = row[5], row[6], row[7]
@@ -578,11 +579,6 @@ def student_t_two_sided_p(t, df):
     x = df / (df + t * t)
     p = regularized_incomplete_beta(0.5 * df, 0.5, x, t * t / (df + t * t))
     return min(1.0, max(0.0, p))
-
-
-def normal_cdf(z):
-    """Standard normal CDF via erfc."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def jacobi_eigh(matrix, tol=1e-12, max_sweeps=100):

@@ -231,6 +231,28 @@ class TestClassification:
         assert [s.elevated for s in classify_service_status(counties)] == [
             False, False, False, False, True]
 
+    def test_state_means_are_correctly_rounded(self):
+        # Deaths per patient 0.1, 0.2 and 0.3: added left to right, their
+        # mean is 0.20000000000000004, above c1's 0.2, and c1 (diagnosis
+        # rate above its mean) would be Overserved; with the sum rounded
+        # once, 0.6 / 3 is 0.19999999999999998, below it.
+        counties = [county("c0", 2020, 1, 10, 100), county("c1", 2020, 2, 10, 20),
+                    county("c2", 2020, 3, 10, 100)]
+        statuses = {s.county_id: s for s in classify_service_status(counties)}
+        assert statuses["c1"].label == "Typical"
+
+    def test_a_county_without_patients_does_not_move_the_elevated_cut(self):
+        # e has deaths per population 0.3 but no patients: it is
+        # InsufficientData, and outside the mean and SD of the cut.
+        counties = [county(cid, 2020, deaths, 100, 1000)
+                    for cid, deaths in zip("abcd", (10, 11, 9, 30))]
+        extra = county("e", 2020, 300, 0, 1000)
+        for records in (counties, counties + [extra]):
+            statuses = {s.county_id: s for s in classify_service_status(records)}
+            assert statuses["d"].elevated
+            assert not any(statuses[cid].elevated for cid in "abc")
+        assert statuses["e"].label == "InsufficientData"
+
     def test_too_few_defined_counties_rejected(self):
         with pytest.raises(ValidationError):
             classify_service_status([county("a", 2020, 1, 10, 100), county("b", 2020, 1, 0, 100)])

@@ -90,7 +90,7 @@ def random_points(seed, n):
     ]
 
 
-def shared_pass_case(scheme, include_self):
+def shared_pass_case(scheme):
     """Weights over 40 points and three variables on them.
 
     x is constant west of -77 degrees, so the rows there have no
@@ -103,9 +103,9 @@ def shared_pass_case(scheme, include_self):
     """
     pts = random_points(44, 40)
     if scheme == "knn":
-        w = build_weights(pts, "knn", include_self=include_self, k=5)
+        w = build_weights(pts, "knn", include_self=True, k=5)
     else:
-        w = build_weights(pts, "fixed_band", include_self=include_self, band=25.0)
+        w = build_weights(pts, "fixed_band", include_self=True, band=25.0)
     rng = np.random.default_rng(45)
     lon = np.array([p.lon for _, p in pts])
     x = np.where(lon < -77.0, 1.5, rng.normal(0.0, 1.0, 40))
@@ -121,7 +121,7 @@ def cluster(prefix, lat, lon, count, rng):
             for i in range(count)]
 
 
-def repeated_lists_case(scheme, include_self):
+def repeated_lists_case(scheme):
     """Weights in which whole clusters share one neighbour list, and x, y1, y2.
 
     Four tight clusters over 100 miles apart, "a", "b" and "d" of six
@@ -139,7 +139,7 @@ def repeated_lists_case(scheme, include_self):
     pts += [(f"r{i:02d}", GeoPoint(39.0 + 20.0 * MILE_DEG * math.sin(i * math.pi / 8),
                                    -76.0 + 20.0 * lon_mile * math.cos(i * math.pi / 8)))
             for i in range(16)]
-    w = build_weights(pts, scheme, include_self=include_self, k=5, band=16.0)
+    w = build_weights(pts, scheme, include_self=True, k=5, band=16.0)
     first = np.array([pid[0] for pid, _ in pts])
     x = np.where(first == "b", 1.5, rng.normal(0.0, 1.0, len(pts)))
     y1, y2 = rng.normal(0.0, 1.0, (2, len(pts)))
@@ -155,7 +155,7 @@ def check_rows_sharing_a_list(w, x, ys, permutations=199, seed=5, min_neighbors=
     assert len(shared) == len(ys)
     by_list = {}
     for i, nb in enumerate(w.neighbors):
-        by_list.setdefault(np.union1d(nb, i).tobytes(), []).append(i)
+        by_list.setdefault(nb.tobytes(), []).append(i)
     repeated = [rows for rows in by_list.values() if len(rows) > 1]
     for y, res in zip(ys, shared):
         alone = local_bivariate(x, y, w, **kwargs)
@@ -666,6 +666,15 @@ class TestLocalBivariate:
         assert 0.05 in res.pseudo_p.tolist()
         assert any(0.05 < p < 0.1 + 1e-12 for p in res.pseudo_p)
 
+    def test_requires_self_inclusive_weights(self):
+        w = build_weights(random_points(16, 10), "fixed_band", include_self=False, band=30.0)
+        x = np.arange(10, dtype=float)
+        match = "^local_bivariate requires weights built with include_self=True$"
+        with pytest.raises(ValidationError, match=match):
+            local_bivariate(x, x[::-1], w, permutations=19)
+        with pytest.raises(ValidationError, match=match):
+            local_bivariates(x, [x[::-1]], w, permutations=19)
+
     def test_every_y_is_checked(self):
         pts = random_points(42, 10)
         w = build_weights(pts, "knn", include_self=True, k=3)
@@ -677,14 +686,11 @@ class TestLocalBivariate:
 
     @pytest.mark.parametrize("permutations", [19, 64, 65, 199])
     @pytest.mark.parametrize("scheme", ["knn", "fixed_band"])
-    @pytest.mark.parametrize("include_self", [True, False])
-    def test_shared_pass_equals_separate_calls_and_oracle(self, permutations, scheme,
-                                                          include_self):
-        w, x, y1, y2 = shared_pass_case(scheme, include_self)
+    def test_shared_pass_equals_separate_calls_and_oracle(self, permutations, scheme):
+        w, x, y1, y2 = shared_pass_case(scheme)
         shared, _ = check_rows_sharing_a_list(w, x, [y1, y2], permutations=permutations)
-        hoods = [np.union1d(nb, i) for i, nb in enumerate(w.neighbors)]
         assert all(np.count_nonzero(y2[hood]) != 1
-                   for hood, r in zip(hoods, shared[1].local_r) if not np.isnan(r))
+                   for hood, r in zip(w.neighbors, shared[1].local_r) if not np.isnan(r))
         # The case reaches every branch: rows without x-variance, rows
         # Undefined through y alone, and defined rows.
         undefined = [np.isnan(res.local_r) for res in shared]
@@ -694,7 +700,7 @@ class TestLocalBivariate:
     @pytest.mark.parametrize("permutations", [19, 64, 65, 199, 257])
     @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
     def test_results_do_not_depend_on_the_core_count(self, monkeypatch, permutations, scheme):
-        w, x, y1, y2 = shared_pass_case(scheme, True)
+        w, x, y1, y2 = shared_pass_case(scheme)
         results = []
         for cores in (1, 2, 3, 8):
             monkeypatch.setattr(spatial, "_usable_cores", lambda: cores)
@@ -710,7 +716,7 @@ class TestLocalBivariate:
                 assert a.category == b.category
 
     def test_an_error_in_a_pool_block_reaches_the_caller(self, monkeypatch):
-        w, x, y1, _ = shared_pass_case("knn", True)
+        w, x, y1, _ = shared_pass_case("knn")
         draw = np.random.default_rng
 
         def fails_off_the_calling_thread(seed):
@@ -768,13 +774,11 @@ class TestLocalBivariate:
 
 class TestRepeatedNeighbourLists:
     @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
-    @pytest.mark.parametrize("include_self", [True, False])
-    def test_cluster_rows_share_their_results(self, scheme, include_self):
-        w, x, y1, y2 = repeated_lists_case(scheme, include_self)
+    def test_cluster_rows_share_their_results(self, scheme):
+        w, x, y1, y2 = repeated_lists_case(scheme)
         (res1, res2), repeated = check_rows_sharing_a_list(w, x, [y1, y2])
-        hoods = [np.union1d(nb, i) for i, nb in enumerate(w.neighbors)]
         assert all(np.count_nonzero(y2[hood]) != 1
-                   for hood, r in zip(hoods, res2.local_r) if not np.isnan(r))
+                   for hood, r in zip(w.neighbors, res2.local_r) if not np.isnan(r))
         rows = {c: [i for i, pid in enumerate(w.ids) if pid[0] == c] for c in "abcdr"}
         assert all(rows[c] in repeated for c in "abd")
         assert not any(i in group for group in repeated for i in rows["r"])
@@ -790,10 +794,9 @@ class TestRepeatedNeighbourLists:
             assert not np.isnan(res1.local_r[rows["r"]]).any()
 
     @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
-    @pytest.mark.parametrize("include_self", [True, False])
-    def test_complete_graph_is_one_list(self, scheme, include_self):
+    def test_complete_graph_is_one_list(self, scheme):
         pts = random_points(47, 12)
-        w = build_weights(pts, scheme, include_self=include_self, k=11, band=1000.0)
+        w = build_weights(pts, scheme, include_self=True, k=11, band=1000.0)
         x, y = np.random.default_rng(48).normal(0.0, 1.0, (2, 12))
         (res,), repeated = check_rows_sharing_a_list(w, x, [y])
         assert repeated == [list(range(12))]
@@ -819,19 +822,18 @@ class TestRepeatedNeighbourLists:
 
 
 @st.composite
-def weighted_case(draw, self_required=False):
-    """Points, weights over them (fixed band or knn) and continuous x, y.
+def weighted_case(draw):
+    """Points, self-inclusive weights over them (fixed band or knn) and continuous x, y.
 
     x and y are seeded normal draws, so neighbourhood variances sit far
     from zero and no permutation correlation ties the observed one.
     """
     pts = draw(any_points.filter(lambda p: len(p) >= 4))
     n = len(pts)
-    include_self = True if self_required else draw(st.booleans())
     if draw(st.sampled_from(["fixed_band", "knn"])) == "knn":
-        w = build_weights(pts, "knn", include_self=include_self, k=draw(st.integers(2, n - 1)))
+        w = build_weights(pts, "knn", include_self=True, k=draw(st.integers(2, n - 1)))
     else:
-        w = build_weights(pts, "fixed_band", include_self=include_self,
+        w = build_weights(pts, "fixed_band", include_self=True,
                           band=draw(st.floats(0.5, 8.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(draw(st.floats(-5.0, 5.0)), 1.0, n)
@@ -840,7 +842,7 @@ def weighted_case(draw, self_required=False):
 
 
 class TestKernelsAgainstOracles:
-    @given(weighted_case(self_required=True))
+    @given(weighted_case())
     @settings(max_examples=150, deadline=None)
     def test_gi_star_equals_oracle(self, case):
         w, x, _ = case
