@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, finite_floats
+from .errors import ValidationError, finite_floats, unit_scale
 
 __all__ = [
     "GiniResult",
@@ -51,10 +51,11 @@ class TTestResult:
     """Welch two-sample comparison of group a against group b.
 
     ``t`` is positive when group a's mean exceeds group b's. Variances
-    use the sample (n-1) convention. ``degenerate`` marks undersized
-    samples or two zero-variance samples with equal means (reported as
-    t=0, p=1); ``infinite_separation`` marks two zero-variance samples
-    with different means.
+    use the sample (n-1) convention. Both samples are read at one unit
+    scale; a variance a double cannot hold in input units reads 0 or inf.
+    ``degenerate`` marks undersized samples or two zero-variance samples
+    with equal means (reported as t=0, p=1); ``infinite_separation``
+    marks two zero-variance samples with different means.
     """
 
     mean_a: float
@@ -81,7 +82,7 @@ def gini(values) -> GiniResult:
     ValidationError
         On an empty sample or any negative value.
     """
-    x = finite_floats(list(values), "gini")
+    x, e = unit_scale(finite_floats(list(values), "gini"))
     if x.size == 0:
         raise ValidationError("gini requires at least one value")
     if np.any(x < 0):
@@ -95,7 +96,7 @@ def gini(values) -> GiniResult:
     g = 2.0 * float(ranks @ xs) / (n * total) - (n + 1.0) / n
     # Clamp float residue at the perfectly-equal end.
     g = min(max(g, 0.0), 1.0)
-    return GiniResult(gini=g, n=n, mean=total / n)
+    return GiniResult(gini=g, n=n, mean=float(np.ldexp(total / n, e)))
 
 
 def gini_stratified(field, zones) -> StratifiedGini:
@@ -137,24 +138,22 @@ def welch_t_test(a, b) -> TTestResult:
     if xa.size == 0 or xb.size == 0:
         raise ValidationError("welch_t_test requires non-empty samples")
     n_a, n_b = int(xa.size), int(xb.size)
+    both, e = unit_scale(np.concatenate((xa, xb)))  # one power for both samples
+    xa, xb = both[:n_a], both[n_a:]
     mean_a, mean_b = float(xa.mean()), float(xb.mean())
     var_a = float(xa.var(ddof=1)) if n_a > 1 else 0.0
     var_b = float(xb.var(ddof=1)) if n_b > 1 else 0.0
+    with np.errstate(over="ignore"):  # a moment a double cannot hold reads inf, or 0
+        moments = np.ldexp([mean_a, mean_b, var_a, var_b], [e, e, 2 * e, 2 * e]).tolist()
     fallback_df = float(max(n_a + n_b - 2, 1))
 
     constant = var_a == 0.0 and var_b == 0.0
     if n_a < 2 or n_b < 2 or (constant and mean_a == mean_b):
-        return TTestResult(
-            mean_a, mean_b, var_a, var_b, n_a, n_b,
-            t=0.0, df=fallback_df, p=1.0, degenerate=True,
-        )
+        return TTestResult(*moments, n_a, n_b, t=0.0, df=fallback_df, p=1.0, degenerate=True)
     if constant:
         # Two finite doubles that differ have a nonzero difference.
-        return TTestResult(
-            mean_a, mean_b, var_a, var_b, n_a, n_b,
-            t=math.copysign(math.inf, mean_a - mean_b), df=fallback_df, p=0.0,
-            infinite_separation=True,
-        )
+        return TTestResult(*moments, n_a, n_b, t=math.copysign(math.inf, mean_a - mean_b),
+                           df=fallback_df, p=0.0, infinite_separation=True)
 
     se_a = var_a / n_a
     se_b = var_b / n_b
@@ -164,4 +163,4 @@ def welch_t_test(a, b) -> TTestResult:
     from scipy.special import stdtr
 
     p = min(1.0, 2.0 * float(stdtr(df, -abs(t))))
-    return TTestResult(mean_a, mean_b, var_a, var_b, n_a, n_b, t=float(t), df=float(df), p=p)
+    return TTestResult(*moments, n_a, n_b, t=float(t), df=float(df), p=p)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the value rules that raise them."""
+"""Exception types shared across the package, the value rules that raise them, and unit scale."""
 
 import numbers
 from sys import float_info
@@ -38,3 +38,11 @@ def finite_floats(values, who: str) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValidationError(f"{who} requires finite values")
     return x
+
+
+def unit_scale(x: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` times the power of two that brings its largest magnitude (each column's,
+    with ``axis=0``) into [0.5, 1), and the exponent e with x = scaled * 2**e; all zeros
+    keep e = 0. Only exponents move: a value is rounded only below ~2**-1021 of that one."""
+    e = np.frexp(np.abs(x).max(axis=axis, initial=0.0))[1]
+    return np.ldexp(x, -e), e

@@ -94,7 +94,7 @@ def classify_service_status(records, years=None) -> list[ServiceStatus]:
     deaths-per-population rate more than one sample standard deviation
     above the state mean. Every state mean and that deviation run over
     the counties whose three ratios are all defined; any other county is
-    InsufficientData and moves no other county's label or flag.
+    InsufficientData, is never elevated, and moves no other county's label or flag.
     """
     # A range, such as --years gives, is kept: its membership and emptiness are O(1),
     # its least year at one end. Other years key a dict: a set that keeps their order.
@@ -146,6 +146,6 @@ def classify_service_status(records, years=None) -> list[ServiceStatus]:
             label = OVERSERVED
         else:
             label = TYPICAL
-        elevated = per_pop is not None and per_pop > elevated_cut
+        elevated = label != INSUFFICIENT and per_pop > elevated_cut
         statuses.append(ServiceStatus(*counts, per_patient, per_pop, diagnosis, label, elevated))
     return statuses

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, finite_floats
+from .errors import ValidationError, finite_floats, unit_scale
 
 DEFAULT_VARIANCE_TARGET = 0.75
 # Relative size below which two magnitudes tie and a covariance is zero.
@@ -58,21 +58,24 @@ class RiskIndex:
 def standardize(matrix, columns=None):
     """Column-wise standardization to mean 0 and sample (n-1) std 1.
 
-    Returns (standardized, means, stds). A constant column cannot be
-    standardized and is rejected by name (or index when unnamed).
+    Each column is read at unit scale; returns (standardized, means, stds), the
+    last two in input units (a std a double cannot hold reads inf). A constant
+    column cannot be standardized and is rejected by name (or index when unnamed).
     """
     x = finite_floats(matrix, "standardization")
     if x.ndim != 2:
         raise ValidationError(f"expected a 2-d matrix, got shape {x.shape}")
     if x.shape[0] < 2:
         raise ValidationError("standardization requires at least 2 rows")
+    x, e = unit_scale(x, axis=0)
     means = x.mean(axis=0)
     stds = x.std(axis=0, ddof=1)
     for j, s in enumerate(stds):
         if s == 0.0:
             name = columns[j] if columns is not None else j
             raise ValidationError(f"constant column {name!r} cannot be standardized")
-    return (x - means) / stds, means, stds
+    with np.errstate(over="ignore"):
+        return (x - means) / stds, np.ldexp(means, e), np.ldexp(stds, e)
 
 
 def pca_fit(standardized) -> PcaModel:

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ValidationError, check_int, check_range, finite_floats
+from .errors import ValidationError, check_int, check_range, finite_floats, unit_scale
 from .geo import SpatialIndex, _libm, chord_bound, knn_candidates, near_pairs
 
 if TYPE_CHECKING:
@@ -190,13 +190,14 @@ def getis_ord_gi_star(values, weights: SpatialWeights) -> HotSpotResult:
     where S1_i sums the values over the neighborhood, W_i counts it, and
     S is the population standard deviation of all values. Both come from
     the centred values x - mean, so S1_i - mean * W_i is one neighbourhood
-    sum and a large common offset cancels before any sum. A degenerate
+    sum and a large common offset cancels before any sum. Read at unit scale
+    (``errors.unit_scale``), no sum leaves the double range. A degenerate
     denominator (constant field, or a neighborhood spanning everything)
     yields z = 0 and p = 1 for that feature. The two-sided p is libm's
     ``math.erfc(|z| / sqrt(2))``, within 4e-16 relative of erfc at that argument.
     """
     _require_self(weights, "Gi*")
-    x = finite_floats(list(values), "Gi*")
+    x = unit_scale(finite_floats(list(values), "Gi*"))[0]
     n = len(weights)
     if x.size != n:
         raise ValidationError(f"value count {x.size} does not match feature count {n}")
@@ -294,10 +295,11 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
     zero; at or below 0.05 a defined feature is Positive- or
     NegativeSignificant by the sign of its r.
 
-    A feature is Undefined when its neighborhood is smaller than
-    ``min_neighbors`` or either variable is constant there (its
-    pseudo p-value is reported as 1). A permutation replicate whose
-    y-variance degenerates contributes a correlation of zero.
+    x and each y are read at unit scale (``errors.unit_scale``). A feature is
+    Undefined (pseudo p-value 1) when its neighborhood is smaller than
+    ``min_neighbors`` or the product of its two spreads is 0 there: a variable
+    is constant, or both spreads are under ~2**-270 of their largest magnitudes.
+    A permutation replicate whose product is 0 contributes an r of zero.
 
     Every y shares one pass over the permutations and the x-side sums,
     so each result equals its own ``local_bivariate`` call bit for bit;
@@ -305,7 +307,7 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
     the same neighbour list share the sums, r and count of the first.
     """
     _require_self(weights, "local_bivariate")
-    xv, *yvs = (finite_floats(list(v), "local_bivariate") for v in (x, *ys))
+    xv, *yvs = (unit_scale(finite_floats(list(v), "local_bivariate"))[0] for v in (x, *ys))
     n = len(weights)
     if any(v.size != n for v in (xv, *yvs)):
         lengths = tuple(v.size for v in (xv, *yvs))
@@ -325,10 +327,9 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
     lead, group = np.unique(_first_rows(hood, rows), return_inverse=True)
     # Evaluated rows as columns, broadcast against blocks of y columns.
     hood, sizes, sum_x, sxx = hood[lead], sizes[lead, None], sum_x[lead, None], sxx[lead, None]
-    sxx_lo, sxx_hi = sxx.min(initial=np.inf), sxx.max(initial=0.0)
 
     def correlations(yv, y2, idx):
-        """Per kept row, r for each column yv[idx], and where that y-variance is > 0."""
+        """Per kept row, r for each column yv[idx], and where the variance product is > 0."""
         ys = yv[idx]
         sum_y = hood @ ys
         syy = hood @ y2[idx]
@@ -338,20 +339,9 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
         r *= sizes
         sum_y *= sum_x
         r -= sum_y
+        syy *= sxx
         valid = syy > 0.0
-        with np.errstate(over="ignore"):
-            # A rounded product is monotonic in each factor, so the extreme
-            # variances tell whether any product of two positive ones can
-            # underflow to 0 or overflow; only then is a copy of syy kept.
-            leaves_range = not (np.min(syy, where=valid, initial=np.inf) * sxx_lo > 0.0
-                                and syy.max(initial=0.0) * sxx_hi < np.inf)
-            own = syy.copy() if leaves_range else None
-            syy *= sxx
         np.sqrt(syy, out=syy, where=valid)
-        if leaves_range:
-            # There, the product of the roots.
-            extreme = valid & ((syy == 0.0) | (syy == np.inf))
-            syy[extreme] = np.sqrt(own[extreme]) * np.sqrt(np.broadcast_to(sxx, syy.shape)[extreme])
         np.divide(r, syy, out=r, where=valid)
         np.copyto(r, 0.0, where=~valid)
         return np.clip(r, -1.0, 1.0, out=r), valid

@@ -456,7 +456,8 @@ def ref_service_status(records, years):
     Underserved: deaths per patient above its state mean and diagnosis
     rate below it; Overserved: the mirror image; otherwise Typical.
     Elevated: deaths per population 50+ above the mean plus one sample
-    standard deviation of that set's such rates. Every mean and sum of
+    standard deviation of that set's such rates, for a county of that set
+    only (an InsufficientData county is never elevated). Every mean and sum of
     squares is ``math.fsum``, the correctly rounded sum, over the count.
     Returns the rows as tuples in the fields' order, sorted by county
     id, or None where fewer than two counties have all three ratios,
@@ -493,7 +494,7 @@ def ref_service_status(records, years):
             label = "Overserved"
         else:
             label = "Typical"
-        out.append((*row, label, per_pop is not None and per_pop > rate_mean + sample_sd))
+        out.append((*row, label, label != "InsufficientData" and per_pop > rate_mean + sample_sd))
     return out
 
 

@@ -718,6 +718,30 @@ class TestTTestCommand:
             "error: t-test variable 'accessibility' is listed more than once\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", [-500, -600])
+    def test_a_poverty_column_times_a_tiny_power_of_two_keeps_t_df_p_and_flag(
+            self, synth_dir, tmp_path, k):
+        # The variances, ~2**(2k) of the unit file's, square below the doubles'
+        # range (at k = -600 they leave it themselves); read at one unit scale
+        # for both samples, t, df, p and the flag do not see it.
+        header, *rows = read_csv(synth_dir / "zones.csv")
+        col = header.index("poverty_rate")
+        zones = tmp_path / "zones.csv"
+        with open(zones, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [header] + [row[:col] + [repr(math.ldexp(float(row[col]), k))] + row[col + 1:]
+                            for row in rows])
+        tables = []
+        for name, path in (("unit", synth_dir / "zones.csv"), ("scaled", zones)):
+            out = tmp_path / f"{name}.csv"
+            assert run("ttest", "--zones", str(path), "--columns", "poverty_rate",
+                       "--out", str(out)) == 0
+            tables.append(read_csv(out))
+        (head, want), (_, got) = tables
+        cells = [head.index(c) for c in ("t", "df", "p", "flag")]
+        assert [got[i] for i in cells] == [want[i] for i in cells]
+        assert want[-1] == "ok"
+
     def test_header_only_zones_file_is_a_validation_error(self, synth_dir, tmp_path, capsys):
         zones = tmp_path / "zones.csv"
         zones.write_text((synth_dir / "zones.csv").read_text().splitlines()[0] + "\n")

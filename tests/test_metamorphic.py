@@ -6,6 +6,7 @@ relative bounds are the rounding the relation costs on that region; a
 relation that needs a wider bound is a finding, not a reason to widen it.
 """
 
+import csv
 import dataclasses
 
 import numpy as np
@@ -13,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoaccess import (DemandZone, GeoPoint, RunConfig, SpatialIndex, build_weights,
-                       classify_hotspots, generate_synthetic_region, getis_ord_gi_star,
-                       haversine_miles, load_counties, load_facilities, load_zones, run_pipeline)
+                       classify_hotspots, generate_synthetic_region, getis_ord_gi_star, gini,
+                       haversine_miles, health_risk_index, load_counties, load_facilities,
+                       load_zones, local_bivariate, local_bivariates, pca_fit, run_pipeline,
+                       standardize, welch_t_test)
 from geoaccess import pipeline as pl
 from geoaccess.cli import main
 from geoaccess.output import format_value, write_csv
@@ -259,3 +262,103 @@ def test_tiles_farther_apart_than_band_and_catchment_keep_their_lone_results(see
         ids = set(alone.zone_scores)
         assert {(i, j) for i, j in pairs if i in ids} \
             == id_pairs(neighbour_weights(tile_zones, scheme, cfg))
+
+
+# The powers of two the scale relations multiply their inputs by.
+POWERS = tuple(sign * k for k in (1, 300, 600, 1000) for sign in (1, -1))
+
+
+def normal_powers(*arrays):
+    """The k of POWERS for which every nonzero value times 2**k is still a normal double."""
+    nonzero = np.abs(np.concatenate([np.ravel(a) for a in arrays]))
+    nonzero = nonzero[nonzero > 0.0]
+    # A magnitude with frexp exponent e lies in [2**(e - 1), 2**e); the normal
+    # doubles run from 2**-1022 to below 2**1024.
+    lo, hi = np.frexp(nonzero.min())[1], np.frexp(nonzero.max())[1]
+    return [k for k in POWERS if lo - 1 + k >= -1022 and hi + k <= 1024]
+
+
+def scale_free_statistics(k, access, poverty, prevalence, urban, weights):
+    """Every scale-free statistic of the inputs times 2**k."""
+    access, poverty, prevalence = (np.ldexp(v, k) for v in (access, poverty, prevalence))
+    gi = getis_ord_gi_star(access, weights)
+    bv = local_bivariates(poverty, [access], weights, permutations=99, seed=1)[0]
+    t = welch_t_test(poverty[~urban], poverty[urban])
+    z, _, _ = standardize(prevalence)
+    return {"gi_z": gi.z, "gi_p": gi.p, "local_r": bv.local_r, "pseudo_p": bv.pseudo_p,
+            "bivariate_category": bv.category, "gini": gini(access).gini,
+            "welch": (t.t, t.df, t.p, t.degenerate, t.infinite_separation),
+            "standardized": z, "risk_index": health_risk_index(pca_fit(z), z).scores}
+
+
+@given(region_seeds, st.sampled_from(WEIGHT_SCHEMES))
+@relation
+def test_a_power_of_two_keeps_every_scale_free_statistic_bit_for_bit(seed, scheme):
+    # Each statistic reads its input at unit scale, which is the same for x
+    # and x * 2**k while no value leaves the normal doubles.
+    cfg = RunConfig()
+    zones, facilities, _ = generate_synthetic_region(seed)
+    zones = pl.sorted_zones(zones)
+    _, access = scores(zones, facilities)
+    poverty = np.array(pl.resolve_series(zones, cfg.poverty_column))
+    prevalence = np.array([pl.resolve_series(zones, c)
+                           for c in sorted(cfg.prevalence_columns)]).T
+    urban = np.array([z.urban for z in zones])
+    weights = build_weights([(z.zone_id, z.centroid) for z in zones], scheme, include_self=True,
+                            k=cfg.knn_k, band=cfg.band_miles)
+    inputs = (access, poverty, prevalence, urban, weights)
+    want = scale_free_statistics(0, *inputs)
+    powers = normal_powers(access, poverty, prevalence)
+    assert 1000 in powers and -1000 in powers
+    for k in powers:
+        got = scale_free_statistics(k, *inputs)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=f"{name} at 2**{k}")
+
+
+SCALE_FREE_COLUMNS = ("z", "p", "category", "local_r", "pseudo_p", "gini", "risk_index")
+
+
+def scale_free_cells(out):
+    """Per CSV file of ``out``, its scale-free columns."""
+    cells = {}
+    for path in sorted(out.glob("*.csv")):
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        cells[path.name] = [[row[c] for c in SCALE_FREE_COLUMNS if c in row] for row in rows]
+    return cells
+
+
+@given(region_seeds)
+@relation
+def test_beds_times_two_to_the_thousand_keep_every_scale_free_cell(tmp_path_factory, seed):
+    zones, facilities, counties = generate_synthetic_region(seed)
+    big = [dataclasses.replace(f, beds=f.beds * 2**1000) for f in facilities]
+    root = tmp_path_factory.mktemp("beds")
+    for name, beds in (("unit", facilities), ("big", big)):
+        run_pipeline(zones, beds, counties, root / name, RunConfig())
+    assert scale_free_cells(root / "big") == scale_free_cells(root / "unit")
+    # The accessibility itself does scale: the hot-spot values are 2**1000 times larger.
+    assert (root / "big" / "hotspot_accessibility.csv").read_bytes() \
+        != (root / "unit" / "hotspot_accessibility.csv").read_bytes()
+
+
+def test_spreads_near_two_to_the_minus_300_of_the_maxima_are_undefined():
+    """The one edge of unit scale. Where x's and y's spreads over a
+    neighbourhood are both ~2**-300 of their variables' largest magnitudes,
+    the product of the two spreads underflows to 0 at unit scale, and the row
+    is Undefined, as a constant one is; at ~2**-200 it is defined."""
+    zones = pl.sorted_zones(generate_synthetic_region(1)[0])
+    weights = build_weights([(z.zone_id, z.centroid) for z in zones], "knn", include_self=True,
+                            k=8)
+    # The rows whose neighbourhood leaves out zone 0, which holds both maxima.
+    far = weights.matrix[:, [0]].toarray().ravel() == 0.0
+    x, y = np.random.default_rng(5).normal(0.0, 1.0, (2, len(zones)))
+    category = {}
+    for k in (-200, -300):
+        xs, ys = np.ldexp(x, k), np.ldexp(y, k)
+        xs[0] = ys[0] = 1.0
+        category[k] = np.array(local_bivariate(xs, ys, weights, permutations=19, seed=1).category)
+    assert far.sum() > 100
+    assert not np.any(category[-200][far] == "Undefined")
+    assert np.all(category[-300][far] == "Undefined")

@@ -243,7 +243,8 @@ class TestClassification:
 
     def test_a_county_without_patients_does_not_move_the_elevated_cut(self):
         # e has deaths per population 0.3 but no patients: it is
-        # InsufficientData, and outside the mean and SD of the cut.
+        # InsufficientData, outside the mean and SD of the cut, and so
+        # never elevated itself.
         counties = [county(cid, 2020, deaths, 100, 1000)
                     for cid, deaths in zip("abcd", (10, 11, 9, 30))]
         extra = county("e", 2020, 300, 0, 1000)
@@ -252,6 +253,7 @@ class TestClassification:
             assert statuses["d"].elevated
             assert not any(statuses[cid].elevated for cid in "abc")
         assert statuses["e"].label == "InsufficientData"
+        assert statuses["e"].elevated is False
 
     def test_too_few_defined_counties_rejected(self):
         with pytest.raises(ValidationError):

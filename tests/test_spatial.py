@@ -581,8 +581,9 @@ class TestLocalBivariate:
 
     @pytest.mark.parametrize("scale", [1e-100, 1e100])
     def test_local_r_is_scale_invariant_where_the_variance_product_leaves_range(self, scale):
-        """sxx * syy underflows (1e-100) or overflows (1e100) while both
-        variances are positive: r and the categories keep their unscaled values."""
+        """sxx * syy would underflow (1e-100) or overflow (1e100) at the input's
+        own scale while both variances are positive. Both variables are read at
+        unit scale, so r and the categories keep their unscaled values."""
         pts = random_points(36, 30)
         w = build_weights(pts, "knn", include_self=True, k=7)
         rng = np.random.default_rng(37)
