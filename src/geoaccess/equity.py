@@ -159,7 +159,10 @@ def welch_t_test(a, b) -> TTestResult:
     se_b = var_b / n_b
     se2 = se_a + se_b
     t = (mean_a - mean_b) / np.sqrt(se2)
-    df = se2 * se2 / (se_a * se_a / (n_a - 1) + se_b * se_b / (n_b - 1))
+    # At unit scale the larger error squares to at least 1/4, so the denominator
+    # is never 0; the power of two cancels from the ratio.
+    ua, ub = unit_scale(np.array([se_a, se_b]))[0].tolist()
+    df = (ua + ub) * (ua + ub) / (ua * ua / (n_a - 1) + ub * ub / (n_b - 1))
     from scipy.special import stdtr
 
     p = min(1.0, 2.0 * float(stdtr(df, -abs(t))))

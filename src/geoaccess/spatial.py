@@ -11,26 +11,28 @@ Three building blocks:
   permutation (hold x, globally permute y with seeded, per-permutation
   random streams).
 
-The neighbor graph is one binary CSR matrix; neighborhood sums for both
-statistics are products with it.
+The neighbor graph is held as the two index arrays of a binary CSR
+matrix. Neighborhood sums for both statistics run through scipy's compiled
+CSR kernel (``scipy.sparse._sparsetools``), the one a ``csr_array @``
+product calls, loaded without the rest of the ``scipy.sparse`` package.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import itertools
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
 from .errors import ValidationError, check_int, check_range, finite_floats, unit_scale
 from .geo import SpatialIndex, _libm, chord_bound, knn_candidates, near_pairs
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 HOT_99, HOT_95, HOT_90 = "HotSpot99", "HotSpot95", "HotSpot90"
 COLD_99, COLD_95, COLD_90 = "ColdSpot99", "ColdSpot95", "ColdSpot90"
@@ -52,7 +54,7 @@ _BIVARIATE_ALPHA = 0.05
 MIN_PERMUTATIONS = 19
 MIN_NEIGHBORS = 2
 
-# The most permuted y columns pushed through the neighbor matrix in one product.
+# The most permuted y columns summed over the neighborhoods in one kernel call.
 _PERM_BLOCK = 64
 
 __all__ = [
@@ -71,23 +73,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpatialWeights:
-    """Binary neighbor graph as an n x n CSR matrix of ones.
+    """Binary neighbor graph as the index arrays of an n x n CSR matrix of ones.
 
-    Row ``i`` of ``matrix`` holds ascending feature indices and includes
-    ``i`` itself exactly when ``include_self`` is set, as both local
-    statistics require. ``isolated`` flags fixed-band features with no
-    neighbor besides themselves.
+    Feature ``i``'s neighbors are ``indices[indptr[i]:indptr[i + 1]]``,
+    ascending, with ``i`` itself among them exactly when ``include_self``
+    is set, as both local statistics require. ``isolated`` flags
+    fixed-band features with no neighbor besides themselves.
     """
 
     ids: list
-    matrix: sparse.csr_array
+    indptr: np.ndarray
+    indices: np.ndarray
     include_self: bool
     isolated: np.ndarray
 
     @property
+    def matrix(self):
+        """The graph as a ``scipy.sparse.csr_array`` of ones, built (and
+        ``scipy.sparse`` imported) on each read; no statistic here reads it."""
+        from scipy import sparse
+
+        n = len(self.ids)
+        return sparse.csr_array((np.ones(self.indices.size), self.indices, self.indptr),
+                                shape=(n, n))
+
+    @property
     def neighbors(self) -> list:
-        """Per-feature neighbor index arrays (views of the matrix rows)."""
-        return np.split(self.matrix.indices, self.matrix.indptr[1:-1])
+        """Per-feature neighbor index arrays (views of ``indices``)."""
+        return np.split(self.indices, self.indptr[1:-1])
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -164,12 +177,61 @@ def build_weights(points, scheme: str, include_self: bool, k: int | None = None,
         rows, cols = np.divmod(np.sort(np.concatenate(keys)), n)
     else:
         raise ValidationError(f"unknown weights scheme {scheme!r}; expected one of {WEIGHT_SCHEMES}")
-    from scipy import sparse  # here, so that importing the package does not load scipy
+    # scipy's index rule: int32 while every index and the entry count fit.
+    index_type = np.int32 if max(n, cols.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(index_type)
+    return SpatialWeights(ids=list(ids), indptr=indptr, indices=cols.astype(index_type),
+                          include_self=include_self, isolated=isolated)
 
-    indptr = np.searchsorted(rows, np.arange(n + 1))
-    matrix = sparse.csr_array((np.ones(cols.size), cols, indptr), shape=(n, n))
-    return SpatialWeights(ids=list(ids), matrix=matrix, include_self=include_self,
-                          isolated=isolated)
+
+@functools.cache
+def _csr_kernel():
+    """scipy's compiled CSR routines, ``scipy.sparse._sparsetools``, without the
+    ``scipy.sparse`` package: its ``__init__`` loads ~14 MB that no statistic
+    here uses. The module is loaded under its own name, so a later
+    ``import scipy.sparse`` reuses it."""
+    import scipy  # the package root alone; it sets up the wheel's shared libraries
+
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    finder = FileFinder(os.path.join(os.path.dirname(scipy.__file__), "sparse"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:  # no such file: the same module, loaded with its package
+        from scipy.sparse import _sparsetools
+
+        return _sparsetools
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+def _hood_sums(indptr, indices, values: np.ndarray) -> np.ndarray:
+    """Per row of a binary CSR graph, the sums of ``values`` (1-d, or one column
+    per variable) over the row's indices in their order: the kernel that a
+    ``csr_array`` of ones calls for ``@ values`` of that shape, so the same bits."""
+    kernel, rows, n = _csr_kernel(), indptr.size - 1, values.shape[0]
+    ones = np.ones(indices.size)
+    if values.ndim == 1 or values.shape[1] == 1:
+        out = np.zeros(rows)
+        kernel.csr_matvec(rows, n, indptr, indices, ones, values.ravel(), out)
+        return out.reshape((rows,) + values.shape[1:])
+    out = np.zeros((rows, values.shape[1]))
+    kernel.csr_matvecs(rows, n, values.shape[1], indptr, indices, ones, values.ravel(),
+                       out.ravel())
+    return out
+
+
+def _row_subset(indptr, indices, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``indptr`` and ``indices`` of the graph's ``rows``, in that order."""
+    starts = indptr[rows]
+    sizes = indptr[rows + 1] - starts
+    sub_ptr = np.zeros(rows.size + 1, dtype=indptr.dtype)
+    np.cumsum(sizes, out=sub_ptr[1:])
+    at = np.repeat(starts - sub_ptr[:-1], sizes) + np.arange(sub_ptr[-1])
+    return sub_ptr, indices[at]
 
 
 def _require_self(weights: SpatialWeights, who: str) -> None:
@@ -208,10 +270,10 @@ def getis_ord_gi_star(values, weights: SpatialWeights) -> HotSpotResult:
     s = math.sqrt(float((d * d).mean()))
     z = np.zeros(n)
     if s > 0.0:
-        w = np.diff(weights.matrix.indptr).astype(float)
+        w = np.diff(weights.indptr).astype(float)
         bracket = (n * w - w * w) / (n - 1.0)
         ok = bracket > 0.0
-        z[ok] = (weights.matrix @ d)[ok] / (s * np.sqrt(bracket[ok]))
+        z[ok] = _hood_sums(weights.indptr, weights.indices, d)[ok] / (s * np.sqrt(bracket[ok]))
     p = _libm(np.abs(z) / math.sqrt(2.0), math.erfc)
     return HotSpotResult(ids=list(weights.ids), z=z, p=p)
 
@@ -256,10 +318,10 @@ def classify_hotspots(result: HotSpotResult, fdr: bool = False) -> HotSpotResult
     return HotSpotResult(ids=result.ids, z=result.z, p=result.p, category=category)
 
 
-def _first_rows(matrix, rows) -> np.ndarray:
-    """For each of ``rows``, the first of ``rows`` whose matrix row has the same index list."""
-    raw, first = matrix.indices.tobytes(), {}
-    ends = (matrix.indptr.astype(np.int64) * matrix.indices.itemsize).tolist()
+def _first_rows(indptr, indices, rows) -> np.ndarray:
+    """For each of ``rows``, the first of ``rows`` whose graph row has the same index list."""
+    raw, first = indices.tobytes(), {}
+    ends = (indptr.astype(np.int64) * indices.itemsize).tolist()
     return np.array([first.setdefault(raw[ends[i]:ends[i + 1]], i) for i in rows.tolist()],
                     dtype=np.intp)
 
@@ -316,26 +378,27 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
     check_int("seed", seed, 0)
     check_int("min_neighbors", min_neighbors, MIN_NEIGHBORS)
 
-    hood = weights.matrix
-    sizes = np.diff(hood.indptr).astype(float)
-    sum_x = hood @ xv
-    sxx = sizes * (hood @ (xv * xv)) - sum_x * sum_x
+    indptr, indices = weights.indptr, weights.indices
+    sizes = np.diff(indptr).astype(float)
+    sum_x = _hood_sums(indptr, indices, xv)
+    sxx = sizes * _hood_sums(indptr, indices, xv * xv) - sum_x * sum_x
     rows = np.flatnonzero((sizes >= min_neighbors) & (sxx > 0.0))
     # Rows with the same neighbour list get the same sums in the same order,
     # so only the first row with each list is evaluated (``lead``), and
     # kept row j takes the results of lead[group[j]].
-    lead, group = np.unique(_first_rows(hood, rows), return_inverse=True)
+    lead, group = np.unique(_first_rows(indptr, indices, rows), return_inverse=True)
     # Evaluated rows as columns, broadcast against blocks of y columns.
-    hood, sizes, sum_x, sxx = hood[lead], sizes[lead, None], sum_x[lead, None], sxx[lead, None]
+    hood = _row_subset(indptr, indices, lead)
+    sizes, sum_x, sxx = sizes[lead, None], sum_x[lead, None], sxx[lead, None]
 
     def correlations(yv, y2, idx):
         """Per kept row, r for each column yv[idx], and where the variance product is > 0."""
         ys = yv[idx]
-        sum_y = hood @ ys
-        syy = hood @ y2[idx]
+        sum_y = _hood_sums(*hood, ys)
+        syy = _hood_sums(*hood, y2[idx])
         syy *= sizes
         syy -= sum_y * sum_y
-        r = hood @ np.multiply(ys, xv[:, None], out=ys)
+        r = _hood_sums(*hood, np.multiply(ys, xv[:, None], out=ys))
         r *= sizes
         sum_y *= sum_x
         r -= sum_y
@@ -360,7 +423,7 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
         return counts
 
     # Equal blocks of at most _PERM_BLOCK, as many as a multiple of the core
-    # count. scipy's CSR products release the GIL, so the blocks run side by
+    # count. scipy's CSR kernel releases the GIL, so the blocks run side by
     # side: this thread takes every cores-th block and a pool the rest. The
     # counts are integers, so their sum is the same in any order.
     cores = _usable_cores()

@@ -657,8 +657,9 @@ class TestMortalityCommand:
 
 
 def test_commands_without_spatial_statistics_load_no_scipy(tmp_path):
-    # In a fresh interpreter, so that no other test's import counts. ttest
-    # comes last: its p needs scipy.special.
+    # In a fresh interpreter, so that no other test's import counts. The
+    # spatial commands then load scipy's compiled CSR kernel and no other
+    # scipy.sparse module. ttest comes last: its p needs scipy.special.
     script = """if True:
         import sys
         from geoaccess.cli import main
@@ -671,6 +672,16 @@ def test_commands_without_spatial_statistics_load_no_scipy(tmp_path):
             assert main(argv) == 0, argv
             loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
             assert not loaded, (argv[0], loaded)
+        for argv in (["hotspot", "--zones", out + "zones.csv", "--value-col", "poverty_rate",
+                      "--out", out + "h.csv"],
+                     ["bivariate", *inputs, "--x", "poverty_rate", "--y", "accessibility",
+                      "--out", out + "b.csv"],
+                     ["pipeline", *inputs, "--counties", out + "counties.csv",
+                      "--out-dir", out + "run"]):
+            assert main(argv) == 0, argv
+            loaded = sorted(m for m in sys.modules
+                            if m.startswith(("scipy.sparse", "scipy.spatial", "scipy.special")))
+            assert loaded == ["scipy.sparse._sparsetools"], (argv[0], loaded)
         assert main(["ttest", *inputs, "--out", out + "ttest.csv"]) == 0
         """
     src = os.path.dirname(os.path.dirname(geoaccess.__file__))

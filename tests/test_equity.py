@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geoaccess import (
@@ -15,6 +15,7 @@ from geoaccess import (
     gini_stratified,
     welch_t_test,
 )
+from geoaccess.errors import unit_scale
 
 from oracles import ref_gini_pairwise, student_t_two_sided_p
 
@@ -160,6 +161,14 @@ class TestWelch:
         assert res.df == pytest.approx(2.0, rel=1e-12)
         assert res.p == pytest.approx(student_t_two_sided_p(res.t, res.df), rel=1e-10)
 
+    @pytest.mark.parametrize("b", [[0.0, 2.0**-300], [0.0, 2.0**-300, 2.0**-301]])
+    def test_a_variance_whose_square_underflows_still_has_a_df(self, b):
+        # Beside a constant sample, df is the other sample's n - 1 at any scale.
+        res = welch_t_test([1.0, 1.0], b)
+        assert res.df == len(b) - 1.0
+        assert res.t > 1e90 and 0.0 < res.p < 1e-90
+        assert not (res.degenerate or res.infinite_separation)
+
     def test_zero_variances_equal_means(self):
         res = welch_t_test([2.0, 2.0], [2.0, 2.0])
         assert res.degenerate and res.p == 1.0
@@ -201,6 +210,24 @@ def test_welch_p_matches_continued_fraction_oracle(seed, n_a, n_b, gap, sd_a, sd
         assert res.p == pytest.approx(want, rel=1e-10, abs=0)
     else:
         assert res.p < 1e-300
+
+
+ordinary = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
+
+
+@given(st.lists(ordinary, min_size=2, max_size=30), st.lists(ordinary, min_size=2, max_size=30))
+@settings(max_examples=300)
+def test_welch_df_keeps_every_bit_of_the_direct_formula(a, b):
+    # On these samples no square of a standard error underflows, so df read at
+    # unit scale equals the Welch-Satterthwaite formula on the errors themselves.
+    res = welch_t_test(a, b)
+    assume(not (res.degenerate or res.infinite_separation))
+    both = unit_scale(np.array(a + b))[0]
+    se_a = float(both[:len(a)].var(ddof=1)) / len(a)
+    se_b = float(both[len(a):].var(ddof=1)) / len(b)
+    se2 = se_a + se_b
+    want = se2 * se2 / (se_a * se_a / (len(a) - 1) + se_b * se_b / (len(b) - 1))
+    assert res.df.hex() == want.hex()
 
 
 def test_welch_p_far_tail_stays_in_range():

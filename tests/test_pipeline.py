@@ -27,6 +27,17 @@ def test_a_pipeline_run_loads_neither_scipy_spatial_nor_scipy_special(tmp_path):
             run_pipeline(*region, sys.argv[1] + "/" + scheme, RunConfig(weights_scheme=scheme))
         loaded = [m for m in ("scipy.spatial", "scipy.special") if m in sys.modules]
         assert not loaded, loaded
+        # Of scipy.sparse, only its compiled kernel module; a later import of
+        # the package reuses that module, and its products still work.
+        sparse = sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
+        assert sparse == ["scipy.sparse._sparsetools"], sparse
+        kernel = sys.modules["scipy.sparse._sparsetools"]
+        import numpy as np
+        from scipy.sparse import _compressed, _sparsetools, csr_array
+        assert _sparsetools is kernel and _compressed._sparsetools is kernel
+        m = csr_array((np.ones(3), [0, 1, 1], [0, 2, 3]), shape=(2, 2))
+        assert (m @ np.array([1.0, 2.0])).tolist() == [3.0, 2.0]
+        assert (m @ np.array([[1.0, 4.0], [2.0, 8.0]])).tolist() == [[3.0, 12.0], [2.0, 8.0]]
         """
     src = os.path.dirname(os.path.dirname(geoaccess.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -480,7 +481,7 @@ class TestGiStar:
         x = np.zeros(int(2 * sum(z * z for z in targets)))
         x[:8] = targets + [-z for z in targets]
         n = x.size
-        w = SpatialWeights(ids=list(range(n)), matrix=sparse.eye_array(n, format="csr"),
+        w = SpatialWeights(ids=list(range(n)), indptr=np.arange(n + 1), indices=np.arange(n),
                            include_self=True, isolated=np.zeros(n, dtype=bool))
         res = getis_ord_gi_star(x, w)
         assert res.z.tolist() == x.tolist()
@@ -812,9 +813,8 @@ class TestRepeatedNeighbourLists:
         lists += [sorted({i, *rng.choice(n, 5, replace=False).tolist()}) for i in range(3, n)]
         assert len(lists[0]) == len(lists[1]) and sum(lists[0]) == sum(lists[1])
         indptr = np.cumsum([0] + [len(nb) for nb in lists])
-        matrix = sparse.csr_array((np.ones(indptr[-1]), np.concatenate(lists), indptr),
-                                  shape=(n, n))
-        w = SpatialWeights(ids=[f"z{i}" for i in range(n)], matrix=matrix, include_self=True,
+        w = SpatialWeights(ids=[f"z{i}" for i in range(n)], indptr=indptr,
+                           indices=np.concatenate(lists), include_self=True,
                            isolated=np.zeros(n, dtype=bool))
         x, y = rng.normal(0.0, 1.0, (2, n))
         (res,), repeated = check_rows_sharing_a_list(w, x, [y])
@@ -862,3 +862,73 @@ class TestKernelsAgainstOracles:
         np.testing.assert_allclose(res.local_r, local_r, rtol=0.0, atol=1e-10)
         np.testing.assert_array_equal(res.pseudo_p, pseudo_p)
         assert res.category == category
+
+
+@st.composite
+def csr_graph(draw):
+    """A binary CSR graph (rows may be empty, columns ascending) as scipy's csr_array
+    and as the index arrays of ``SpatialWeights``, with int32 or int64 indices."""
+    n_rows, n_cols = draw(st.integers(0, 10)), draw(st.integers(1, 10))
+    rows = [sorted(draw(st.sets(st.integers(0, n_cols - 1)))) for _ in range(n_rows)]
+    index_type = draw(st.sampled_from([np.int32, np.int64]))
+    indptr = np.cumsum([0] + [len(r) for r in rows]).astype(index_type)
+    indices = np.array([j for r in rows for j in r], dtype=index_type)
+    matrix = sparse.csr_array((np.ones(indices.size), indices, indptr), shape=(n_rows, n_cols))
+    return matrix, indptr, indices
+
+
+# ±0.0, subnormals and magnitudes whose sums overflow to ±inf, among any finite double.
+edge_floats = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1050, 1.5 * 2.0**1023,
+                                         -1.5 * 2.0**1023]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestCsrKernel:
+    @given(csr_graph(), st.one_of(st.none(), st.integers(1, 64)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_hood_sums_are_the_bits_of_the_csr_product(self, graph, k, data):
+        matrix, indptr, indices = graph
+        n = matrix.shape[1]
+        shape = (n,) if k is None else (n, k)
+        values = np.array(data.draw(st.lists(edge_floats, min_size=math.prod(shape),
+                                             max_size=math.prod(shape)))).reshape(shape)
+        got = spatial._hood_sums(indptr, indices, values)
+        want = matrix @ values
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(bits(got), bits(want))
+
+    @given(csr_graph(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_row_subset_is_the_csr_row_index(self, graph, data):
+        matrix, indptr, indices = graph
+        rows = np.array(data.draw(st.lists(st.integers(0, max(matrix.shape[0] - 1, 0)),
+                                           max_size=12 if matrix.shape[0] else 0)), dtype=np.intp)
+        sub_ptr, sub_idx = spatial._row_subset(indptr, indices, rows)
+        want = matrix[rows]
+        assert np.array_equal(sub_ptr, want.indptr) and np.array_equal(sub_idx, want.indices)
+        # The subset's sums are the subset's rows of the full sums.
+        values = np.arange(matrix.shape[1], dtype=float)
+        assert np.array_equal(spatial._hood_sums(sub_ptr, sub_idx, values),
+                              spatial._hood_sums(indptr, indices, values)[rows])
+
+    def test_without_the_kernel_file_the_kernel_comes_with_its_package(self, monkeypatch):
+        class Nowhere:
+            def __init__(self, *args):
+                pass
+
+            def find_spec(self, name):
+                return None
+
+        monkeypatch.setattr(spatial, "FileFinder", Nowhere)
+        monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+        spatial._csr_kernel.cache_clear()
+        try:
+            assert spatial._csr_kernel() is sparse._sparsetools
+            sums = spatial._hood_sums(np.array([0, 2, 3]), np.array([0, 1, 1]), np.array([1.0, 2.0]))
+            assert sums.tolist() == [3.0, 2.0]
+        finally:
+            spatial._csr_kernel.cache_clear()
