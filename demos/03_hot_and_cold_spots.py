@@ -26,10 +26,9 @@ zones = sorted(zones, key=lambda z: z.zone_id)
 field = accessibility_scores(zones, facilities, d0=15.0)
 values = [field.zone_scores[z.zone_id] for z in zones]
 
-# Binary weights over a fixed 15-mile band; Gi* needs the focal zone in
-# its own neighborhood (the "star").
-weights = build_weights([(z.zone_id, z.centroid) for z in zones],
-                        "fixed_band", include_self=True, band=15.0)
+# Binary weights over a fixed 15-mile band; each zone is in its own
+# neighborhood, as Gi* needs (the "star").
+weights = build_weights([(z.zone_id, z.centroid) for z in zones], "fixed_band", band=15.0)
 
 plain = classify_hotspots(getis_ord_gi_star(values, weights), fdr=False)
 corrected = classify_hotspots(getis_ord_gi_star(values, weights), fdr=True)

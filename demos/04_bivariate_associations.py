@@ -34,8 +34,7 @@ matrix = [[z.attributes[c] for c in DEFAULT_PREVALENCE_COLUMNS] for z in zones]
 model, standardized = fit_risk_model(matrix, columns=list(DEFAULT_PREVALENCE_COLUMNS))
 risk = health_risk_index(model, standardized, target=0.75).scores
 
-weights = build_weights([(z.zone_id, z.centroid) for z in zones],
-                        "fixed_band", include_self=True, band=15.0)
+weights = build_weights([(z.zone_id, z.centroid) for z in zones], "fixed_band", band=15.0)
 
 for label, y in (("accessibility", access), ("health risk index", list(risk))):
     res = local_bivariate(poverty, y, weights, permutations=199, seed=42, min_neighbors=8)

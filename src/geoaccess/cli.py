@@ -199,8 +199,11 @@ def _computed(args, zones, cfg, names) -> dict:
 
 def _cmd_ttest(args, cfg):
     zones = _load_sorted_zones(args)
-    if args.columns:
+    if args.columns is not None:
         columns = [c.strip() for c in args.columns.split(",") if c.strip()]
+        if not columns:
+            raise ValidationError(
+                f"--columns must name at least one variable, got {args.columns!r}")
     elif zones:
         # The computed accessibility shadows an attribute of that name.
         columns = ["accessibility"] + sorted(zones[0].attributes.keys() - {"accessibility"})

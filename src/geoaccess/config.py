@@ -12,9 +12,10 @@ import json
 import numbers
 from dataclasses import dataclass
 
-from .accessibility import DEMAND_COLUMNS
+from .accessibility import DEFAULT_CATCHMENT_MILES, DEMAND_COLUMNS
 from .errors import ValidationError, check_int, check_range
 from .ingest import read_text
+from .risk import DEFAULT_VARIANCE_TARGET
 from .spatial import MIN_NEIGHBORS, MIN_PERMUTATIONS, WEIGHT_SCHEMES
 
 DEFAULT_PREVALENCE_COLUMNS = (
@@ -37,14 +38,14 @@ __all__ = ["DEFAULT_PREVALENCE_COLUMNS", "CONFIG_KEYS", "RunConfig", "load_confi
 
 @dataclass(frozen=True)
 class RunConfig:
-    catchment_miles: float = 15.0
+    catchment_miles: float = DEFAULT_CATCHMENT_MILES
     demand: str = "patients"
     weights_scheme: str = "fixed_band"
     band_miles: float = 15.0
     knn_k: int = 8
     permutations: int = 199
     seed: int = 42
-    variance_target: float = 0.75
+    variance_target: float = DEFAULT_VARIANCE_TARGET
     fdr: bool = False
     min_neighbors: int = 8
     poverty_column: str = "poverty_rate"

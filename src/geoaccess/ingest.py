@@ -222,10 +222,10 @@ def _load_geometries(path, known_ids) -> dict:
     """zone_id -> the text of its feature's geometry (None for null)."""
     text = read_text(path)
     try:
-        doc = _feature_collection(text)
+        doc = _feature_collection(text, path)
     except (ValueError, StopIteration, RecursionError):
         # The walk stops at the first fault, or at too deep a nesting; the
-        # decoder names it.
+        # decoder names it, unless it reads the text (a NaN, say).
         try:
             json.loads(text)
         except (ValueError, RecursionError) as exc:
@@ -280,10 +280,14 @@ def _expect(pattern, text, idx):
     return match
 
 
-def _feature_collection(text):
+def _feature_collection(text, path):
     """The top-level value of ``text``; in an object, ``features`` is read by
-    :func:`_features`."""
-    scan = json.JSONDecoder().scan_once
+    :func:`_features`. The json module also reads NaN, Infinity and -Infinity,
+    which JSON does not define; they are rejected by name."""
+    def reject(constant):
+        raise ValidationError(f"{path}: {constant} is not a JSON value")
+
+    scan = json.JSONDecoder(parse_constant=reject).scan_once
     idx = _SPACE(text).end()
     if text.startswith("{", idx):
         doc, idx = _object(text, idx, scan, _COLLECTION_READERS)

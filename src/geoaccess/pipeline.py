@@ -53,8 +53,7 @@ def compute_access(zones, facilities, cfg: RunConfig):
 
 def _zone_weights(zones, cfg: RunConfig):
     points = [(z.zone_id, z.centroid) for z in zones]
-    return build_weights(points, cfg.weights_scheme, include_self=True, k=cfg.knn_k,
-                         band=cfg.band_miles)
+    return build_weights(points, cfg.weights_scheme, k=cfg.knn_k, band=cfg.band_miles)
 
 
 def resolve_series(zones, name: str, computed: dict | None = None) -> list[float]:

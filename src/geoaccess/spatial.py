@@ -3,7 +3,7 @@
 Three building blocks:
 
 * binary spatial weights, either k-nearest-neighbor or fixed distance
-  band (the "star" variants include the focal feature itself);
+  band, each feature's row holding the feature itself (the "star");
 * Getis-Ord Gi* hot/cold-spot z-scores with fixed-threshold or
   Benjamini-Hochberg (FDR) confidence classes;
 * a local bivariate association measure: the Pearson correlation of two
@@ -76,26 +76,18 @@ class SpatialWeights:
     """Binary neighbor graph as the index arrays of an n x n CSR matrix of ones.
 
     Feature ``i``'s neighbors are ``indices[indptr[i]:indptr[i + 1]]``,
-    ascending, with ``i`` itself among them exactly when ``include_self``
-    is set, as both local statistics require. ``isolated`` flags
-    fixed-band features with no neighbor besides themselves.
+    ascending, ``i`` itself among them: both local statistics count the
+    focal feature in its own neighborhood.
     """
 
     ids: list
     indptr: np.ndarray
     indices: np.ndarray
-    include_self: bool
-    isolated: np.ndarray
 
     @property
-    def matrix(self):
-        """The graph as a ``scipy.sparse.csr_array`` of ones, built (and
-        ``scipy.sparse`` imported) on each read; no statistic here reads it."""
-        from scipy import sparse
-
-        n = len(self.ids)
-        return sparse.csr_array((np.ones(self.indices.size), self.indices, self.indptr),
-                                shape=(n, n))
+    def isolated(self) -> np.ndarray:
+        """Features with no neighbor besides themselves (fixed band only)."""
+        return np.diff(self.indptr) == 1
 
     @property
     def neighbors(self) -> list:
@@ -122,27 +114,31 @@ class BivariateResult:
     category: list
 
 
-def build_weights(points, scheme: str, include_self: bool, k: int | None = None,
+def build_weights(points, scheme: str, include_self: bool = True, k: int | None = None,
                   band: float | None = None) -> SpatialWeights:
     """Construct binary spatial weights over (id, GeoPoint) features.
 
-    "knn" takes the k nearest other features by great-circle distance,
-    ties broken by id; "fixed_band" takes every other feature within the
-    band, boundary included (the relation is symmetric by construction).
-    A fixed-band feature with no in-band neighbor is flagged isolated,
-    not rejected.
+    Each feature's row holds the feature itself and its neighbors: under
+    "knn" the k nearest other features by great-circle distance, ties
+    broken by id; under "fixed_band" every other feature within the band,
+    boundary included (the relation is symmetric by construction). A
+    fixed-band feature with no in-band neighbor is flagged isolated, not
+    rejected. ``include_self`` accepts only True; it stays because
+    perfbench/tracing.py still passes it.
 
     Candidates come from a cell-grid search on the sphere embedding and
     are re-checked by exact distance; memory grows with the neighbour
     count.
     """
+    if include_self is not True:
+        raise ValidationError(f"build_weights always includes the focal feature, "
+                              f"got include_self={include_self!r}")
     ids = [pid for pid, _ in points]
     n = len(ids)
     if n < 2:
         raise ValidationError(f"spatial weights require >= 2 features, got {n}")
     index = SpatialIndex(points)  # rejects a duplicate id by name
     own = np.arange(n, dtype=np.intp)
-    isolated = np.zeros(n, dtype=bool)
     if scheme == "knn":
         check_int("k", k, 1)
         if k >= n:
@@ -160,28 +156,23 @@ def build_weights(points, scheme: str, include_self: bool, k: int | None = None,
             r, c = rows[extra], cols[extra]
             order = np.lexsort((id_rank[c], index.arc_miles(r, c), r))
             take[extra[order[np.arange(r.size) - np.searchsorted(r, r) < k]]] = True
-        chosen = cols[take].reshape(n, k)
-        if include_self:
-            chosen = np.column_stack((chosen, own))
-        cols = np.sort(chosen, axis=1).ravel()
-        rows = np.repeat(own, chosen.shape[1])
+        cols = np.sort(np.column_stack((cols[take].reshape(n, k), own)), axis=1).ravel()
+        rows = np.repeat(own, k + 1)
     elif scheme == "fixed_band":
         check_range(band, "band", strict=True)
         i, j, _ = near_pairs(index.xyz, None, chord_bound(band))
         near = index.arc_miles(i, j) <= band
         i, j = i[near], j[near]
-        isolated = np.bincount(np.concatenate((i, j)), minlength=n) == 0
         # Entry (row, col) as the key row * n + col: one sort orders rows
         # and the columns within them.
-        keys = [i * n + j, j * n + i] + ([own * (n + 1)] if include_self else [])
-        rows, cols = np.divmod(np.sort(np.concatenate(keys)), n)
+        keys = np.concatenate((i * n + j, j * n + i, own * (n + 1)))
+        rows, cols = np.divmod(np.sort(keys), n)
     else:
         raise ValidationError(f"unknown weights scheme {scheme!r}; expected one of {WEIGHT_SCHEMES}")
     # scipy's index rule: int32 while every index and the entry count fit.
     index_type = np.int32 if max(n, cols.size) <= np.iinfo(np.int32).max else np.int64
     indptr = np.searchsorted(rows, np.arange(n + 1)).astype(index_type)
-    return SpatialWeights(ids=list(ids), indptr=indptr, indices=cols.astype(index_type),
-                          include_self=include_self, isolated=isolated)
+    return SpatialWeights(ids=list(ids), indptr=indptr, indices=cols.astype(index_type))
 
 
 @functools.cache
@@ -234,18 +225,11 @@ def _row_subset(indptr, indices, rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return sub_ptr, indices[at]
 
 
-def _require_self(weights: SpatialWeights, who: str) -> None:
-    """Reject weights whose rows leave out the focal feature: ``who`` counts it."""
-    if not weights.include_self:
-        raise ValidationError(f"{who} requires weights built with include_self=True")
-
-
 def getis_ord_gi_star(values, weights: SpatialWeights) -> HotSpotResult:
     """Getis-Ord Gi* z-scores and two-sided normal p-values.
 
-    For feature i with binary weights over its neighborhood (self
-    included; building the weights without the focal feature is
-    rejected),
+    For feature i with binary weights over its neighborhood, the feature
+    itself included (the starred Gi* of Ord & Getis 1995),
 
         z_i = (S1_i - mean * W_i) / (S * sqrt((n * W_i - W_i^2) / (n - 1)))
 
@@ -258,7 +242,6 @@ def getis_ord_gi_star(values, weights: SpatialWeights) -> HotSpotResult:
     yields z = 0 and p = 1 for that feature. The two-sided p is libm's
     ``math.erfc(|z| / sqrt(2))``, within 4e-16 relative of erfc at that argument.
     """
-    _require_self(weights, "Gi*")
     x = unit_scale(finite_floats(list(values), "Gi*"))[0]
     n = len(weights)
     if x.size != n:
@@ -368,7 +351,6 @@ def local_bivariates(x, ys, weights: SpatialWeights, permutations: int = 199, se
     rows Undefined whatever y is get no permutation sums, and rows with
     the same neighbour list share the sums, r and count of the first.
     """
-    _require_self(weights, "local_bivariate")
     xv, *yvs = (unit_scale(finite_floats(list(v), "local_bivariate"))[0] for v in (x, *ys))
     n = len(weights)
     if any(v.size != n for v in (xv, *yvs)):

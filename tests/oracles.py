@@ -188,13 +188,13 @@ def ref_pairwise_miles(lats, lons):
     return 2.0 * R_MILES * np.arcsin(np.minimum(1.0, np.sqrt(s)))
 
 
-def ref_weights(points, scheme, include_self, k=None, band=None):
+def ref_weights(points, scheme, k=None, band=None):
     """Brute-force neighbour lists over the full distance matrix.
 
     points: list of (id, GeoPoint). Returns (neighbors, isolated): per
-    feature the ascending neighbour indices, and for "fixed_band" whether
-    the feature has no neighbour besides itself. "knn" ranks the other
-    features by (distance, id).
+    feature the ascending neighbour indices, the feature's own among them,
+    and for "fixed_band" whether the feature has no neighbour besides
+    itself. "knn" ranks the other features by (distance, id).
     """
     ids = [pid for pid, _ in points]
     dist = ref_pairwise_miles([p.lat for _, p in points], [p.lon for _, p in points])
@@ -207,9 +207,7 @@ def ref_weights(points, scheme, include_self, k=None, band=None):
         else:
             chosen = [j for j in others if dist[i, j] <= band]
         isolated.append(not chosen)
-        if include_self:
-            chosen.append(i)
-        neighbors.append(sorted(chosen))
+        neighbors.append(sorted(chosen + [i]))
     return neighbors, isolated
 
 

@@ -131,7 +131,7 @@ def test_c06_gi_star_oracle():
               for r in range(3) for c in range(3)]
     values = [0.0] * 9
     values[4] = 10.0
-    weights = build_weights(points, "fixed_band", include_self=True, band=1.5)
+    weights = build_weights(points, "fixed_band", band=1.5)
     res = getis_ord_gi_star(values, weights)
     expected = ref_gi_star(values, [list(map(int, n)) for n in weights.neighbors])
     np.testing.assert_allclose(res.z, expected, rtol=0, atol=1e-15)
@@ -210,7 +210,7 @@ def test_c10_bivariate_calibration_and_power():
     rng = np.random.default_rng(0)
     points = [(f"p{i:03d}", GeoPoint(float(rng.uniform(38, 40)), float(rng.uniform(-78, -75))))
               for i in range(60)]
-    weights = build_weights(points, "knn", include_self=True, k=8)
+    weights = build_weights(points, "knn", k=8)
     shares = []
     for seed in range(20):
         r = np.random.default_rng([900, seed])

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import filecmp
+import inspect
 import math
 import os
 import re
@@ -305,6 +306,19 @@ class TestConfigPrecedence:
         assert load_config(cfg).seed == 1
         assert load_config(cfg, {"seed": 3}).seed == 3
 
+    def test_defaults_are_the_library_functions_defaults(self):
+        # A flag left out runs a stage as the library call without it does.
+        def defaults(function):
+            return {name: p.default for name, p in inspect.signature(function).parameters.items()}
+
+        cfg = RunConfig()
+        assert defaults(geoaccess.accessibility_scores)["d0"] == cfg.catchment_miles
+        assert defaults(geoaccess.accessibility_scores)["demand"] == cfg.demand
+        assert defaults(geoaccess.health_risk_index)["target"] == cfg.variance_target
+        bivariate = defaults(geoaccess.local_bivariates)
+        assert (bivariate["permutations"], bivariate["seed"], bivariate["min_neighbors"]) \
+            == (cfg.permutations, cfg.seed, cfg.min_neighbors)
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 1, "mystery": True}))
@@ -512,6 +526,17 @@ class TestConfigValidation:
         assert run("risk-index", "--zones", zones, "--out", str(tmp_path / "default.csv")) == 0
         assert filecmp.cmp(tmp_path / "flag.csv", tmp_path / "file.csv", shallow=False)
         assert not filecmp.cmp(tmp_path / "flag.csv", tmp_path / "default.csv", shallow=False)
+
+    @pytest.mark.parametrize("columns", ["", ","])
+    def test_prevalence_columns_naming_no_variable_is_a_validation_error(
+            self, synth_dir, tmp_path, capsys, columns):
+        # As with ttest's --columns, an empty list is refused, not read as the default.
+        out = tmp_path / "risk_index.csv"
+        assert run("risk-index", "--zones", str(synth_dir / "zones.csv"),
+                   "--prevalence-cols", columns, "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: config prevalence_columns must name at least one column\n")
+        assert not out.exists()
 
 
 class TestPipeline:
@@ -729,6 +754,17 @@ class TestTTestCommand:
             "error: t-test variable 'accessibility' is listed more than once\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("columns", ["", ","])
+    def test_columns_naming_no_variable_is_a_validation_error(self, synth_dir, tmp_path, capsys,
+                                                              columns):
+        out = tmp_path / "ttest.csv"
+        assert run("ttest", "--zones", str(synth_dir / "zones.csv"),
+                   "--facilities", str(synth_dir / "facilities.csv"),
+                   "--columns", columns, "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: --columns must name at least one variable, got {columns!r}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("k", [-500, -600])
     def test_a_poverty_column_times_a_tiny_power_of_two_keeps_t_df_p_and_flag(
             self, synth_dir, tmp_path, k):
@@ -801,6 +837,21 @@ class TestGeoJson:
                    "--out", str(tmp_path / "a.csv"),
                    "--geojson-out", str(tmp_path / "a.geojson")) == 1
         assert not (tmp_path / "a.csv").exists()  # the refused run writes no CSV either
+
+    def test_a_geometry_holding_nan_or_infinity_exits_1_and_writes_no_twin(
+            self, synth_dir, tmp_path, capsys):
+        # json.dumps spells these as NaN and Infinity, which JSON does not define.
+        geom = point_geometry(synth_dir / "zones.csv", tmp_path)
+        doc = json.loads(geom.read_text())
+        doc["features"][0]["geometry"]["coordinates"] = [math.nan, math.inf]
+        geom.write_text(json.dumps(doc))
+        assert "[NaN, Infinity]" in geom.read_text()
+        assert run("access", "--zones", str(synth_dir / "zones.csv"), "--geometry", str(geom),
+                   "--facilities", str(synth_dir / "facilities.csv"),
+                   "--out", str(tmp_path / "a.csv"),
+                   "--geojson-out", str(tmp_path / "a.geojson")) == 1
+        assert capsys.readouterr().err == f"error: {geom}: NaN is not a JSON value\n"
+        assert not (tmp_path / "a.csv").exists() and not (tmp_path / "a.geojson").exists()
 
     def test_pipeline_emits_geojson_with_geometry(self, synth_dir, tmp_path):
         geom = point_geometry(synth_dir / "zones.csv", tmp_path)

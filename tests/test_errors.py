@@ -19,7 +19,7 @@ from geoaccess import (
 from geoaccess.errors import finite_floats
 
 WEIGHTS = build_weights([(f"z{i}", GeoPoint(39.0 + 0.01 * i, -76.0)) for i in range(6)],
-                        "knn", include_self=True, k=3)
+                        "knn", k=3)
 VALUES = [1.0, 4.0, 2.0, 8.0, 5.0, 7.0]
 
 

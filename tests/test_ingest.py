@@ -755,6 +755,31 @@ class TestGeometryFile:
             load_zones(csv_path, geometry_path=geo_path)
         assert str(walk.value) == f"{geo_path}: invalid JSON: {decoder.value}"
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_a_constant_json_does_not_define_is_rejected_by_name(self, tmp_path, constant):
+        # json.loads reads these, so a geometry holding one would reach the
+        # GeoJSON twins, which no strict JSON parser reads.
+        csv_path = one_zone_csv(tmp_path)
+        geo_path = tmp_path / "zones.geojson"
+        message = rf"^{re.escape(str(geo_path))}: {constant} is not a JSON value$"
+        for text in ('{"type":"FeatureCollection","features":[{"properties":{"zone_id":"z1"},'
+                     f'"geometry":{{"type":"Point","coordinates":[{constant},39.0]}}}}]}}',
+                     f'{{"type":"FeatureCollection","bbox":[{constant}],"features":[]}}'):
+            geo_path.write_text(text)
+            with pytest.raises(ValidationError, match=message):
+                load_zones(csv_path, geometry_path=geo_path)
+
+    def test_the_constants_spelled_as_strings_are_ordinary_json(self, tmp_path):
+        # Only the bare tokens are refused; a key or a string of that spelling is read.
+        csv_path = one_zone_csv(tmp_path)
+        geo_path = tmp_path / "zones.geojson"
+        geometry = {"type": "Point", "coordinates": [-76.0, 39.0], "NaN": "-Infinity"}
+        geo_path.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "properties": {"zone_id": "z1", "Infinity": "NaN"},
+             "geometry": geometry}]}))
+        (zone,) = load_zones(csv_path, geometry_path=geo_path)
+        assert zone.geometry == json.dumps(geometry)
+
     @pytest.mark.parametrize("features", ["[]", "[ \n]"])
     def test_an_empty_feature_list_joins_no_geometry(self, tmp_path, features):
         csv_path = one_zone_csv(tmp_path)

@@ -151,10 +151,10 @@ def test_positive_affine_map_keeps_gi_star(seed, scheme):
     zones = pl.sorted_zones(zones)
     _, x = scores(zones, facilities)
     points = [(z.zone_id, z.centroid) for z in zones]
-    weights = build_weights(points, scheme, include_self=True, k=8, band=15.0)
+    weights = build_weights(points, scheme, k=8, band=15.0)
     want = classify_hotspots(getis_ord_gi_star(x, weights))
     n = x.size
-    w = np.diff(weights.matrix.indptr).astype(float)
+    w = np.diff(weights.indptr).astype(float)
     # A z-score is a neighbourhood sum of centred values over their spread S.
     # The mapped values and their mean are each rounded to within
     # eps * max|ax + b|, which moves every centred value by up to twice that
@@ -171,13 +171,14 @@ def test_positive_affine_map_keeps_gi_star(seed, scheme):
 
 
 def neighbour_pairs(weights):
-    m = weights.matrix.tocoo()
-    return set(zip(m.row.tolist(), m.col.tolist()))
+    """The graph's (row, neighbour) index pairs, less each row's own entry."""
+    rows = np.repeat(np.arange(len(weights)), np.diff(weights.indptr)).tolist()
+    return {(i, j) for i, j in zip(rows, weights.indices.tolist()) if i != j}
 
 
 def neighbour_weights(zones, scheme, cfg=RunConfig()):
-    return build_weights([(z.zone_id, z.centroid) for z in zones], scheme, include_self=False,
-                         k=cfg.knn_k, band=cfg.band_miles)
+    return build_weights([(z.zone_id, z.centroid) for z in zones], scheme, k=cfg.knn_k,
+                         band=cfg.band_miles)
 
 
 def assert_a_longitude_shift_keeps_every_neighbour_set(zones, delta, scheme):
@@ -304,8 +305,8 @@ def test_a_power_of_two_keeps_every_scale_free_statistic_bit_for_bit(seed, schem
     prevalence = np.array([pl.resolve_series(zones, c)
                            for c in sorted(cfg.prevalence_columns)]).T
     urban = np.array([z.urban for z in zones])
-    weights = build_weights([(z.zone_id, z.centroid) for z in zones], scheme, include_self=True,
-                            k=cfg.knn_k, band=cfg.band_miles)
+    weights = build_weights([(z.zone_id, z.centroid) for z in zones], scheme, k=cfg.knn_k,
+                            band=cfg.band_miles)
     inputs = (access, poverty, prevalence, urban, weights)
     want = scale_free_statistics(0, *inputs)
     powers = normal_powers(access, poverty, prevalence)
@@ -349,10 +350,10 @@ def test_spreads_near_two_to_the_minus_300_of_the_maxima_are_undefined():
     the product of the two spreads underflows to 0 at unit scale, and the row
     is Undefined, as a constant one is; at ~2**-200 it is defined."""
     zones = pl.sorted_zones(generate_synthetic_region(1)[0])
-    weights = build_weights([(z.zone_id, z.centroid) for z in zones], "knn", include_self=True,
-                            k=8)
+    weights = build_weights([(z.zone_id, z.centroid) for z in zones], "knn", k=8)
     # The rows whose neighbourhood leaves out zone 0, which holds both maxima.
-    far = weights.matrix[:, [0]].toarray().ravel() == 0.0
+    rows = np.repeat(np.arange(len(zones)), np.diff(weights.indptr))
+    far = ~np.isin(np.arange(len(zones)), rows[weights.indices == 0])
     x, y = np.random.default_rng(5).normal(0.0, 1.0, (2, len(zones)))
     category = {}
     for k in (-200, -300):

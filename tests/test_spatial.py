@@ -104,9 +104,9 @@ def shared_pass_case(scheme):
     """
     pts = random_points(44, 40)
     if scheme == "knn":
-        w = build_weights(pts, "knn", include_self=True, k=5)
+        w = build_weights(pts, "knn", k=5)
     else:
-        w = build_weights(pts, "fixed_band", include_self=True, band=25.0)
+        w = build_weights(pts, "fixed_band", band=25.0)
     rng = np.random.default_rng(45)
     lon = np.array([p.lon for _, p in pts])
     x = np.where(lon < -77.0, 1.5, rng.normal(0.0, 1.0, 40))
@@ -140,11 +140,18 @@ def repeated_lists_case(scheme):
     pts += [(f"r{i:02d}", GeoPoint(39.0 + 20.0 * MILE_DEG * math.sin(i * math.pi / 8),
                                    -76.0 + 20.0 * lon_mile * math.cos(i * math.pi / 8)))
             for i in range(16)]
-    w = build_weights(pts, scheme, include_self=True, k=5, band=16.0)
+    w = build_weights(pts, scheme, k=5, band=16.0)
     first = np.array([pid[0] for pid, _ in pts])
     x = np.where(first == "b", 1.5, rng.normal(0.0, 1.0, len(pts)))
     y1, y2 = rng.normal(0.0, 1.0, (2, len(pts)))
     return w, x, y1, np.where(first == "d", 0.0, y2)
+
+
+def without_self(w):
+    """Each row's neighbour indices less the row's own, which every row holds."""
+    rows = [list(map(int, nb)) for nb in w.neighbors]
+    assert all(i in nb for i, nb in enumerate(rows))
+    return [[j for j in nb if j != i] for i, nb in enumerate(rows)]
 
 
 def check_rows_sharing_a_list(w, x, ys, permutations=199, seed=5, min_neighbors=4):
@@ -177,7 +184,7 @@ class TestBuildWeights:
     def test_collinear_knn_includes_self_and_nearest(self):
         pts = [("a", GeoPoint(0.0, 0.0)), ("b", GeoPoint(0.0, MILE_DEG)),
                ("c", GeoPoint(0.0, 2 * MILE_DEG))]
-        w = build_weights(pts, "knn", include_self=True, k=1)
+        w = build_weights(pts, "knn", k=1)
         assert list(w.neighbors[0]) == [0, 1]
         assert list(w.neighbors[2]) == [1, 2]
         # middle feature is equidistant from both ends; tie breaks by id
@@ -185,25 +192,26 @@ class TestBuildWeights:
 
     def test_band_larger_than_diameter_connects_everything(self):
         pts = random_points(1, 12)
-        w = build_weights(pts, "fixed_band", include_self=True, band=1e4)
+        w = build_weights(pts, "fixed_band", band=1e4)
         for i in range(12):
             assert list(w.neighbors[i]) == list(range(12))
 
     def test_knn_matches_brute_force_selection(self):
         pts = random_points(2, 100)
-        w = build_weights(pts, "knn", include_self=False, k=8)
+        w = build_weights(pts, "knn", k=8)
         ids = [pid for pid, _ in pts]
+        others = without_self(w)
         for i, (pid, p) in enumerate(pts):
             ranked = sorted(
                 (j for j in range(100) if j != i),
                 key=lambda j: (haversine_miles(p, pts[j][1]), ids[j]),
             )
-            assert sorted(ranked[:8]) == list(w.neighbors[i])
+            assert sorted(ranked[:8]) == others[i]
 
     def test_band_membership_matches_brute_force(self):
         pts = random_points(3, 80)
         band = 25.0
-        w = build_weights(pts, "fixed_band", include_self=True, band=band)
+        w = build_weights(pts, "fixed_band", band=band)
         for i, (pid, p) in enumerate(pts):
             expected = sorted(
                 j for j in range(80)
@@ -213,40 +221,53 @@ class TestBuildWeights:
 
     def test_fixed_band_symmetry(self):
         pts = random_points(4, 60)
-        w = build_weights(pts, "fixed_band", include_self=False, band=20.0)
-        sets = [set(map(int, nbrs)) for nbrs in w.neighbors]
+        w = build_weights(pts, "fixed_band", band=20.0)
+        sets = [set(nbrs) for nbrs in without_self(w)]
         for i in range(60):
             for j in sets[i]:
                 assert i in sets[j]
 
     def test_isolated_feature_flagged_not_rejected(self):
         pts = [("a", GeoPoint(0.0, 0.0)), ("b", GeoPoint(0.0, 1.0)), ("far", GeoPoint(50.0, 50.0))]
-        w = build_weights(pts, "fixed_band", include_self=True, band=100.0)
+        w = build_weights(pts, "fixed_band", band=100.0)
         assert w.isolated[2] and not w.isolated[0]
         assert list(w.neighbors[2]) == [2]
+
+    def test_include_self_accepts_only_true(self):
+        pts = random_points(16, 10)
+        for scheme in WEIGHT_SCHEMES:
+            with pytest.raises(ValidationError, match="^build_weights always includes the focal "
+                                                      "feature, got include_self=False$"):
+                build_weights(pts, scheme, include_self=False, k=3, band=30.0)
+            default = build_weights(pts, scheme, k=3, band=30.0)
+            explicit = build_weights(pts, scheme, include_self=True, k=3, band=30.0)
+            assert default.ids == explicit.ids
+            for name in ("indptr", "indices"):
+                a, b = getattr(default, name), getattr(explicit, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_rejections(self):
         pts = random_points(5, 10)
         with pytest.raises(ValidationError):
-            build_weights(pts, "knn", include_self=True, k=10)
+            build_weights(pts, "knn", k=10)
         with pytest.raises(ValidationError):
-            build_weights(pts, "knn", include_self=True, k=0)
+            build_weights(pts, "knn", k=0)
         with pytest.raises(ValidationError):
-            build_weights(pts, "fixed_band", include_self=True, band=0.0)
+            build_weights(pts, "fixed_band", band=0.0)
         with pytest.raises(ValidationError):
-            build_weights(pts[:1], "fixed_band", include_self=True, band=1.0)
+            build_weights(pts[:1], "fixed_band", band=1.0)
         with pytest.raises(ValidationError):
-            build_weights(pts, "voronoi", include_self=True)
+            build_weights(pts, "voronoi")
 
     @pytest.mark.parametrize("k", [True, 2.5, "3", None])
     def test_a_k_that_is_no_integer_is_rejected_by_name(self, k):
         with pytest.raises(ValidationError, match=rf"^k must be an integer >= 1, got {k!r}$"):
-            build_weights(random_points(5, 10), "knn", include_self=True, k=k)
+            build_weights(random_points(5, 10), "knn", k=k)
 
     @pytest.mark.parametrize("band", [math.inf, math.nan, -1.0, None])
     def test_band_takes_the_rule_of_the_band_setting(self, band):
         with pytest.raises(ValidationError, match=rf"^band must be finite and > 0, got {band!r}$"):
-            build_weights(random_points(5, 10), "fixed_band", include_self=True, band=band)
+            build_weights(random_points(5, 10), "fixed_band", band=band)
         if band is not None:
             with pytest.raises(ValidationError,
                                match=rf"^config band_miles must be finite and > 0, got {band!r}$"):
@@ -254,7 +275,7 @@ class TestBuildWeights:
 
     def test_unknown_scheme_message_names_every_scheme(self):
         with pytest.raises(ValidationError, match="voronoi") as exc:
-            build_weights(random_points(5, 10), "voronoi", include_self=True, k=3, band=10.0)
+            build_weights(random_points(5, 10), "voronoi", k=3, band=10.0)
         assert all(repr(s) in str(exc.value) for s in WEIGHT_SCHEMES)
 
 
@@ -284,11 +305,11 @@ any_points = st.one_of(lattice_points(), scattered_points())
 
 
 class TestWeightsAgainstBruteForce:
-    @given(any_points, st.floats(0.05, 8.0), st.booleans())
+    @given(any_points, st.floats(0.05, 8.0))
     @settings(max_examples=150, deadline=None)
-    def test_fixed_band_equals_oracle(self, pts, band, include_self):
-        w = build_weights(pts, "fixed_band", include_self=include_self, band=band)
-        neighbors, isolated = ref_weights(pts, "fixed_band", include_self, band=band)
+    def test_fixed_band_equals_oracle(self, pts, band):
+        w = build_weights(pts, "fixed_band", band=band)
+        neighbors, isolated = ref_weights(pts, "fixed_band", band=band)
         assert [list(nb) for nb in w.neighbors] == neighbors
         assert list(w.isolated) == isolated
 
@@ -300,36 +321,35 @@ class TestWeightsAgainstBruteForce:
         b = data.draw(st.integers(0, n - 1).filter(lambda j: j != a))
         band = float(ref_pairwise_miles([p.lat for _, p in pts], [p.lon for _, p in pts])[a, b])
         assume(band > 0.0)
-        w = build_weights(pts, "fixed_band", include_self=True, band=band)
+        w = build_weights(pts, "fixed_band", band=band)
         assert b in w.neighbors[a] and a in w.neighbors[b]
-        assert [list(nb) for nb in w.neighbors] == ref_weights(pts, "fixed_band", True, band=band)[0]
+        assert [list(nb) for nb in w.neighbors] == ref_weights(pts, "fixed_band", band=band)[0]
 
-    @given(any_points, st.data(), st.booleans())
+    @given(any_points, st.data())
     @settings(max_examples=150, deadline=None)
-    def test_knn_equals_oracle_with_ties_broken_by_id(self, pts, data, include_self):
+    def test_knn_equals_oracle_with_ties_broken_by_id(self, pts, data):
         k = data.draw(st.integers(1, len(pts) - 1))
-        w = build_weights(pts, "knn", include_self=include_self, k=k)
-        neighbors, _ = ref_weights(pts, "knn", include_self, k=k)
+        w = build_weights(pts, "knn", k=k)
+        neighbors, _ = ref_weights(pts, "knn", k=k)
         assert [list(nb) for nb in w.neighbors] == neighbors
         assert not w.isolated.any()
 
     @given(any_points, st.floats(0.05, 8.0))
     @settings(max_examples=100, deadline=None)
     def test_fixed_band_is_symmetric(self, pts, band):
-        w = build_weights(pts, "fixed_band", include_self=False, band=band)
-        sets = [set(map(int, nb)) for nb in w.neighbors]
+        w = build_weights(pts, "fixed_band", band=band)
+        sets = [set(nb) for nb in without_self(w)]
         assert all(i in sets[j] for i in range(len(pts)) for j in sets[i])
 
     @pytest.mark.parametrize("layout", ["cluster_and_ring", "far_outlier"])
     @pytest.mark.parametrize("scheme, k, band", [("knn", 1, None), ("knn", 8, None),
                                                  ("knn", -1, None), ("fixed_band", None, 0.3),
                                                  ("fixed_band", None, 30.0)])
-    @pytest.mark.parametrize("include_self", [True, False])
-    def test_uneven_layouts_equal_oracle(self, layout, scheme, k, band, include_self):
+    def test_uneven_layouts_equal_oracle(self, layout, scheme, k, band):
         pts = uneven_layout(layout)
         k = len(pts) - 1 if k == -1 else k  # -1 stands for every other feature
-        w = build_weights(pts, scheme, include_self=include_self, k=k, band=band)
-        neighbors, isolated = ref_weights(pts, scheme, include_self, k=k, band=band)
+        w = build_weights(pts, scheme, k=k, band=band)
+        neighbors, isolated = ref_weights(pts, scheme, k=k, band=band)
         assert [list(nb) for nb in w.neighbors] == neighbors
         assert list(w.isolated) == isolated
 
@@ -344,8 +364,8 @@ class TestWeightsAgainstBruteForce:
         assert np.all(np.diff(i) >= 0)
         counts = np.bincount(i[i != j], minlength=len(pts))
         assert counts.min() == k < counts.max()
-        w = build_weights(pts, "knn", include_self=False, k=k)
-        assert [list(nb) for nb in w.neighbors] == ref_weights(pts, "knn", False, k=k)[0]
+        w = build_weights(pts, "knn", k=k)
+        assert [list(nb) for nb in w.neighbors] == ref_weights(pts, "knn", k=k)[0]
 
     def test_equidistant_knn_tie_goes_to_smaller_id(self):
         # "m" sits at the origin, "z" and "a" mirror each other through it,
@@ -353,8 +373,8 @@ class TestWeightsAgainstBruteForce:
         pts = [("z", GeoPoint(0.0, -0.25)), ("m", GeoPoint(0.0, 0.0)), ("a", GeoPoint(0.0, 0.25))]
         dist = ref_pairwise_miles([p.lat for _, p in pts], [p.lon for _, p in pts])
         assert dist[1, 0] == dist[1, 2]
-        w = build_weights(pts, "knn", include_self=False, k=1)
-        assert list(w.neighbors[1]) == [2]
+        w = build_weights(pts, "knn", k=1)
+        assert without_self(w)[1] == [2]
 
     @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
     def test_memory_grows_with_neighbours_not_n_squared(self, scheme):
@@ -364,7 +384,7 @@ class TestWeightsAgainstBruteForce:
         pts = random_points(8, 5000) + [("outlier", GeoPoint(-33.9, 151.2))]
         tracemalloc.start()
         try:
-            w = build_weights(pts, scheme, include_self=True, k=8, band=15.0)
+            w = build_weights(pts, scheme, k=8, band=15.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -378,7 +398,7 @@ class TestGiStar:
         assert np.mean([0.1] * 7) != 0.1
         for value, n in [(7.0, 20), (0.1, 7)]:
             pts = random_points(6, n)
-            w = build_weights(pts, "fixed_band", include_self=True, band=30.0)
+            w = build_weights(pts, "fixed_band", band=30.0)
             res = classify_hotspots(getis_ord_gi_star([value] * n, w))
             assert np.all(res.z == 0.0)
             assert np.all(res.p == 1.0)
@@ -386,26 +406,26 @@ class TestGiStar:
 
     def test_a_value_count_that_is_not_the_feature_count_is_rejected(self):
         points, values = grid_3x3()
-        w = build_weights(points, "fixed_band", include_self=True, band=1.5)
+        w = build_weights(points, "fixed_band", band=1.5)
         with pytest.raises(ValidationError,
                            match="^value count 10 does not match feature count 9$"):
             getis_ord_gi_star(values + [1.0], w)
 
     def test_two_features_are_too_few(self):
-        w = build_weights(random_points(6, 2), "fixed_band", include_self=True, band=1e4)
+        w = build_weights(random_points(6, 2), "fixed_band", band=1e4)
         with pytest.raises(ValidationError, match="^Gi\\* requires at least 3 features, got 2$"):
             getis_ord_gi_star([1.0, 2.0], w)
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_a_value_that_is_not_finite_is_rejected(self, bad):
         points, values = grid_3x3()
-        w = build_weights(points, "fixed_band", include_self=True, band=1.5)
+        w = build_weights(points, "fixed_band", band=1.5)
         with pytest.raises(ValidationError, match="^Gi\\* requires finite values$"):
             getis_ord_gi_star(values[:-1] + [bad], w)
 
     def test_center_spike_grid_matches_direct_formula(self):
         points, values = grid_3x3()
-        w = build_weights(points, "fixed_band", include_self=True, band=1.5)
+        w = build_weights(points, "fixed_band", band=1.5)
         res = getis_ord_gi_star(values, w)
         expected = ref_gi_star(values, [list(map(int, nbrs)) for nbrs in w.neighbors])
         np.testing.assert_allclose(res.z, expected, rtol=0, atol=1e-15)
@@ -419,7 +439,7 @@ class TestGiStar:
         rng = np.random.default_rng(8)
         for n in (3, 5, 12, 25):
             pts = random_points(int(rng.integers(0, 1000)), n)
-            w = build_weights(pts, "fixed_band", include_self=True, band=40.0)
+            w = build_weights(pts, "fixed_band", band=40.0)
             x = rng.normal(10.0, 3.0, n)
             res = getis_ord_gi_star(x, w)
             expected = ref_gi_star(x, [list(map(int, nbrs)) for nbrs in w.neighbors])
@@ -435,8 +455,8 @@ class TestGiStar:
         cfg = RunConfig(weights_scheme=scheme)
         field = pl.compute_access(zones, facilities, cfg)
         x = np.array([field.zone_scores[z.zone_id] for z in zones]) + 1e4
-        w = build_weights([(z.zone_id, z.centroid) for z in zones], scheme, include_self=True,
-                          k=cfg.knn_k, band=cfg.band_miles)
+        w = build_weights([(z.zone_id, z.centroid) for z in zones], scheme, k=cfg.knn_k,
+                          band=cfg.band_miles)
         res = getis_ord_gi_star(x, w)
         expected = ref_gi_star(x, [list(map(int, nbrs)) for nbrs in w.neighbors])
         assert np.max(np.abs(res.z)) > 3.0
@@ -445,12 +465,12 @@ class TestGiStar:
     def test_relabeling_invariance(self):
         pts = random_points(9, 15)
         values = list(np.random.default_rng(10).normal(0, 1, 15))
-        w = build_weights(pts, "fixed_band", include_self=True, band=35.0)
+        w = build_weights(pts, "fixed_band", band=35.0)
         base = getis_ord_gi_star(values, w)
         perm = list(np.random.default_rng(11).permutation(15))
         pts_p = [pts[i] for i in perm]
         values_p = [values[i] for i in perm]
-        w_p = build_weights(pts_p, "fixed_band", include_self=True, band=35.0)
+        w_p = build_weights(pts_p, "fixed_band", band=35.0)
         res_p = getis_ord_gi_star(values_p, w_p)
         for new_idx, old_idx in enumerate(perm):
             assert res_p.z[new_idx] == pytest.approx(base.z[old_idx], abs=1e-12)
@@ -458,7 +478,7 @@ class TestGiStar:
     def test_reflection_negates_z_exactly(self):
         pts = random_points(12, 18)
         values = np.random.default_rng(13).normal(5.0, 2.0, 18)
-        w = build_weights(pts, "fixed_band", include_self=True, band=30.0)
+        w = build_weights(pts, "fixed_band", band=30.0)
         plus = getis_ord_gi_star(values, w)
         minus = getis_ord_gi_star(-values, w)
         assert np.all(plus.z == -minus.z)
@@ -466,7 +486,7 @@ class TestGiStar:
     def test_shift_and_scale_invariance(self):
         pts = random_points(14, 16)
         values = np.random.default_rng(15).normal(0.0, 1.0, 16)
-        w = build_weights(pts, "fixed_band", include_self=True, band=30.0)
+        w = build_weights(pts, "fixed_band", band=30.0)
         base = getis_ord_gi_star(values, w)
         shifted = getis_ord_gi_star(values + 100.0, w)
         scaled = getis_ord_gi_star(values * 7.5, w)
@@ -481,8 +501,7 @@ class TestGiStar:
         x = np.zeros(int(2 * sum(z * z for z in targets)))
         x[:8] = targets + [-z for z in targets]
         n = x.size
-        w = SpatialWeights(ids=list(range(n)), indptr=np.arange(n + 1), indices=np.arange(n),
-                           include_self=True, isolated=np.zeros(n, dtype=bool))
+        w = SpatialWeights(ids=list(range(n)), indptr=np.arange(n + 1), indices=np.arange(n))
         res = getis_ord_gi_star(x, w)
         assert res.z.tolist() == x.tolist()
         assert res.p.tolist() == [math.erfc(abs(z) / math.sqrt(2.0)) for z in res.z.tolist()]
@@ -490,10 +509,17 @@ class TestGiStar:
             assert abs(Decimal(res.p[i]) - Decimal(want)) <= Decimal("1e-15") * Decimal(want)
 
     def test_requires_self_inclusive_weights(self):
+        # No graph without the focal feature can be built, and Gi* over the
+        # graph that can be equals the direct formula over the brute-force
+        # self-inclusive neighbourhoods.
         pts = random_points(16, 10)
-        w = build_weights(pts, "fixed_band", include_self=False, band=30.0)
-        with pytest.raises(ValidationError):
-            getis_ord_gi_star([1.0] * 10, w)
+        with pytest.raises(ValidationError, match="include_self=False$"):
+            build_weights(pts, "fixed_band", include_self=False, band=30.0)
+        x = np.random.default_rng(17).normal(10.0, 3.0, 10)
+        for scheme in WEIGHT_SCHEMES:
+            w = build_weights(pts, scheme, k=3, band=30.0)
+            expected = ref_gi_star(x, ref_weights(pts, scheme, k=3, band=30.0)[0])
+            np.testing.assert_allclose(getis_ord_gi_star(x, w).z, expected, rtol=0, atol=1e-15)
 
 
 class TestClassification:
@@ -541,7 +567,7 @@ class TestClassification:
 class TestLocalBivariate:
     def test_perfect_correlation_everywhere(self):
         pts = random_points(30, 40)
-        w = build_weights(pts, "knn", include_self=True, k=8)
+        w = build_weights(pts, "knn", k=8)
         x = list(np.random.default_rng(31).normal(0, 1, 40))
         res = local_bivariate(x, x, w, permutations=19, seed=1, min_neighbors=5)
         defined = [i for i, c in enumerate(res.category) if c != "Undefined"]
@@ -552,7 +578,7 @@ class TestLocalBivariate:
 
     def test_constant_x_everywhere_undefined(self):
         pts = random_points(32, 20)
-        w = build_weights(pts, "knn", include_self=True, k=6)
+        w = build_weights(pts, "knn", k=6)
         y = list(np.random.default_rng(33).normal(0, 1, 20))
         res = local_bivariate([3.0] * 20, y, w, permutations=19, seed=1, min_neighbors=4)
         assert all(c == "Undefined" for c in res.category)
@@ -561,7 +587,7 @@ class TestLocalBivariate:
 
     def test_small_neighborhoods_are_undefined(self):
         pts = random_points(34, 12)
-        w = build_weights(pts, "knn", include_self=True, k=3)
+        w = build_weights(pts, "knn", k=3)
         rng = np.random.default_rng(35)
         res = local_bivariate(rng.normal(0, 1, 12), rng.normal(0, 1, 12), w,
                               permutations=19, seed=1, min_neighbors=8)
@@ -569,7 +595,7 @@ class TestLocalBivariate:
 
     def test_observed_r_matches_reference_pearson(self):
         pts = random_points(36, 30)
-        w = build_weights(pts, "knn", include_self=True, k=7)
+        w = build_weights(pts, "knn", k=7)
         rng = np.random.default_rng(37)
         x = rng.normal(0, 1, 30)
         y = rng.normal(0, 1, 30)
@@ -586,7 +612,7 @@ class TestLocalBivariate:
         own scale while both variances are positive. Both variables are read at
         unit scale, so r and the categories keep their unscaled values."""
         pts = random_points(36, 30)
-        w = build_weights(pts, "knn", include_self=True, k=7)
+        w = build_weights(pts, "knn", k=7)
         rng = np.random.default_rng(37)
         x = rng.normal(0, 1, 30)
         y = rng.normal(0, 1, 30)
@@ -601,7 +627,7 @@ class TestLocalBivariate:
 
     def test_seeded_determinism_across_worker_counts(self):
         pts = random_points(38, 36)
-        w = build_weights(pts, "knn", include_self=True, k=8)
+        w = build_weights(pts, "knn", k=8)
         rng = np.random.default_rng(39)
         x = rng.normal(0, 1, 36)
         y = rng.normal(0, 1, 36)
@@ -612,7 +638,7 @@ class TestLocalBivariate:
 
     def test_pseudo_p_never_zero(self):
         pts = random_points(40, 30)
-        w = build_weights(pts, "knn", include_self=True, k=8)
+        w = build_weights(pts, "knn", k=8)
         x = np.arange(30, dtype=float)
         res = local_bivariate(x, x, w, permutations=199, seed=3, min_neighbors=4)
         assert np.all(res.pseudo_p > 0.0)
@@ -620,7 +646,7 @@ class TestLocalBivariate:
 
     def test_rejections(self):
         pts = random_points(41, 10)
-        w = build_weights(pts, "knn", include_self=True, k=3)
+        w = build_weights(pts, "knn", k=3)
         with pytest.raises(ValidationError):
             local_bivariate([1.0] * 9, [1.0] * 10, w)
         with pytest.raises(ValidationError):
@@ -628,7 +654,7 @@ class TestLocalBivariate:
 
     def test_worker_count_below_one_rejected(self):
         pts = random_points(42, 10)
-        w = build_weights(pts, "knn", include_self=True, k=3)
+        w = build_weights(pts, "knn", k=3)
         x = np.arange(10, dtype=float)
         with pytest.raises(ValidationError, match="workers"):
             local_bivariate(x, x[::-1], w, permutations=19, workers=0)
@@ -642,7 +668,7 @@ class TestLocalBivariate:
     ])
     def test_bad_argument_rejected_by_name(self, kwargs, name):
         pts = random_points(42, 10)
-        w = build_weights(pts, "knn", include_self=True, k=3)
+        w = build_weights(pts, "knn", k=3)
         x = np.arange(10, dtype=float)
         with pytest.raises(ValidationError, match=name):
             local_bivariate(x, x[::-1], w, **{"permutations": 19, **kwargs})
@@ -650,7 +676,7 @@ class TestLocalBivariate:
     @pytest.mark.parametrize("permutations", [19, 39, 99])
     def test_significant_at_or_below_five_percent(self, permutations):
         pts = random_points(7, 60)
-        w = build_weights(pts, "knn", include_self=True, k=8)
+        w = build_weights(pts, "knn", k=8)
         rng = np.random.default_rng(8)
         x = rng.normal(0, 1, 60)
         y = x + rng.normal(0, 1, 60)
@@ -669,17 +695,29 @@ class TestLocalBivariate:
         assert any(0.05 < p < 0.1 + 1e-12 for p in res.pseudo_p)
 
     def test_requires_self_inclusive_weights(self):
-        w = build_weights(random_points(16, 10), "fixed_band", include_self=False, band=30.0)
-        x = np.arange(10, dtype=float)
-        match = "^local_bivariate requires weights built with include_self=True$"
-        with pytest.raises(ValidationError, match=match):
-            local_bivariate(x, x[::-1], w, permutations=19)
-        with pytest.raises(ValidationError, match=match):
-            local_bivariates(x, [x[::-1]], w, permutations=19)
+        # No graph without the focal feature can be built, and the association
+        # over the graph that can be equals the oracle's over the brute-force
+        # self-inclusive neighbourhoods.
+        pts = random_points(16, 24)
+        with pytest.raises(ValidationError, match="include_self=False$"):
+            build_weights(pts, "knn", include_self=False, k=5)
+        rng = np.random.default_rng(17)
+        x = rng.normal(0.0, 1.0, 24)
+        y = x + rng.normal(0.0, 1.0, 24)
+        kwargs = dict(permutations=99, seed=2, min_neighbors=4)
+        for scheme in WEIGHT_SCHEMES:
+            w = build_weights(pts, scheme, k=5, band=40.0)
+            res = local_bivariate(x, y, w, **kwargs)
+            local_r, pseudo_p, category = ref_local_bivariate(
+                x, y, ref_weights(pts, scheme, k=5, band=40.0)[0], **kwargs)
+            np.testing.assert_allclose(res.local_r, local_r, rtol=0.0, atol=1e-10)
+            np.testing.assert_array_equal(res.pseudo_p, pseudo_p)
+            assert res.category == category
+            assert category.count("Undefined") < len(category)
 
     def test_every_y_is_checked(self):
         pts = random_points(42, 10)
-        w = build_weights(pts, "knn", include_self=True, k=3)
+        w = build_weights(pts, "knn", k=3)
         x = np.arange(10, dtype=float)
         with pytest.raises(ValidationError, match=r"\(10, 10, 9\)"):
             local_bivariates(x, [x, x[:9]], w, permutations=19)
@@ -743,7 +781,7 @@ class TestLocalBivariate:
                                       float(rng.uniform(-76.01, -75.99)))) for i in range(500)]
         pts += [(f"g{i:04d}", GeoPoint(35.0 + 0.15 * (i // 100), -90.0 + 0.15 * (i % 100)))
                 for i in range(5500)]
-        w = build_weights(pts, "fixed_band", include_self=True, band=15.0)
+        w = build_weights(pts, "fixed_band", band=15.0)
         x, y = rng.normal(0.0, 1.0, (2, len(pts)))
         tracemalloc.start()
         try:
@@ -762,8 +800,8 @@ class TestLocalBivariate:
         global-permutation null holds here; it is smooth fields that fool it."""
         cfg = RunConfig()
         zones, _, _ = generate_synthetic_region(1)
-        w = build_weights([(z.zone_id, z.centroid) for z in zones], scheme, include_self=True,
-                          k=cfg.knn_k, band=cfg.band_miles)
+        w = build_weights([(z.zone_id, z.centroid) for z in zones], scheme, k=cfg.knn_k,
+                          band=cfg.band_miles)
         rng = np.random.default_rng(1)
         shares = []
         for _ in range(20):
@@ -798,7 +836,7 @@ class TestRepeatedNeighbourLists:
     @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
     def test_complete_graph_is_one_list(self, scheme):
         pts = random_points(47, 12)
-        w = build_weights(pts, scheme, include_self=True, k=11, band=1000.0)
+        w = build_weights(pts, scheme, k=11, band=1000.0)
         x, y = np.random.default_rng(48).normal(0.0, 1.0, (2, 12))
         (res,), repeated = check_rows_sharing_a_list(w, x, [y])
         assert repeated == [list(range(12))]
@@ -814,8 +852,7 @@ class TestRepeatedNeighbourLists:
         assert len(lists[0]) == len(lists[1]) and sum(lists[0]) == sum(lists[1])
         indptr = np.cumsum([0] + [len(nb) for nb in lists])
         w = SpatialWeights(ids=[f"z{i}" for i in range(n)], indptr=indptr,
-                           indices=np.concatenate(lists), include_self=True,
-                           isolated=np.zeros(n, dtype=bool))
+                           indices=np.concatenate(lists))
         x, y = rng.normal(0.0, 1.0, (2, n))
         (res,), repeated = check_rows_sharing_a_list(w, x, [y])
         assert [0, 2] in repeated and not any(1 in group for group in repeated)
@@ -832,10 +869,9 @@ def weighted_case(draw):
     pts = draw(any_points.filter(lambda p: len(p) >= 4))
     n = len(pts)
     if draw(st.sampled_from(["fixed_band", "knn"])) == "knn":
-        w = build_weights(pts, "knn", include_self=True, k=draw(st.integers(2, n - 1)))
+        w = build_weights(pts, "knn", k=draw(st.integers(2, n - 1)))
     else:
-        w = build_weights(pts, "fixed_band", include_self=True,
-                          band=draw(st.floats(0.5, 8.0)))
+        w = build_weights(pts, "fixed_band", band=draw(st.floats(0.5, 8.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(draw(st.floats(-5.0, 5.0)), 1.0, n)
     y = rng.normal(draw(st.floats(-5.0, 5.0)), 1.0, n)
